@@ -75,13 +75,6 @@ class InstanceAnalysis:
         return self._right_ideals
 
     @property
-    def two_sided_ideals(self):
-        ideals = self.right_ideals
-        if ideals is None:
-            return None
-        return [i for i in ideals if i.is_two_sided]
-
-    @property
     def coproducts(self) -> CoproductCache:
         if self._cache is None:
             self._cache = CoproductCache(self.m, self.endo)

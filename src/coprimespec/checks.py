@@ -24,7 +24,7 @@ from .analysis import InstanceAnalysis, analyze
 from .bicomodule import centralizer, phi_matrix, quotient
 from .coalgebra import CoalgebraMorphism, identity_morphism
 from .coprime import is_fully_coprime, is_fully_cosemiprime, ke_product_bound
-from .endo import an, intertwiners, is_prime_ideal, ke, maximal_ideals
+from .endo import an, intertwiners, ke, maximal_ideals
 from .exceptions import CoalgebraMismatch
 from .lattice import cyclic_subbicomodule, is_fully_invariant
 from .linalg import Matrix, Subspace, kernel, preimage
@@ -837,14 +837,12 @@ def _check_prime_maximal(a: InstanceAnalysis, ctx) -> list:
         gaps.append("self-cogenerator")
     if gaps:
         return [_vacuous(name, gaps)]
-    two_sided = a.two_sided_ideals
-    if two_sided is None:
-        return [Verdict(name, UNSUPPORTED, _ideal_excuse(a))]
-    primes = [i for i in two_sided if is_prime_ideal(a.endo, i, two_sided)]
-    maximal_keys = {i.subspace.key() for i in maximal_ideals(two_sided)}
-    if not all(i.subspace.key() in maximal_keys for i in primes):
-        return [_vacuous(name, ["every prime ideal maximal"])]
     spec = a.spectrum
+    if spec.primes is None:
+        return [Verdict(name, UNSUPPORTED, _ideal_excuse(a))]
+    maximal_keys = {i.subspace.key() for i in maximal_ideals(spec.two_sided)}
+    if not all(i.subspace.key() in maximal_keys for i in spec.primes):
+        return [_vacuous(name, ["every prime ideal maximal"])]
     if _keyset(spec.cpspec) != _keyset(a.socle.simples):
         extra = next(k for k in spec.cpspec
                      if k.key() not in _keyset(a.socle.simples))

@@ -30,9 +30,20 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
 
+class UsageError(Exception):
+    """A bad command-line value that argparse does not check itself."""
+
+
+def _field(name: str):
+    try:
+        return parse_field_name(name)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _load_bicomodule(instance: str, field_name: str):
     if looks_like_ref(instance):
-        return resolve_ref_to_bicomodule(instance, parse_field_name(field_name))
+        return resolve_ref_to_bicomodule(instance, _field(field_name))
     parsed = load_instance(instance)
     bad = [f"{label}: {rep}" for label, rep in
            parsed.validation_reports().items() if not rep.ok]
@@ -68,7 +79,7 @@ def _basis_lines(field, subspace, indent="    "):
 def cmd_validate(args) -> int:
     if looks_like_ref(args.instance):
         m = resolve_ref_to_bicomodule(args.instance,
-                                      parse_field_name(args.field))
+                                      _field(args.field))
         reports = [("left coalgebra", m.left.validate()),
                    ("right coalgebra", m.right.validate()),
                    ("bicomodule", m.validate())]
@@ -181,7 +192,7 @@ def cmd_check(args) -> int:
     runs = []
     if args.random is not None:
         from .catalog import random_instance
-        field = parse_field_name(args.field)
+        field = _field(args.field)
         for i in range(args.random):
             m, desc = random_instance(args.seed + i, field=field)
             runs.append((f"seed {args.seed + i}: {desc}", m))
@@ -237,7 +248,7 @@ def cmd_catalog(args) -> int:
                      "subbicomodule of basis vector K")
         _emit(args, {"families": list(CATALOG_NAMES)}, "\n".join(lines))
         return EXIT_OK
-    m = resolve_ref_to_bicomodule(args.ref, parse_field_name(args.field))
+    m = resolve_ref_to_bicomodule(args.ref, _field(args.field))
     text = render_instance(m)
     if args.out:
         with open(args.out, "w") as handle:
@@ -329,6 +340,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (BudgetExceeded, ExhaustiveUnavailableOverQ,
             UnsupportedOverQ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,15 +10,21 @@ when K <= (X : Y) forces K <= X or K <= Y over fully invariant pairs, and
 fully cosemiprime when K <= (X : X) forces K <= X.  The spectrum collects
 the fully coprime elements; annihilator-side prime data is available over
 finite prime fields where two-sided ideals can be enumerated.
+
+Both tests scan only the maximal fully invariant X, Y with K not <= X, Y,
+which is equivalent by monotonicity: Y <= Y' gives (X : Y) <= (X : Y'),
+and X <= X' gives An(X') <= An(X), hence (X : Y) <= (X' : Y).  A violating
+pair therefore stays violating when each member is raised to a maximal
+element not containing K above it.
 """
 
 from __future__ import annotations
 
 from .bicomodule import Bicomodule, restrict
-from .endo import (EndoAlgebra, an, enumerate_ideals, endo_algebra,
-                   ideal_product, is_prime_ideal, is_semiprime_ideal,
-                   jacobson_radical, ke, prime_radical, radical_char0)
-from .exceptions import NotFullyInvariant, UnsupportedOverQ, ZeroSubmodule
+from .endo import (EndoAlgebra, IdealPoset, an, enumerate_ideals,
+                   endo_algebra, ideal_product, jacobson_radical, ke,
+                   prime_radical, radical_char0)
+from .exceptions import BudgetExceeded, NotFullyInvariant, ZeroSubmodule
 from .lattice import Lattice, is_fully_invariant
 from .linalg import Subspace, preimage
 
@@ -86,11 +92,12 @@ def _require_candidate(k: Subspace, endo: EndoAlgebra):
 
 def is_fully_coprime(m: Bicomodule, k: Subspace, lattice: Lattice,
                      endo: EndoAlgebra, cache: CoproductCache | None = None):
-    """Returns (flag, witness); witness is a violating pair (X, Y) or None."""
+    """Returns (flag, witness); witness is a violating pair (X, Y) of
+    maximal fully invariant elements not containing K, or None."""
     _require_candidate(k, endo)
     if cache is None:
         cache = CoproductCache(m, endo)
-    candidates = [x for x in lattice.fi_elements() if not x.contains(k)]
+    candidates = lattice.maximal_fi_not_containing(k)
     for x in candidates:
         for y in candidates:
             if cache.coproduct(x, y).contains(k):
@@ -100,12 +107,12 @@ def is_fully_coprime(m: Bicomodule, k: Subspace, lattice: Lattice,
 
 def is_fully_cosemiprime(m: Bicomodule, k: Subspace, lattice: Lattice,
                          endo: EndoAlgebra, cache: CoproductCache | None = None):
-    """Returns (flag, witness); witness is a violating X or None."""
+    """Returns (flag, witness); witness is a violating maximal X or None."""
     _require_candidate(k, endo)
     if cache is None:
         cache = CoproductCache(m, endo)
-    for x in lattice.fi_elements():
-        if not x.contains(k) and cache.coproduct(x, x).contains(k):
+    for x in lattice.maximal_fi_not_containing(k):
+        if cache.coproduct(x, x).contains(k):
             return False, x
     return True, None
 
@@ -115,7 +122,7 @@ class SpectrumReport:
 
     def __init__(self, m, lattice, endo, cache, cpspec, cpcorad, csp,
                  ep, esp, prad, jac, ke_prad, ke_jac, notes,
-                 right_ideals=None, two_sided=None):
+                 right_ideals=None, two_sided=None, primes=None):
         self.m = m
         self.lattice = lattice
         self.endo = endo
@@ -132,6 +139,7 @@ class SpectrumReport:
         self.notes = tuple(notes)
         self.right_ideals = right_ideals
         self.two_sided = two_sided
+        self.primes = primes
 
     @property
     def certified(self) -> bool:
@@ -202,7 +210,7 @@ def spectrum(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
         cpcorad = cpcorad.sum_with(k)
 
     ep = esp = prad = jac = ke_prad = ke_jac = None
-    two_sided = None
+    two_sided = primes = None
     if m.field.is_finite and right_ideals is None:
         try:
             right_ideals = enumerate_ideals(endo, side="right", budget=ideal_budget)
@@ -211,11 +219,13 @@ def spectrum(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
                          "prime and radical data omitted")
     if m.field.is_finite and right_ideals is not None:
         two_sided = [i for i in right_ideals if i.is_two_sided]
+        poset = IdealPoset(endo, two_sided)
+        primes = poset.primes()
         ep = [k for k in lattice.nonzero_fi_elements()
-              if is_prime_ideal(endo, cache.annihilator(k), two_sided)]
+              if poset.is_prime(cache.annihilator(k))]
         esp = [k for k in lattice.nonzero_fi_elements()
-               if is_semiprime_ideal(endo, cache.annihilator(k), two_sided)]
-        prad = prime_radical(endo, two_sided)
+               if poset.is_semiprime(cache.annihilator(k))]
+        prad = prime_radical(endo, poset)
         jac = jacobson_radical(endo, right_ideals)
         ke_prad = ke(prad, endo)
         ke_jac = ke(jac, endo)
@@ -228,7 +238,7 @@ def spectrum(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
 
     return SpectrumReport(m, lattice, endo, cache, cpspec, cpcorad, csp,
                           ep, esp, prad, jac, ke_prad, ke_jac, notes,
-                          right_ideals, two_sided)
+                          right_ideals, two_sided, primes)
 
 
 class RestrictedSpectrum:
@@ -281,13 +291,3 @@ def restricted_spectrum(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
     csp_back = [map_through(embed, k, m.dim) for k in report.csp]
     return RestrictedSpectrum(sub_m, embed, child_lattice, child_endo,
                               report, back, corad_back, csp_back)
-
-
-def spectrum_members_below(report: SpectrumReport, l_sub: Subspace):
-    """The parent-side comparison set {K in CPSpec(M) : K <= L}."""
-    return tuple(k for k in report.cpspec if l_sub.contains(k))
-
-
-def unsupported_over_q(field, what: str):
-    if not field.is_finite:
-        raise UnsupportedOverQ(f"{what} requires a finite prime field")

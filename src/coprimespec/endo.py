@@ -9,6 +9,12 @@ annihilator of any subspace a right ideal.
 Ideal enumeration/primality is written against a tiny algebra protocol
 (field, dim, multiply, unit_coords) so the same machinery serves both the
 endomorphism ring and a convolution dual algebra.
+
+Primality and semiprimality of a two-sided ideal I are tested only on the
+minimal enumerated two-sided J with J not <= I, which is equivalent by
+monotonicity: J1 <= J1' gives J1*J2 <= J1'*J2, and likewise in the second
+factor, so a pair J1, J2 outside I with J1*J2 <= I stays such a pair when
+each factor is lowered to a minimal ideal outside I below it.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from dataclasses import dataclass
 from .bicomodule import Bicomodule
 from .exceptions import (AmbientMismatch, BudgetExceeded, CoalgebraMismatch,
                          UnsupportedOverQ)
-from .linalg import Matrix, Subspace, enumerate_subspaces, kernel
+from .linalg import (Matrix, Subspace, bits_of, enumerate_subspaces, kernel,
+                     maximal_bits, minimal_bits, strict_upsets)
 
 
 def intertwiners(src: Bicomodule, tgt: Bicomodule):
@@ -239,40 +246,91 @@ def enumerate_ideals(algebra, side: str = "right", budget: int = 50000):
     return found
 
 
+class IdealPoset:
+    """An enumerated list of two-sided ideals with its containment table.
+
+    Entry i of `above` is the bitmask of the listed ideals strictly
+    containing ideal i.  Each product J1*J2 of listed ideals and each
+    primality verdict is computed at most once per poset.
+    """
+
+    def __init__(self, algebra, ideals):
+        self.algebra = algebra
+        self.ideals = tuple(ideals)
+        self.above = strict_upsets([i.subspace for i in self.ideals])
+        self._index = {i.subspace.key(): n for n, i in enumerate(self.ideals)}
+        self._products = {}
+        self._prime = {}
+
+    def product(self, a: int, b: int) -> Subspace:
+        """J_a * J_b for list indices a, b."""
+        found = self._products.get((a, b))
+        if found is None:
+            found = ideal_product(self.algebra, self.ideals[a].subspace,
+                                  self.ideals[b].subspace)
+            self._products[(a, b)] = found
+        return found
+
+    def minimal_outside(self, sub: Subspace):
+        """Indices of the minimal listed J with J not <= sub."""
+        t = self._index.get(sub.key())
+        if t is None:
+            inside = sum(1 << n for n, j in enumerate(self.ideals)
+                         if sub.contains(j.subspace))
+        else:
+            inside = 1 << t
+            for n, up in enumerate(self.above):
+                if up >> t & 1:
+                    inside |= 1 << n
+        outside = (1 << len(self.ideals)) - 1 & ~inside
+        return list(bits_of(minimal_bits(outside, self.above)))
+
+    def is_prime(self, ideal: RightIdeal) -> bool:
+        if not ideal.is_two_sided or not ideal.is_proper():
+            return False
+        sub = ideal.subspace
+        found = self._prime.get(sub.key())
+        if found is None:
+            outside = self.minimal_outside(sub)
+            found = not any(sub.contains(self.product(a, b))
+                            for a in outside for b in outside)
+            self._prime[sub.key()] = found
+        return found
+
+    def is_semiprime(self, ideal: RightIdeal) -> bool:
+        if not ideal.is_two_sided or not ideal.is_proper():
+            return False
+        sub = ideal.subspace
+        return not any(sub.contains(self.product(a, a))
+                       for a in self.minimal_outside(sub))
+
+    def primes(self):
+        """The prime members of the list, in list order."""
+        return [i for i in self.ideals if self.is_prime(i)]
+
+
+def ideal_poset(algebra, two_sided) -> IdealPoset:
+    """Wraps an enumerated two-sided ideal list; an IdealPoset is kept."""
+    if isinstance(two_sided, IdealPoset):
+        return two_sided
+    return IdealPoset(algebra, two_sided)
+
+
 def is_prime_ideal(algebra, ideal: RightIdeal, two_sided) -> bool:
-    """Primality of a proper two-sided ideal against an enumerated ideal list."""
-    if not ideal.is_two_sided or not ideal.is_proper():
-        return False
-    sub = ideal.subspace
-    for j1 in two_sided:
-        if sub.contains(j1.subspace):
-            continue
-        for j2 in two_sided:
-            if sub.contains(j2.subspace):
-                continue
-            if sub.contains(ideal_product(algebra, j1.subspace, j2.subspace)):
-                return False
-    return True
+    """Primality of a proper two-sided ideal against an enumerated ideal
+    list: J1*J2 <= I implies J1 <= I or J2 <= I."""
+    return ideal_poset(algebra, two_sided).is_prime(ideal)
 
 
 def is_semiprime_ideal(algebra, ideal: RightIdeal, two_sided) -> bool:
     """J*J <= I implies J <= I over enumerated two-sided J, with I proper."""
-    if not ideal.is_two_sided or not ideal.is_proper():
-        return False
-    sub = ideal.subspace
-    for j in two_sided:
-        if sub.contains(j.subspace):
-            continue
-        if sub.contains(ideal_product(algebra, j.subspace, j.subspace)):
-            return False
-    return True
+    return ideal_poset(algebra, two_sided).is_semiprime(ideal)
 
 
 def prime_radical(algebra, two_sided) -> Subspace:
     """Intersection of the prime two-sided ideals."""
-    primes = [i for i in two_sided if is_prime_ideal(algebra, i, two_sided)]
     out = Subspace.full(algebra.field, algebra.dim)
-    for ideal in primes:
+    for ideal in ideal_poset(algebra, two_sided).primes():
         out = out.intersect(ideal.subspace)
     return out
 
@@ -280,12 +338,9 @@ def prime_radical(algebra, two_sided) -> Subspace:
 def maximal_ideals(ideals):
     """Maximal proper members of an ideal list, by inclusion."""
     proper = [i for i in ideals if i.is_proper()]
-    out = []
-    for i in proper:
-        if not any(j is not i and j.subspace.contains(i.subspace)
-                   and j.subspace != i.subspace for j in proper):
-            out.append(i)
-    return out
+    above = strict_upsets([i.subspace for i in proper])
+    top = maximal_bits((1 << len(proper)) - 1, above)
+    return [proper[n] for n in bits_of(top)]
 
 
 def jacobson_radical(algebra, right_ideals) -> Subspace:

@@ -19,7 +19,8 @@ from .bicomodule import Bicomodule, is_subbicomodule, restrict
 from .endo import EndoAlgebra, an, intertwiners, ke, right_ideal_generated
 from .exceptions import (BudgetExceeded, ExhaustiveUnavailableOverQ,
                          UncertifiedLattice)
-from .linalg import Matrix, Subspace, count_subspaces, enumerate_subspaces
+from .linalg import (Matrix, Subspace, bits_of, enumerate_subspaces,
+                     maximal_bits, minimal_bits, strict_upsets)
 
 _CLOSURE_CAP = 20000
 
@@ -55,14 +56,27 @@ def is_fully_invariant(sub: Subspace, endo: EndoAlgebra) -> bool:
 
 
 class Lattice:
-    """Canonically sorted subbicomodule list with a full-invariance mask."""
+    """Canonically sorted subbicomodule list with a full-invariance mask.
+
+    The order is held as one containment table, built on first use: entry
+    i of `above` is the bitmask of the elements strictly containing element
+    i, and `fi_bits` is the bitmask of the fully invariant elements.
+    """
 
     def __init__(self, bicomodule: Bicomodule, elements, fi_mask, mode: LatticeMode):
         self.bicomodule = bicomodule
         self.elements = tuple(elements)
         self.fi_mask = tuple(fi_mask)
+        self.fi_bits = sum(1 << i for i, flag in enumerate(self.fi_mask) if flag)
         self.mode = mode
         self._index = {sub.key(): i for i, sub in enumerate(self.elements)}
+        self._above = None
+
+    @property
+    def above(self):
+        if self._above is None:
+            self._above = strict_upsets(self.elements)
+        return self._above
 
     @property
     def certified(self) -> bool:
@@ -101,8 +115,16 @@ class Lattice:
     def top(self) -> Subspace:
         return Subspace.full(self.bicomodule.field, self.bicomodule.dim)
 
-    def elements_below(self, bound: Subspace):
-        return [e for e in self.elements if bound.contains(e)]
+    def maximal_fi_not_containing(self, k: Subspace):
+        """The maximal fully invariant elements X with K not <= X."""
+        i = self._index.get(k.key())
+        if i is None:
+            containing = sum(1 << j for j, e in enumerate(self.elements)
+                             if e.contains(k))
+        else:
+            containing = self.above[i] | 1 << i
+        candidates = maximal_bits(self.fi_bits & ~containing, self.above)
+        return [self.elements[j] for j in bits_of(candidates)]
 
 
 def _all_ops_scalar(m: Bicomodule) -> bool:
@@ -178,24 +200,19 @@ class SocleReport:
     certified: bool
 
 
+def _minimal_nonzero(lattice: Lattice, mask: int):
+    nonzero = mask & ~sum(1 << i for i, e in enumerate(lattice.elements) if e.is_zero())
+    return [lattice.elements[i] for i in bits_of(minimal_bits(nonzero, lattice.above))]
+
+
 def simples(lattice: Lattice):
     """Minimal nonzero lattice elements."""
-    nonzero = lattice.nonzero_elements()
-    out = []
-    for e in nonzero:
-        if not any(o is not e and e.contains(o) and o != e for o in nonzero):
-            out.append(e)
-    return out
+    return _minimal_nonzero(lattice, (1 << len(lattice)) - 1)
 
 
 def simples_fi(lattice: Lattice):
     """Minimal nonzero fully invariant elements (within the invariant sublattice)."""
-    nonzero = lattice.nonzero_fi_elements()
-    out = []
-    for e in nonzero:
-        if not any(o is not e and e.contains(o) and o != e for o in nonzero):
-            out.append(e)
-    return out
+    return _minimal_nonzero(lattice, lattice.fi_bits)
 
 
 def coradical(lattice: Lattice) -> Subspace:

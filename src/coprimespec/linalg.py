@@ -389,6 +389,46 @@ def preimage(f: Matrix, y: Subspace) -> Subspace:
     return kernel(y.vanishing() @ f)
 
 
+def strict_upsets(subspaces):
+    """Containment table of distinct subspaces: entry i is a bitmask with
+    bit j set exactly when subspaces[j] strictly contains subspaces[i].
+
+    The leading positions of the nonzero vectors of a subspace are exactly
+    its pivots, so a strict container has larger dimension and a superset
+    of the pivots; only pairs passing both tests reach `contains`.
+    """
+    pivot_bits = [sum(1 << c for c in s.pivots) for s in subspaces]
+    above = []
+    for s, bits in zip(subspaces, pivot_bits):
+        mask = 0
+        for j, (t, t_bits) in enumerate(zip(subspaces, pivot_bits)):
+            if t.dim > s.dim and not bits & ~t_bits and t.contains(s):
+                mask |= 1 << j
+        above.append(mask)
+    return above
+
+
+def bits_of(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def maximal_bits(mask: int, above) -> int:
+    """The members of mask with no strictly larger member in mask."""
+    return sum(1 << i for i in bits_of(mask) if not above[i] & mask)
+
+
+def minimal_bits(mask: int, above) -> int:
+    """The members of mask with no strictly smaller member in mask."""
+    covered = 0
+    for i in bits_of(mask):
+        covered |= above[i]
+    return mask & ~covered
+
+
 def gaussian_binomial(n: int, k: int, p: int) -> int:
     if k < 0 or k > n:
         return 0

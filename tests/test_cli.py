@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from coprimespec.bicomodule import regular_bicomodule
 from coprimespec.catalog import divided_power
 from coprimespec.fields import prime_field
@@ -24,6 +26,16 @@ def test_unknown_reference_is_an_error():
     proc = run_cli("spectrum", "nosuch:3")
     assert proc.returncode == 1
     assert "nosuch" in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["F4", "F1", "Fx"])
+def test_bad_field_name_is_a_usage_error(name):
+    proc = run_cli("spectrum", "grouplike:2", "--field", name)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert name in lines[0]
 
 
 def test_validate_a_catalog_reference():

@@ -7,7 +7,8 @@ from coprimespec.bicomodule import regular_bicomodule
 from coprimespec.catalog import comatrix, divided_power, grouplike
 from coprimespec.coprime import (CoproductCache, internal_coproduct,
                                  is_fully_coprime, is_fully_cosemiprime,
-                                 ke_product_bound, restricted_spectrum)
+                                 ke_product_bound, restricted_spectrum,
+                                 spectrum)
 from coprimespec.endo import endo_algebra
 from coprimespec.fields import prime_field, rationals
 from coprimespec.lattice import cyclic_subbicomodule, enumerate_lattice
@@ -178,3 +179,13 @@ def test_coprime_candidates_must_be_nonzero():
     from coprimespec.exceptions import ZeroSubmodule
     with pytest.raises(ZeroSubmodule):
         is_fully_coprime(m, Subspace.zero(F2, 3), lat, endo)
+
+
+def test_spectrum_notes_an_exceeded_ideal_budget():
+    a = analyze(regular_bicomodule(grouplike(4, F2)))
+    report = spectrum(a.m, a.lattice, a.endo, ideal_budget=3)
+    assert any("right-ideal enumeration exceeded the budget" in note
+               for note in report.notes)
+    assert report.ep is None
+    assert report.prad is None
+    assert len(report.cpspec) == 4
