@@ -7,7 +7,8 @@ from .coprime import (CoproductCache, RestrictedSpectrum, restricted_spectrum,
                       spectrum)
 from .endo import endo_algebra, enumerate_ideals
 from .exceptions import BudgetExceeded
-from .lattice import enumerate_lattice, predicates, socle_report
+from .lattice import (check_lattice_budget, enumerate_lattice, predicates,
+                      socle_report)
 from .linalg import Subspace
 from .zariski import build_topology, topology_report
 
@@ -50,6 +51,8 @@ class InstanceAnalysis:
     @property
     def lattice(self):
         if self._lattice is None:
+            # An instance over budget is rejected before the endomorphism solve.
+            check_lattice_budget(self.m, self.mode, self.budget)
             self._lattice = enumerate_lattice(self.m, mode=self.mode,
                                               budget=self.budget,
                                               endo=self.endo, seed=self.seed)
@@ -95,7 +98,8 @@ class InstanceAnalysis:
             self._predicates = predicates(self.m, self.lattice, self.endo,
                                           right_ideals=self.right_ideals,
                                           ideal_budget=self.ideal_budget,
-                                          seed=self.seed)
+                                          seed=self.seed,
+                                          cache=self.coproducts)
         return self._predicates
 
     def topology(self, flavor: str = "fi"):

@@ -13,6 +13,10 @@ UNSUPPORTED  the conclusion needs ideal enumeration that is unavailable
 A failing verdict always carries a witness payload naming the offending
 subspaces.  Checks about morphisms run on one-sided comodule forms and are
 exposed separately through `morphism_checks`.
+
+Order questions between lattice elements are read from the lattice's
+containment table.  Monotonicity of (X : -) is scanned on cover pairs only:
+any Y1 < Y2 is joined by a chain of covers, and inclusion is transitive.
 """
 
 from __future__ import annotations
@@ -24,10 +28,11 @@ from .analysis import InstanceAnalysis, analyze
 from .bicomodule import centralizer, phi_matrix, quotient
 from .coalgebra import CoalgebraMorphism, identity_morphism
 from .coprime import is_fully_coprime, is_fully_cosemiprime, ke_product_bound
-from .endo import an, intertwiners, ke, maximal_ideals
+from .endo import intertwiners, ke, maximal_ideals
 from .exceptions import CoalgebraMismatch
 from .lattice import cyclic_subbicomodule, is_fully_invariant
-from .linalg import Matrix, Subspace, kernel, preimage
+from .linalg import (Matrix, Subspace, bits_of, kernel, minimal_bits,
+                     preimage)
 from .zariski import (build_topology, image_subspace, irreducible_components,
                       is_connected_subset, is_irreducible_subset, separation,
                       spectral_map)
@@ -89,12 +94,27 @@ def _ideal_excuse(a: InstanceAnalysis) -> str:
     return "right-ideal enumeration exceeded the budget"
 
 
-def _vset(points, l_sub):
-    return frozenset(i for i, k in enumerate(points) if l_sub.contains(k))
+def _xmask(points, l_sub) -> int:
+    """The bitmask of the points not inside l_sub."""
+    return sum(1 << i for i, k in enumerate(points) if not l_sub.contains(k))
 
 
-def _xset(points, l_sub):
-    return frozenset(i for i, k in enumerate(points) if not l_sub.contains(k))
+def _within(lat, i: int, sub: Subspace, j) -> bool:
+    """Whether lattice element i lies in sub, read from the containment
+    table when sub is element j and by `contains` when j is None."""
+    return lat.le(i, j) if j is not None else sub.contains(lat.elements[i])
+
+
+def _xmasks(lat, points):
+    """Entry t is the bitmask of the points (lattice elements) not inside
+    lattice element t."""
+    inside = [0] * len(lat)
+    for i, k in enumerate(points):
+        t = lat.index_of(k)
+        for j in bits_of(lat.above[t] | 1 << t):
+            inside[j] |= 1 << i
+    space = (1 << len(points)) - 1
+    return [space & ~v for v in inside]
 
 
 def _in_child_coords(field, l_sub: Subspace, k: Subspace) -> Subspace:
@@ -119,12 +139,12 @@ def _check_an_ke_galois(a: InstanceAnalysis, ctx) -> list:
     name = "annihilator-kernel-galois"
     lat, endo, cache = a.lattice, a.endo, a.coproducts
     elements = list(lat.elements)
+    kes = [ke(cache.annihilator(x), endo) for x in elements]
     out = []
 
     witness = None
-    for x in elements:
+    for x, kex in zip(elements, kes):
         ann = cache.annihilator(x)
-        kex = ke(ann, endo)
         if not ann.is_right:
             witness = {"subbicomodule": _describe(x),
                        "problem": "annihilator is not a right ideal"}
@@ -144,16 +164,15 @@ def _check_an_ke_galois(a: InstanceAnalysis, ctx) -> list:
                                   "fully invariant"}
             break
     if witness is None:
-        for x in elements:
-            for y in elements:
-                if not y.contains(x):
-                    continue
-                ax, ay = cache.annihilator(x), cache.annihilator(y)
-                if not ax.subspace.contains(ay.subspace):
+        for i, x in enumerate(elements):
+            ax = cache.annihilator(x)
+            for j in bits_of(lat.above[i] | 1 << i):
+                y = elements[j]
+                if not ax.subspace.contains(cache.annihilator(y).subspace):
                     witness = {"x": _describe(x), "y": _describe(y),
                                "problem": "An is not order reversing"}
                     break
-                if not ke(ay, endo).contains(ke(ax, endo)):
+                if not kes[j].contains(kes[i]):
                     witness = {"x": _describe(x), "y": _describe(y),
                                "problem": "Ke is not order reversing"}
                     break
@@ -162,7 +181,7 @@ def _check_an_ke_galois(a: InstanceAnalysis, ctx) -> list:
     if witness is None:
         ideals = a.right_ideals or []
         for ideal in ideals:
-            back = an(ke(ideal, endo), endo)
+            back = cache.annihilator(ke(ideal, endo))
             if not back.subspace.contains(ideal.subspace):
                 witness = {"ideal_dim": ideal.subspace.dim,
                            "problem": "An(Ke(I)) does not contain I"}
@@ -174,8 +193,8 @@ def _check_an_ke_galois(a: InstanceAnalysis, ctx) -> list:
                        "both unit inclusions hold"))
 
     witness = None
-    for k in elements:
-        fixed = ke(cache.annihilator(k), endo) == k
+    for k, kek in zip(elements, kes):
+        fixed = kek == k
         cogen = _quotient_cogenerated(a, k)
         if fixed != cogen:
             witness = {"k": _describe(k), "ke_an_fixed": fixed,
@@ -300,18 +319,24 @@ def _check_coproduct_bound(a: InstanceAnalysis, ctx) -> list:
     out = []
 
     witness = None
-    for x in elements:
-        for y in elements:
+    cops = []  # cops[i][j] is ((X_i : X_j), its lattice index or None)
+    for i, x in enumerate(elements):
+        row = []
+        cops.append(row)
+        for j, y in enumerate(elements):
             cop = cache.coproduct(x, y)
-            if not cop.contains(x):
+            c = lat.find(cop)
+            row.append((cop, c))
+            if not _within(lat, i, cop, c):
                 witness = {"x": _describe(x), "y": _describe(y),
                            "problem": "X is not inside (X : Y)"}
                 break
-            if lat.is_fi(y) and not cop.contains(y):
+            if lat.fi_mask[j] and not _within(lat, j, cop, c):
                 witness = {"x": _describe(x), "y": _describe(y),
                            "problem": "fully invariant Y is not inside (X : Y)"}
                 break
-            if lat.is_fi(x) and not is_fully_invariant(cop, endo):
+            if lat.fi_mask[i] and not (lat.fi_mask[c] if c is not None
+                                       else is_fully_invariant(cop, endo)):
                 witness = {"x": _describe(x), "y": _describe(y),
                            "problem": "(X : Y) not fully invariant although "
                                       "X is"}
@@ -319,16 +344,19 @@ def _check_coproduct_bound(a: InstanceAnalysis, ctx) -> list:
         if witness:
             break
     if witness is None:
-        for x in elements:
-            for y1 in elements:
-                for y2 in elements:
-                    if y2.contains(y1):
-                        if not cache.coproduct(x, y2).contains(
-                                cache.coproduct(x, y1)):
-                            witness = {"x": _describe(x), "y1": _describe(y1),
-                                       "y2": _describe(y2),
-                                       "problem": "(X : -) is not monotone"}
-                            break
+        above = lat.above
+        covers = [list(bits_of(minimal_bits(up, above))) for up in above]
+        for x, row in zip(elements, cops):
+            for j1, (low, c1) in enumerate(row):
+                for j2 in covers[j1]:
+                    high, c2 = row[j2]
+                    if not (lat.le(c1, c2) if c1 is not None and c2 is not None
+                            else high.contains(low)):
+                        witness = {"x": _describe(x),
+                                   "y1": _describe(elements[j1]),
+                                   "y2": _describe(elements[j2]),
+                                   "problem": "(X : -) is not monotone"}
+                        break
                 if witness:
                     break
             if witness:
@@ -344,10 +372,19 @@ def _check_coproduct_bound(a: InstanceAnalysis, ctx) -> list:
     for _ in range(3):
         vec = tuple(a.field.random_element(rng) for _ in range(a.m.dim))
         probes.append(Subspace.from_vectors(a.field, a.m.dim, [vec]))
+    bounds = {}
+
+    def bound(i, j):
+        found = bounds.get((i, j))
+        if found is None:
+            found = ke_product_bound(a.m, probes[i], probes[j], endo, cache)
+            bounds[(i, j)] = found
+        return found
+
     witness = None
-    for x in probes:
-        for y in probes:
-            _, _, contained = ke_product_bound(a.m, x, y, endo, cache)
+    for i, x in enumerate(probes):
+        for j, y in enumerate(probes):
+            _, _, contained = bound(i, j)
             if not contained:
                 witness = {"x": _describe(x), "y": _describe(y)}
                 break
@@ -363,12 +400,13 @@ def _check_coproduct_bound(a: InstanceAnalysis, ctx) -> list:
         out.append(_vacuous(f"{name}-3", ["self-cogenerator"]))
         return out
     witness = None
-    for x in probes:
-        for y in elements:
-            cop, bound, _ = ke_product_bound(a.m, x, y, endo, cache)
-            if cop != bound:
+    for i, x in enumerate(probes):
+        for j, y in enumerate(elements):
+            cop, kernel_side, _ = bound(i, j)
+            if cop != kernel_side:
                 witness = {"x": _describe(x), "y": _describe(y),
-                           "coproduct_dim": cop.dim, "kernel_dim": bound.dim}
+                           "coproduct_dim": cop.dim,
+                           "kernel_dim": kernel_side.dim}
                 break
         if witness:
             break
@@ -612,27 +650,43 @@ def _check_essential_coradical(a: InstanceAnalysis, ctx) -> list:
 def _check_variety_identities(a: InstanceAnalysis, ctx) -> list:
     name = "variety-identities"
     lat, spec = a.lattice, a.spectrum
-    points = spec.cpspec
-    space = frozenset(range(len(points)))
+    elements, points = lat.elements, spec.cpspec
+    xs = _xmasks(lat, points)
     out = []
 
-    if _xset(points, lat.top()) != frozenset() or \
-            _xset(points, lat.zero()) != space:
+    def x_of(sub):
+        t = lat.find(sub)
+        return xs[t] if t is not None else _xmask(points, sub)
+
+    sum_x = {}
+
+    def x_of_sum(i, j):
+        key = (min(i, j), max(i, j))
+        found = sum_x.get(key)
+        if found is None:
+            found = x_of(elements[i].sum_with(elements[j]))
+            sum_x[key] = found
+        return found
+
+    x_top, x_zero = x_of(lat.top()), x_of(lat.zero())
+    if x_top != 0 or x_zero != (1 << len(points)) - 1:
         out.append(Verdict(f"{name}-1", FAIL, "endpoint identities fail",
-                           {"x_of_top": sorted(_xset(points, lat.top())),
-                            "x_of_zero": sorted(_xset(points, lat.zero()))}))
+                           {"x_of_top": list(bits_of(x_top)),
+                            "x_of_zero": list(bits_of(x_zero))}))
     else:
         out.append(Verdict(f"{name}-1", PASS,
                            "the whole space opens nothing and zero opens "
                            "everything"))
 
+    # Both sides are symmetric in (l1, l2), so pairs i <= j suffice, and the
+    # first failing ordered pair already has i <= j.
     witness = None
-    for l1 in lat.elements:
-        for l2 in lat.elements:
-            x1, x2 = _xset(points, l1), _xset(points, l2)
-            if not (_xset(points, l1.sum_with(l2)) <= (x1 & x2)
-                    and (x1 & x2) <= (x1 | x2)
-                    and (x1 | x2) == _xset(points, l1.intersect(l2))):
+    for i, l1 in enumerate(elements):
+        for j in range(i, len(elements)):
+            l2 = elements[j]
+            x1, x2 = xs[i], xs[j]
+            if (x_of_sum(i, j) & ~(x1 & x2)
+                    or (x1 | x2) != x_of(l1.intersect(l2))):
                 witness = {"l1": _describe(l1), "l2": _describe(l2)}
                 break
         if witness:
@@ -643,16 +697,18 @@ def _check_variety_identities(a: InstanceAnalysis, ctx) -> list:
                        "sums shrink opens and meets union them"))
 
     witness = None
-    fi = lat.fi_elements()
-    for l1 in fi:
-        for l2 in fi:
-            x_sum = _xset(points, l1.sum_with(l2))
-            x_meet = _xset(points, l1) & _xset(points, l2)
-            x_cop = _xset(points, a.coproducts.coproduct(l1, l2))
+    fi = list(bits_of(lat.fi_bits))
+    for i in fi:
+        for j in fi:
+            l1, l2 = elements[i], elements[j]
+            x_sum = x_of_sum(i, j)
+            x_meet = xs[i] & xs[j]
+            x_cop = x_of(a.coproducts.coproduct(l1, l2))
             if not (x_sum == x_meet == x_cop):
                 witness = {"l1": _describe(l1), "l2": _describe(l2),
-                           "x_sum": sorted(x_sum), "x_meet": sorted(x_meet),
-                           "x_coproduct": sorted(x_cop)}
+                           "x_sum": list(bits_of(x_sum)),
+                           "x_meet": list(bits_of(x_meet)),
+                           "x_coproduct": list(bits_of(x_cop))}
                 break
         if witness:
             break
@@ -850,7 +906,7 @@ def _check_prime_maximal(a: InstanceAnalysis, ctx) -> list:
                         "maximal primes but a non-simple spectrum member",
                         {"k": _describe(extra)})]
     for l_sub in a.lattice.elements:
-        empty = _xset(spec.cpspec, l_sub) == frozenset()
+        empty = _xmask(spec.cpspec, l_sub) == 0
         if empty != l_sub.contains(a.socle.coradical):
             return [Verdict(name, FAIL,
                             "empty opens do not match coradical containment",

@@ -184,19 +184,6 @@ class DualAlgebra:
             out.append(acc)
         return tuple(out)
 
-    def basis_product(self, a: int, b: int):
-        """Product of dual basis vectors f_a * f_b as coordinates."""
-        return tuple(self.coalgebra.delta[i][a][b] for i in range(self.dim))
-
-    def evaluate(self, f, v):
-        """Pairing <f, v> of a dual vector with a coalgebra vector."""
-        field = self.field
-        acc = field.zero
-        for fi, vi in zip(f, v):
-            if fi and vi:
-                acc = field.add(acc, field.mul(fi, vi))
-        return acc
-
 
 def dual_algebra(c: Coalgebra) -> DualAlgebra:
     c.require_valid()

@@ -4,8 +4,10 @@ For subbicomodules X, Y of M the internal coproduct is
 
     (X : Y)  =  the set of m in M with f(m) in Y for every f in An(X),
 
-computed as an intersection of preimages over a basis of An(X), with
-(X : Y) = M when An(X) = 0.  A nonzero fully invariant K is fully coprime
+computed as one kernel: with N_Y a matrix whose kernel is Y, (X : Y) is
+the kernel of the stacked N_Y f over a basis f of An(X) (an intersection of
+kernels is the kernel of the stacked matrix), with (X : Y) = M when
+An(X) = 0 or Y = M.  A nonzero fully invariant K is fully coprime
 when K <= (X : Y) forces K <= X or K <= Y over fully invariant pairs, and
 fully cosemiprime when K <= (X : X) forces K <= X.  The spectrum collects
 the fully coprime elements; annihilator-side prime data is available over
@@ -26,17 +28,20 @@ from .endo import (EndoAlgebra, IdealPoset, an, enumerate_ideals,
                    prime_radical, radical_char0)
 from .exceptions import BudgetExceeded, NotFullyInvariant, ZeroSubmodule
 from .lattice import Lattice, is_fully_invariant
-from .linalg import Subspace, preimage
+from .linalg import Matrix, Subspace, kernel
 
 
 class CoproductCache:
-    """Caches annihilators and internal coproducts keyed by subspace identity."""
+    """Caches annihilators, internal coproducts and kernels of ideals, keyed
+    by subspace identity."""
 
     def __init__(self, m: Bicomodule, endo: EndoAlgebra):
         self.m = m
         self.endo = endo
         self._an = {}
+        self._maps = {}
         self._co = {}
+        self._ke = {}
 
     def annihilator(self, x: Subspace):
         found = self._an.get(x.key())
@@ -45,17 +50,35 @@ class CoproductCache:
             self._an[x.key()] = found
         return found
 
+    def ke(self, ideal: Subspace) -> Subspace:
+        """Ke of a coordinate subspace of the endomorphism ring."""
+        found = self._ke.get(ideal.key())
+        if found is None:
+            found = ke(ideal, self.endo)
+            self._ke[ideal.key()] = found
+        return found
+
+    def _annihilator_maps(self, x: Subspace):
+        """The matrices of a basis of An(X)."""
+        found = self._maps.get(x.key())
+        if found is None:
+            found = [self.endo.element(coords)
+                     for coords in self.annihilator(x).subspace.basis]
+            self._maps[x.key()] = found
+        return found
+
     def coproduct(self, x: Subspace, y: Subspace) -> Subspace:
         """The internal coproduct (X : Y) inside M."""
         key = (x.key(), y.key())
         found = self._co.get(key)
         if found is not None:
             return found
-        ann = self.annihilator(x).subspace
-        result = Subspace.full(self.m.field, self.m.dim)
-        for coords in ann.basis:
-            f = self.endo.element(coords)
-            result = result.intersect(preimage(f, y))
+        maps = self._annihilator_maps(x)
+        if not maps or y.is_full():
+            result = Subspace.full(self.m.field, self.m.dim)
+        else:
+            n_y = y.vanishing()
+            result = kernel(Matrix.stack([n_y @ f for f in maps]))
         self._co[key] = result
         return result
 
@@ -79,7 +102,7 @@ def ke_product_bound(m: Bicomodule, x: Subspace, y: Subspace,
     coprod = cache.coproduct(x, y)
     product = ideal_product(endo, cache.annihilator(x).subspace,
                             cache.annihilator(y).subspace)
-    kernel_side = ke(product, endo)
+    kernel_side = cache.ke(product)
     return coprod, kernel_side, kernel_side.contains(coprod)
 
 

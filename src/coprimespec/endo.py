@@ -20,6 +20,7 @@ each factor is lowered to a minimal ideal outside I below it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bicomodule import Bicomodule
 from .exceptions import (AmbientMismatch, BudgetExceeded, CoalgebraMismatch,
@@ -106,17 +107,16 @@ class EndoAlgebra:
                 table.append(tuple(row))
             self._table = tuple(table)
         field = self.field
+        y_terms = [(b, yb) for b, yb in enumerate(y) if yb]
         out = [field.zero] * self.dim
         for a, xa in enumerate(x):
             if xa:
                 row = self._table[a]
-                for b, yb in enumerate(y):
-                    if yb:
-                        prod = row[b]
-                        coeff = field.mul(xa, yb)
-                        for i, p in enumerate(prod):
-                            if p:
-                                out[i] = field.add(out[i], field.mul(coeff, p))
+                for b, yb in y_terms:
+                    coeff = field.mul(xa, yb)
+                    for i, p in enumerate(row[b]):
+                        if p:
+                            out[i] = field.add(out[i], field.mul(coeff, p))
         return tuple(out)
 
     def is_commutative(self) -> bool:
@@ -127,11 +127,6 @@ class EndoAlgebra:
                     return False
         return True
 
-    def elements(self):
-        """All ring elements as coordinate vectors; finite fields only."""
-        zero_vec = Subspace.full(self.field, self.dim)
-        return zero_vec.members()
-
     def __repr__(self):
         return f"EndoAlgebra(dim={self.dim} over {self.field.name})"
 
@@ -140,9 +135,10 @@ def endo_algebra(m: Bicomodule) -> EndoAlgebra:
     return EndoAlgebra.compute(m)
 
 
+@lru_cache(maxsize=None)
 def coordinate_vectors(field, n):
-    ident = Matrix.identity(field, n)
-    return [tuple(row) for row in ident.data]
+    """The unit vectors of field^n, built once per (field, n)."""
+    return tuple(Matrix.identity(field, n).data)
 
 
 @dataclass

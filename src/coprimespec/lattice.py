@@ -19,8 +19,9 @@ from .bicomodule import Bicomodule, is_subbicomodule, restrict
 from .endo import EndoAlgebra, an, intertwiners, ke, right_ideal_generated
 from .exceptions import (BudgetExceeded, ExhaustiveUnavailableOverQ,
                          UncertifiedLattice)
-from .linalg import (Matrix, Subspace, bits_of, enumerate_subspaces,
-                     maximal_bits, minimal_bits, strict_upsets)
+from .linalg import (Matrix, Subspace, bits_of, check_subspace_budget,
+                     enumerate_subspaces, maximal_bits, minimal_bits,
+                     strict_upsets)
 
 _CLOSURE_CAP = 20000
 
@@ -94,8 +95,13 @@ class Lattice:
         except KeyError:
             raise KeyError(f"subspace not in the enumerated lattice: {sub!r}") from None
 
-    def contains_element(self, sub: Subspace) -> bool:
-        return sub.key() in self._index
+    def find(self, sub: Subspace) -> int | None:
+        """Index of sub in the lattice, or None when it is not an element."""
+        return self._index.get(sub.key())
+
+    def le(self, i: int, j: int) -> bool:
+        """Whether element i is contained in element j."""
+        return i == j or bool(self.above[i] >> j & 1)
 
     def is_fi(self, sub: Subspace) -> bool:
         return self.fi_mask[self.index_of(sub)]
@@ -117,7 +123,7 @@ class Lattice:
 
     def maximal_fi_not_containing(self, k: Subspace):
         """The maximal fully invariant elements X with K not <= X."""
-        i = self._index.get(k.key())
+        i = self.find(k)
         if i is None:
             containing = sum(1 << j for j, e in enumerate(self.elements)
                              if e.contains(k))
@@ -138,6 +144,16 @@ def _all_ops_scalar(m: Bicomodule) -> bool:
     return True
 
 
+def check_lattice_budget(m: Bicomodule, mode: str, budget: int):
+    """Raises, before any other work, when exhaustive enumeration of m is
+    unavailable (over Q) or its ambient space has more subspaces than budget."""
+    if mode == "exhaustive":
+        if m.field.p is None:
+            raise ExhaustiveUnavailableOverQ(
+                "exhaustive lattice enumeration needs a finite field; use mode='generated'")
+        check_subspace_budget(m.field, m.dim, budget)
+
+
 def enumerate_lattice(m: Bicomodule, mode: str = "exhaustive", budget: int = 200000,
                       endo: EndoAlgebra | None = None, seed: int = 0) -> Lattice:
     """Subbicomodule lattice of m.
@@ -148,12 +164,10 @@ def enumerate_lattice(m: Bicomodule, mode: str = "exhaustive", budget: int = 200
     vectors (never more than the budget), closed under sum and intersection.
     """
     field = m.field
+    check_lattice_budget(m, mode, budget)
     if endo is None:
         endo = EndoAlgebra.compute(m)
     if mode == "exhaustive":
-        if field.p is None:
-            raise ExhaustiveUnavailableOverQ(
-                "exhaustive lattice enumeration needs a finite field; use mode='generated'")
         elements = [sub for sub in enumerate_subspaces(field, m.dim, budget=budget)
                     if is_subbicomodule(m, sub)]
         lattice_mode = LatticeMode.EXHAUSTIVE
@@ -273,8 +287,13 @@ class PredicateReport:
 
 
 def predicates(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
-               right_ideals=None, ideal_budget: int = 50000, seed: int = 0) -> PredicateReport:
-    """Evaluate the structural hypotheses used to gate theorem checks."""
+               right_ideals=None, ideal_budget: int = 50000, seed: int = 0,
+               cache=None) -> PredicateReport:
+    """Evaluate the structural hypotheses used to gate theorem checks.
+
+    A `coprime.CoproductCache` passed as `cache` serves the annihilators.
+    """
+    annihilator = cache.annihilator if cache is not None else (lambda k: an(k, endo))
     notes = []
     if not lattice.certified:
         notes.append("relative to enumerated lattice")
@@ -287,12 +306,12 @@ def predicates(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
     for k in lattice.nonzero_elements():
         restricted, _ = restrict(m, k)
         hom_dim = len(intertwiners(restricted, m))
-        an_dim = an(k, endo).subspace.dim
+        an_dim = annihilator(k).subspace.dim
         if hom_dim != endo.dim - an_dim:
             self_injective = False
             break
 
-    self_cogenerator = all(ke(an(k, endo), endo) == k for k in lattice.elements)
+    self_cogenerator = all(ke(annihilator(k), endo) == k for k in lattice.elements)
 
     intrinsic_partial = False
     if endo.field.p is not None:
@@ -308,14 +327,14 @@ def predicates(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
     if samples is None:
         intrinsic_partial = True
         rng = Random(seed)
-        sampled = [an(k, endo) for k in lattice.elements]
+        sampled = [annihilator(k) for k in lattice.elements]
         for _ in range(8):
             vec = tuple(endo.field.random_element(rng) for _ in range(endo.dim))
             sampled.append(right_ideal_generated(endo, [vec]))
         samples = sampled
         notes.append("intrinsic injectivity tested on a finite ideal sample")
     intrinsically_injective = all(
-        an(ke(ideal, endo), endo).subspace == ideal.subspace for ideal in samples)
+        annihilator(ke(ideal, endo)).subspace == ideal.subspace for ideal in samples)
 
     nonzero = lattice.nonzero_elements()
     meet = lattice.top()

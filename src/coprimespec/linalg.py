@@ -47,11 +47,6 @@ class Matrix:
         return cls(field, n, n, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, rows, cols, [[zero] * cols for _ in range(rows)])
-
-    @classmethod
     def stack(cls, mats) -> "Matrix":
         mats = list(mats)
         if not mats:
@@ -93,30 +88,6 @@ class Matrix:
                 new.append(acc % p if p is not None else f.coerce(acc))
             out.append(new)
         return Matrix(f, self.rows, ocols, out)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      [[f.add(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      [[f.sub(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)])
-
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      [[f.mul(c, a) for a in row] for row in self.data])
-
-    def _check_shape(self, other: "Matrix"):
-        _check_same_field(self.field, other.field)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise AmbientMismatch("shape mismatch")
 
     def apply(self, vec):
         """Matrix times column vector."""
@@ -248,7 +219,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
-        return cls.from_vectors(field, ambient, Matrix.identity(field, ambient).data)
+        return cls(field, ambient, Matrix.identity(field, ambient).data, range(ambient))
 
     @property
     def dim(self) -> int:
@@ -444,6 +415,15 @@ def count_subspaces(p: int, n: int) -> int:
     return sum(gaussian_binomial(n, k, p) for k in range(n + 1))
 
 
+def check_subspace_budget(field: Field, ambient: int, budget: int | None):
+    """Raises BudgetExceeded when F_p^ambient has more subspaces than budget."""
+    if field.p is None:
+        raise ValueError("subspace enumeration needs a finite field")
+    total = count_subspaces(field.p, ambient)
+    if budget is not None and total > budget:
+        raise BudgetExceeded(f"{total} subspaces of {field.name}^{ambient} exceed budget {budget}")
+
+
 def enumerate_subspaces(field: Field, ambient: int, budget: int | None = None):
     """Yield every subspace of F_p^ambient via reduced echelon forms.
 
@@ -451,11 +431,7 @@ def enumerate_subspaces(field: Field, ambient: int, budget: int | None = None):
     unique.  Raises BudgetExceeded up front when the count is too large.
     """
     p = field.p
-    if p is None:
-        raise ValueError("subspace enumeration needs a finite field")
-    total = count_subspaces(p, ambient)
-    if budget is not None and total > budget:
-        raise BudgetExceeded(f"{total} subspaces of {field.name}^{ambient} exceed budget {budget}")
+    check_subspace_budget(field, ambient, budget)
     yield Subspace.zero(field, ambient)
     for r in range(1, ambient + 1):
         for pivots in combinations(range(ambient), r):

@@ -1,23 +1,30 @@
-"""The order-table reductions of the spectrum against the definitions.
+"""The order-table reductions against the definitions.
 
-Coprimality is tested on maximal pairs and primality on minimal ideals;
-these tests recompute every verdict by scanning all pairs literally.
+Coprimality is tested on maximal pairs, primality on minimal ideals, and
+the coproduct, variety and Galois statements read the containment table;
+these tests recompute every verdict by scanning all pairs literally.  The
+literal statement bodies below are the pre-table versions of the checks.
 """
+
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coprimespec import checks
 from coprimespec.analysis import InstanceAnalysis
 from coprimespec.catalog import random_instance, resolve_ref_to_bicomodule
+from coprimespec.checks import (FAIL, PASS, CheckContext, Verdict, _describe,
+                                _quotient_cogenerated, _vacuous, run_checks)
 from coprimespec.coprime import (CoproductCache, is_fully_coprime,
-                                 is_fully_cosemiprime)
-from coprimespec.endo import (IdealPoset, ideal_product, is_prime_ideal,
-                              is_semiprime_ideal, maximal_ideals,
+                                 is_fully_cosemiprime, ke_product_bound)
+from coprimespec.endo import (IdealPoset, an, ideal_product, is_prime_ideal,
+                              is_semiprime_ideal, ke, maximal_ideals,
                               prime_radical)
 from coprimespec.fields import prime_field, rationals
-from coprimespec.lattice import simples, simples_fi
-from coprimespec.linalg import Subspace
+from coprimespec.lattice import is_fully_invariant, simples, simples_fi
+from coprimespec.linalg import Subspace, preimage
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -105,6 +112,299 @@ def _check_order_table(lattice):
     assert simples_fi(lattice) == _literal_minimal(lattice.nonzero_fi_elements())
 
 
+# --- literal statement bodies -------------------------------------------------
+
+def _xset(points, l_sub):
+    return frozenset(i for i, k in enumerate(points) if not l_sub.contains(k))
+
+
+def _literal_an_ke_galois(a: InstanceAnalysis, ctx) -> list:
+    name = "annihilator-kernel-galois"
+    lat, endo, cache = a.lattice, a.endo, a.coproducts
+    elements = list(lat.elements)
+    out = []
+
+    witness = None
+    for x in elements:
+        ann = cache.annihilator(x)
+        kex = ke(ann, endo)
+        if not ann.is_right:
+            witness = {"subbicomodule": _describe(x),
+                       "problem": "annihilator is not a right ideal"}
+            break
+        if lat.is_fi(x) and not ann.is_two_sided:
+            witness = {"subbicomodule": _describe(x),
+                       "problem": "annihilator of a fully invariant member "
+                                  "is not two-sided"}
+            break
+        if not kex.contains(x):
+            witness = {"subbicomodule": _describe(x),
+                       "problem": "Ke(An(X)) does not contain X"}
+            break
+        if ann.is_two_sided and not is_fully_invariant(kex, endo):
+            witness = {"subbicomodule": _describe(x),
+                       "problem": "kernel of a two-sided ideal is not "
+                                  "fully invariant"}
+            break
+    if witness is None:
+        for x in elements:
+            for y in elements:
+                if not y.contains(x):
+                    continue
+                ax, ay = cache.annihilator(x), cache.annihilator(y)
+                if not ax.subspace.contains(ay.subspace):
+                    witness = {"x": _describe(x), "y": _describe(y),
+                               "problem": "An is not order reversing"}
+                    break
+                if not ke(ay, endo).contains(ke(ax, endo)):
+                    witness = {"x": _describe(x), "y": _describe(y),
+                               "problem": "Ke is not order reversing"}
+                    break
+            if witness:
+                break
+    if witness is None:
+        ideals = a.right_ideals or []
+        for ideal in ideals:
+            back = an(ke(ideal, endo), endo)
+            if not back.subspace.contains(ideal.subspace):
+                witness = {"ideal_dim": ideal.subspace.dim,
+                           "problem": "An(Ke(I)) does not contain I"}
+                break
+    out.append(Verdict(f"{name}-1", FAIL, "Galois pair defect", witness)
+               if witness else
+               Verdict(f"{name}-1", PASS,
+                       "antitone maps, right/two-sided ideal classes, and "
+                       "both unit inclusions hold"))
+
+    witness = None
+    for k in elements:
+        fixed = ke(cache.annihilator(k), endo) == k
+        cogen = _quotient_cogenerated(a, k)
+        if fixed != cogen:
+            witness = {"k": _describe(k), "ke_an_fixed": fixed,
+                       "quotient_cogenerated": cogen}
+            break
+    if witness is None and a.predicates.self_cogenerator:
+        seen = {}
+        for k in elements:
+            key = cache.annihilator(k).subspace.key()
+            if key in seen:
+                witness = {"k1": _describe(seen[key]), "k2": _describe(k),
+                           "problem": "An is not injective although the "
+                                      "instance is a self-cogenerator"}
+                break
+            seen[key] = k
+    out.append(Verdict(f"{name}-2", FAIL,
+                       "fixed points of Ke(An(-)) differ from cogenerated "
+                       "quotients", witness)
+               if witness else
+               Verdict(f"{name}-2", PASS,
+                       "Ke(An(K)) = K exactly when M/K is cogenerated"))
+
+    if not a.predicates.self_injective:
+        out.append(_vacuous(f"{name}-3", ["self-injective"]))
+        return out
+    witness = None
+    for i, x in enumerate(elements):
+        for y in elements[i:]:
+            lhs = cache.annihilator(x.intersect(y)).subspace
+            rhs = cache.annihilator(x).subspace.sum_with(
+                cache.annihilator(y).subspace)
+            if lhs != rhs:
+                witness = {"x": _describe(x), "y": _describe(y),
+                           "an_of_meet_dim": lhs.dim, "sum_of_an_dim": rhs.dim}
+                break
+        if witness:
+            break
+    if witness is None and not a.predicates.intrinsically_injective:
+        witness = {"problem": "AnKe fails to fix some right ideal"}
+    detail = "An is a lattice anti-morphism and AnKe fixes right ideals"
+    if a.predicates.intrinsic_partial:
+        detail += " (ideal side sampled)"
+    out.append(Verdict(f"{name}-3", FAIL, "self-injective consequences fail",
+                       witness)
+               if witness else Verdict(f"{name}-3", PASS, detail))
+    return out
+
+
+def _literal_coproduct_bound(a: InstanceAnalysis, ctx) -> list:
+    name = "coproduct-annihilator-kernel-bound"
+    lat, endo, cache = a.lattice, a.endo, a.coproducts
+    elements = list(lat.elements)
+    out = []
+
+    witness = None
+    for x in elements:
+        for y in elements:
+            cop = cache.coproduct(x, y)
+            if not cop.contains(x):
+                witness = {"x": _describe(x), "y": _describe(y),
+                           "problem": "X is not inside (X : Y)"}
+                break
+            if lat.is_fi(y) and not cop.contains(y):
+                witness = {"x": _describe(x), "y": _describe(y),
+                           "problem": "fully invariant Y is not inside (X : Y)"}
+                break
+            if lat.is_fi(x) and not is_fully_invariant(cop, endo):
+                witness = {"x": _describe(x), "y": _describe(y),
+                           "problem": "(X : Y) not fully invariant although "
+                                      "X is"}
+                break
+        if witness:
+            break
+    if witness is None:
+        for x in elements:
+            for y1 in elements:
+                for y2 in elements:
+                    if y2.contains(y1):
+                        if not cache.coproduct(x, y2).contains(
+                                cache.coproduct(x, y1)):
+                            witness = {"x": _describe(x), "y1": _describe(y1),
+                                       "y2": _describe(y2),
+                                       "problem": "(X : -) is not monotone"}
+                            break
+                if witness:
+                    break
+            if witness:
+                break
+    out.append(Verdict(f"{name}-1", FAIL, "coproduct basics fail", witness)
+               if witness else
+               Verdict(f"{name}-1", PASS,
+                       "coproducts are monotone subbicomodules containing "
+                       "their arguments"))
+
+    rng = Random(ctx.seed)
+    probes = list(elements)
+    for _ in range(3):
+        vec = tuple(a.field.random_element(rng) for _ in range(a.m.dim))
+        probes.append(Subspace.from_vectors(a.field, a.m.dim, [vec]))
+    witness = None
+    for x in probes:
+        for y in probes:
+            _, _, contained = ke_product_bound(a.m, x, y, endo, cache)
+            if not contained:
+                witness = {"x": _describe(x), "y": _describe(y)}
+                break
+        if witness:
+            break
+    out.append(Verdict(f"{name}-2", FAIL,
+                       "(X : Y) escapes Ke(An(X) An(Y))", witness)
+               if witness else
+               Verdict(f"{name}-2", PASS,
+                       "(X : Y) always sits inside Ke(An(X) An(Y))"))
+
+    if not a.predicates.self_cogenerator:
+        out.append(_vacuous(f"{name}-3", ["self-cogenerator"]))
+        return out
+    witness = None
+    for x in probes:
+        for y in elements:
+            cop, bound, _ = ke_product_bound(a.m, x, y, endo, cache)
+            if cop != bound:
+                witness = {"x": _describe(x), "y": _describe(y),
+                           "coproduct_dim": cop.dim, "kernel_dim": bound.dim}
+                break
+        if witness:
+            break
+    out.append(Verdict(f"{name}-3", FAIL,
+                       "equality with the kernel of the ideal product fails",
+                       witness)
+               if witness else
+               Verdict(f"{name}-3", PASS,
+                       "(X : Y) = Ke(An(X) An(Y)) for subbicomodule Y"))
+    return out
+
+
+def _literal_variety_identities(a: InstanceAnalysis, ctx) -> list:
+    name = "variety-identities"
+    lat, spec = a.lattice, a.spectrum
+    points = spec.cpspec
+    space = frozenset(range(len(points)))
+    out = []
+
+    if _xset(points, lat.top()) != frozenset() or \
+            _xset(points, lat.zero()) != space:
+        out.append(Verdict(f"{name}-1", FAIL, "endpoint identities fail",
+                           {"x_of_top": sorted(_xset(points, lat.top())),
+                            "x_of_zero": sorted(_xset(points, lat.zero()))}))
+    else:
+        out.append(Verdict(f"{name}-1", PASS,
+                           "the whole space opens nothing and zero opens "
+                           "everything"))
+
+    witness = None
+    for l1 in lat.elements:
+        for l2 in lat.elements:
+            x1, x2 = _xset(points, l1), _xset(points, l2)
+            if not (_xset(points, l1.sum_with(l2)) <= (x1 & x2)
+                    and (x1 & x2) <= (x1 | x2)
+                    and (x1 | x2) == _xset(points, l1.intersect(l2))):
+                witness = {"l1": _describe(l1), "l2": _describe(l2)}
+                break
+        if witness:
+            break
+    out.append(Verdict(f"{name}-2", FAIL, "sum/meet inclusions fail", witness)
+               if witness else
+               Verdict(f"{name}-2", PASS,
+                       "sums shrink opens and meets union them"))
+
+    witness = None
+    fi = lat.fi_elements()
+    for l1 in fi:
+        for l2 in fi:
+            x_sum = _xset(points, l1.sum_with(l2))
+            x_meet = _xset(points, l1) & _xset(points, l2)
+            x_cop = _xset(points, a.coproducts.coproduct(l1, l2))
+            if not (x_sum == x_meet == x_cop):
+                witness = {"l1": _describe(l1), "l2": _describe(l2),
+                           "x_sum": sorted(x_sum), "x_meet": sorted(x_meet),
+                           "x_coproduct": sorted(x_cop)}
+                break
+        if witness:
+            break
+    out.append(Verdict(f"{name}-3", FAIL,
+                       "fully invariant sum/coproduct identity fails",
+                       witness)
+               if witness else
+               Verdict(f"{name}-3", PASS,
+                       "opens of sums and coproducts agree on the fully "
+                       "invariant lattice"))
+    return out
+
+
+LITERAL_STATEMENTS = {
+    "annihilator-kernel-galois": _literal_an_ke_galois,
+    "coproduct-annihilator-kernel-bound": _literal_coproduct_bound,
+    "variety-identities": _literal_variety_identities,
+}
+
+
+def _statuses(verdicts):
+    return [(v.statement, v.status) for v in verdicts]
+
+
+def _check_statements_match_literal(a):
+    ctx = CheckContext(seed=a.seed)
+    for name, literal in LITERAL_STATEMENTS.items():
+        assert (_statuses(run_checks(a, names=[name]))
+                == _statuses(literal(a, ctx))), name
+
+
+def _literal_coproduct(a, x, y):
+    """(X : Y) as the intersection of one preimage per basis map of An(X)."""
+    result = Subspace.full(a.field, a.m.dim)
+    for coords in a.coproducts.annihilator(x).subspace.basis:
+        result = result.intersect(preimage(a.endo.element(coords), y))
+    return result
+
+
+def _check_coproducts_match_literal(a):
+    cache = CoproductCache(a.m, a.endo)
+    for x in a.lattice.elements:
+        for y in a.lattice.elements:
+            assert cache.coproduct(x, y) == _literal_coproduct(a, x, y)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 10 ** 6), field=st.sampled_from([F2, F3, F5]))
 def test_reductions_match_the_definitions_over_finite_fields(seed, field):
@@ -113,6 +413,8 @@ def test_reductions_match_the_definitions_over_finite_fields(seed, field):
     _check_order_table(a.lattice)
     _check_coprime_reductions(a)
     _check_ideal_reductions(a)
+    _check_coproducts_match_literal(a)
+    _check_statements_match_literal(a)
 
 
 # Seeds 2 and 10 give 10- and 20-element lattices with mixed verdicts.
@@ -123,6 +425,8 @@ def test_reductions_match_the_definitions_in_generated_mode_over_q(seed):
     assert not a.lattice.certified
     _check_order_table(a.lattice)
     _check_coprime_reductions(a)
+    _check_coproducts_match_literal(a)
+    _check_statements_match_literal(a)
 
 
 def test_spectrum_of_grouplike_5_computes_few_coproducts():
@@ -130,3 +434,104 @@ def test_spectrum_of_grouplike_5_computes_few_coproducts():
     a = InstanceAnalysis(m)
     assert len(a.spectrum.cpspec) == 5
     assert len(a.coproducts._co) <= 25
+
+
+# --- mutation and count guards for the coproduct statement -------------------
+
+class _RiggedCache(CoproductCache):
+    """A coproduct cache whose answers pass through `rig(x, y, cop)`."""
+
+    def __init__(self, m, endo, rig):
+        super().__init__(m, endo)
+        self.rig = rig
+
+    def coproduct(self, x, y):
+        return self.rig(x, y, super().coproduct(x, y))
+
+
+def _rigged_analysis(ref, rig):
+    a = InstanceAnalysis(resolve_ref_to_bicomodule(ref, F2))
+    a._cache = _RiggedCache(a.m, a.endo, rig)
+    return a
+
+
+def _bound_verdict(a, part):
+    statement = f"coproduct-annihilator-kernel-bound-{part}"
+    return next(v for v in run_checks(a, names=["coproduct-annihilator-kernel-bound"])
+                if v.statement == statement)
+
+
+def _covers(lattice, low, high):
+    """Whether high covers low: low < high with nothing strictly between."""
+    return high != low and high.contains(low) and not any(
+        e not in (low, high) and e.contains(low) and high.contains(e)
+        for e in lattice.elements)
+
+
+def test_non_monotone_coproduct_fails_with_a_cover_pair():
+    # Rig (0 : 0) to M.  Every (0 : Y) lies in Y, so (0 : -) breaks
+    # monotonicity on 0 < Y for every proper Y, including the non-cover
+    # pairs 0 < Y with dim Y = 2; the scan must still find a cover pair.
+    def rig(x, y, cop):
+        if x.is_zero() and y.is_zero():
+            return Subspace.full(x.field, x.ambient)
+        return cop
+
+    a = _rigged_analysis("grouplike:3", rig)
+    lat = a.lattice
+    plane = next(e for e in lat.elements if e.dim == 2)
+    assert not _covers(lat, lat.zero(), plane)
+    verdict = _bound_verdict(a, 1)
+    assert verdict.status == FAIL
+    assert verdict.witness["problem"] == "(X : -) is not monotone"
+    y1, y2 = (next(e for e in lat.elements if _describe(e) == verdict.witness[k])
+              for k in ("y1", "y2"))
+    assert _covers(lat, y1, y2)
+
+
+def test_coproduct_missing_x_fails():
+    def rig(x, y, cop):
+        if x.dim == 1 and y.is_zero():
+            return Subspace.zero(x.field, x.ambient)
+        return cop
+
+    a = _rigged_analysis("grouplike:3", rig)
+    assert _bound_verdict(a, 1).status == FAIL
+    assert _bound_verdict(a, 1).witness["problem"] == "X is not inside (X : Y)"
+
+
+def test_coproduct_outside_the_lattice_is_tested_by_the_definitions():
+    # span(e1 + e2) is not a subbicomodule of grouplike:3, so the table has
+    # no index for it and full invariance must come from the endomorphisms.
+    line = Subspace.from_vectors(F2, 3, [(1, 1, 0)])
+
+    def rig(x, y, cop):
+        return line if x.is_zero() and y.is_zero() else cop
+
+    a = _rigged_analysis("grouplike:3", rig)
+    assert a.lattice.find(line) is None
+    verdict = _bound_verdict(a, 1)
+    assert verdict.status == FAIL
+    assert verdict.witness["problem"] == ("(X : Y) not fully invariant "
+                                          "although X is")
+
+
+def test_unrigged_coproduct_statement_passes():
+    a = _rigged_analysis("grouplike:3", lambda x, y, cop: cop)
+    assert _bound_verdict(a, 1).status == PASS
+
+
+def test_coproduct_bound_computes_each_probe_pair_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ke_product_bound(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "ke_product_bound", counted)
+    m, _ = random_instance(15, field=F2)
+    a = InstanceAnalysis(m)
+    assert len(a.lattice) == 32
+    verdicts = run_checks(a, names=["coproduct-annihilator-kernel-bound"])
+    assert all(v.status == PASS for v in verdicts)
+    assert 0 < len(calls) <= (len(a.lattice) + 3) ** 2

@@ -2,11 +2,13 @@
 
 import pytest
 
+from coprimespec import analysis, lattice
+from coprimespec.analysis import InstanceAnalysis
 from coprimespec.bicomodule import regular_bicomodule
 from coprimespec.catalog import (comatrix, divided_power, grouplike,
                                  random_instance, right_comodule)
-from coprimespec.endo import endo_algebra
-from coprimespec.exceptions import ExhaustiveUnavailableOverQ
+from coprimespec.endo import EndoAlgebra, endo_algebra
+from coprimespec.exceptions import BudgetExceeded, ExhaustiveUnavailableOverQ
 from coprimespec.fields import prime_field, rationals
 from coprimespec.lattice import (coradical, enumerate_lattice,
                                  is_fully_invariant, predicates, simples,
@@ -134,3 +136,26 @@ def test_random_instances_have_valid_certified_lattices():
         endo = endo_algebra(m)
         for s in lat.fi_elements():
             assert is_fully_invariant(s, endo)
+
+
+def test_lattice_budget_is_checked_before_the_endomorphism_solve(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("the endomorphism ring was solved")
+
+    monkeypatch.setattr(analysis, "endo_algebra", no_solve)
+    monkeypatch.setattr(EndoAlgebra, "compute", classmethod(no_solve))
+    a = InstanceAnalysis(regular_bicomodule(grouplike(20, F2)))
+    with pytest.raises(BudgetExceeded):
+        a.lattice
+
+
+def test_predicates_read_annihilators_from_the_analysis_cache(monkeypatch):
+    m, _ = random_instance(15, field=F2)
+    a = InstanceAnalysis(m)
+    plain = predicates(m, a.lattice, a.endo, right_ideals=a.right_ideals)
+
+    def no_solve(*args):
+        raise AssertionError("an annihilator was solved outside the cache")
+
+    monkeypatch.setattr(lattice, "an", no_solve)
+    assert a.predicates.to_dict() == plain.to_dict()
