@@ -16,10 +16,9 @@ from .catalog import (Poset, comatrix, direct_sum, divided_power, grouplike,
 from .checks import Verdict, morphism_checks, run_checks, statement_names
 from .coalgebra import (Coalgebra, CoalgebraMorphism, DualAlgebra,
                         identity_morphism)
-from .coprime import (CoproductCache, RestrictedSpectrum, SpectrumReport,
+from .coprime import (CoproductCache, IdealSide, SpectrumReport, ideal_side,
                       internal_coproduct, is_fully_coprime,
-                      is_fully_cosemiprime, ke_product_bound,
-                      restricted_spectrum, spectrum)
+                      is_fully_cosemiprime, ke_product_bound, spectrum)
 from .endo import (EndoAlgebra, an, endo_algebra, enumerate_ideals,
                    jacobson_radical, ke, prime_radical, radical_char0)
 from .fields import Field, parse_field_name, prime_field, rationals

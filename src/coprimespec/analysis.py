@@ -2,22 +2,35 @@
 
 from __future__ import annotations
 
-from .bicomodule import Bicomodule
-from .coprime import (CoproductCache, RestrictedSpectrum, restricted_spectrum,
-                      spectrum)
+from .bicomodule import Bicomodule, restrict
+from .coprime import CoproductCache, ideal_side, spectrum
 from .endo import endo_algebra, enumerate_ideals
-from .exceptions import BudgetExceeded
-from .lattice import (check_lattice_budget, enumerate_lattice, predicates,
-                      socle_report)
+from .exceptions import BudgetExceeded, NotFullyInvariant, ZeroSubmodule
+from .lattice import (Lattice, check_lattice_budget, enumerate_lattice,
+                      is_fully_invariant, predicates, socle_report)
 from .linalg import Subspace
 from .zariski import build_topology, topology_report
+
+
+def child_coords(l_sub: Subspace, k: Subspace) -> Subspace:
+    """A subspace K <= L of M in the coordinates of L's basis."""
+    rows = [l_sub.coords_of(v) for v in k.basis]
+    return Subspace.from_vectors(l_sub.field, l_sub.dim, rows)
+
+
+def parent_coords(l_sub: Subspace, child: Subspace) -> Subspace:
+    """The inverse of `child_coords`: a subspace given in the coordinates of
+    L's basis, as a subspace of M.  Its rows are the child coordinates times
+    the basis of L, since `restrict` embeds L by the transposed basis."""
+    return child.apply(l_sub.matrix().transpose())
 
 
 class InstanceAnalysis:
     """Computes and caches the derived objects of one bicomodule instance.
 
-    Every expensive object (endomorphism algebra, lattice, ideal lists,
-    spectrum, topologies, restricted spectra) is computed at most once.
+    Every expensive object (endomorphism algebra, lattice, right ideals,
+    spectrum, ideal side, topologies, analyses of fully invariant parts) is
+    computed at most once, on first use.
     """
 
     def __init__(self, m: Bicomodule, mode: str = "exhaustive",
@@ -34,6 +47,7 @@ class InstanceAnalysis:
         self._right_ideals = False
         self._cache = None
         self._spectrum = None
+        self._ideal_side = None
         self._predicates = None
         self._topologies = {}
         self._restricted = {}
@@ -66,6 +80,8 @@ class InstanceAnalysis:
 
     @property
     def right_ideals(self):
+        """The right ideals of the endomorphism ring, or None over Q or when
+        their enumeration exceeds the ideal budget."""
         if self._right_ideals is False:
             if self.field.is_finite:
                 try:
@@ -87,18 +103,20 @@ class InstanceAnalysis:
     def spectrum(self):
         if self._spectrum is None:
             self._spectrum = spectrum(self.m, self.lattice, self.endo,
-                                      cache=self.coproducts,
-                                      ideal_budget=self.ideal_budget,
-                                      right_ideals=self.right_ideals)
+                                      cache=self.coproducts)
         return self._spectrum
+
+    @property
+    def ideal_side(self):
+        if self._ideal_side is None:
+            self._ideal_side = ideal_side(self.spectrum, self.right_ideals)
+        return self._ideal_side
 
     @property
     def predicates(self):
         if self._predicates is None:
             self._predicates = predicates(self.m, self.lattice, self.endo,
-                                          right_ideals=self.right_ideals,
-                                          ideal_budget=self.ideal_budget,
-                                          seed=self.seed,
+                                          self.right_ideals, seed=self.seed,
                                           cache=self.coproducts)
         return self._predicates
 
@@ -112,11 +130,31 @@ class InstanceAnalysis:
     def topology_report(self, flavor: str = "fi"):
         return topology_report(self.topology(flavor))
 
-    def restricted(self, l_sub: Subspace) -> RestrictedSpectrum:
+    def restricted(self, l_sub: Subspace) -> InstanceAnalysis:
+        """The analysis of a fully invariant L <= M as a bicomodule of its
+        own, in the coordinates of L's basis (`parent_coords` maps back).
+
+        Its lattice is the part of M's lattice below L; its endomorphism
+        ring is L's own, so full invariance is decided afresh.
+        """
         found = self._restricted.get(l_sub.key())
         if found is None:
-            found = restricted_spectrum(self.m, self.lattice, self.endo,
-                                        l_sub, ideal_budget=self.ideal_budget)
+            if l_sub.is_zero():
+                raise ZeroSubmodule("cannot analyze the zero subbicomodule on its own")
+            if not is_fully_invariant(l_sub, self.endo):
+                raise NotFullyInvariant(
+                    "restriction requires a fully invariant subbicomodule")
+            sub_m, _ = restrict(self.m, l_sub)
+            found = InstanceAnalysis(sub_m, mode=self.mode, budget=self.budget,
+                                     ideal_budget=self.ideal_budget,
+                                     seed=self.seed)
+            elements = sorted((child_coords(l_sub, k) for k in self.lattice
+                               if l_sub.contains(k)),
+                              key=lambda s: s.sort_key())
+            found._lattice = Lattice(
+                sub_m, elements,
+                [is_fully_invariant(k, found.endo) for k in elements],
+                self.lattice.mode)
             self._restricted[l_sub.key()] = found
         return found
 
@@ -124,7 +162,10 @@ class InstanceAnalysis:
         """The coprime coradical of L analyzed as a bicomodule of its own."""
         if l_sub.is_zero():
             return Subspace.zero(self.field, self.m.dim)
-        return self.restricted(l_sub).cpcorad_in_parent
+        if l_sub.is_full():
+            # The RREF basis of M is the identity: restrict(M, M) is M.
+            return self.spectrum.cpcorad
+        return parent_coords(l_sub, self.restricted(l_sub).spectrum.cpcorad)
 
     def e_set(self):
         """Fully invariant L with standalone coprime coradical equal to L."""

@@ -24,16 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .analysis import InstanceAnalysis, analyze
+from .analysis import InstanceAnalysis, analyze, child_coords, parent_coords
 from .bicomodule import centralizer, phi_matrix, quotient
 from .coalgebra import CoalgebraMorphism, identity_morphism
 from .coprime import is_fully_coprime, is_fully_cosemiprime, ke_product_bound
-from .endo import intertwiners, ke, maximal_ideals
+from .endo import coordinate_vectors, intertwiners, ke, maximal_ideals
 from .exceptions import CoalgebraMismatch
 from .lattice import cyclic_subbicomodule, is_fully_invariant
 from .linalg import (Matrix, Subspace, bits_of, kernel, minimal_bits,
                      preimage)
-from .zariski import (build_topology, image_subspace, irreducible_components,
+from .zariski import (image_subspace, irreducible_components,
                       is_connected_subset, is_irreducible_subset, separation,
                       spectral_map)
 
@@ -115,11 +115,6 @@ def _xmasks(lat, points):
             inside[j] |= 1 << i
     space = (1 << len(points)) - 1
     return [space & ~v for v in inside]
-
-
-def _in_child_coords(field, l_sub: Subspace, k: Subspace) -> Subspace:
-    rows = [l_sub.coords_of(v) for v in k.basis]
-    return Subspace.from_vectors(field, l_sub.dim, rows)
 
 
 def _quotient_cogenerated(a: InstanceAnalysis, k: Subspace) -> bool:
@@ -294,12 +289,11 @@ def _check_duo_transfer(a: InstanceAnalysis, ctx) -> list:
     for l_sub in a.lattice.nonzero_fi_elements():
         if l_sub.is_full():
             continue
-        restricted = a.restricted(l_sub)
-        if not all(restricted.child_lattice.fi_mask):
-            idx = restricted.child_lattice.fi_mask.index(False)
+        child = a.restricted(l_sub).lattice
+        if not all(child.fi_mask):
+            idx = child.fi_mask.index(False)
             witness = {"l": _describe(l_sub),
-                       "non_duo_child": _describe(
-                           restricted.child_lattice.elements[idx])}
+                       "non_duo_child": _describe(child.elements[idx])}
             break
     out.append(Verdict(f"{name}-3", FAIL,
                        "a fully invariant part is not duo on its own",
@@ -427,21 +421,22 @@ def _check_prime_radical(a: InstanceAnalysis, ctx) -> list:
     if not p.self_cogenerator:
         return [_vacuous(f"{name}-{i}", ["self-cogenerator"])
                 for i in (1, 2, 3, 4)]
+    ideals = a.ideal_side
     out = []
 
-    if not spec.ideal_support:
+    if not ideals.ideal_support:
         out.append(Verdict(f"{name}-1", UNSUPPORTED, _ideal_excuse(a)))
         out.append(Verdict(f"{name}-2", UNSUPPORTED, _ideal_excuse(a)))
     else:
         cp, csp = _keyset(spec.cpspec), _keyset(spec.csp)
-        ep, esp = _keyset(spec.ep), _keyset(spec.esp)
+        ep, esp = _keyset(ideals.ep), _keyset(ideals.esp)
         if not ep <= cp:
-            bad = next(k for k in spec.ep if k.key() not in cp)
+            bad = next(k for k in ideals.ep if k.key() not in cp)
             out.append(Verdict(f"{name}-1", FAIL,
                                "a prime-annihilator member is not fully "
                                "coprime", {"k": _describe(bad)}))
         elif not esp <= csp:
-            bad = next(k for k in spec.esp if k.key() not in csp)
+            bad = next(k for k in ideals.esp if k.key() not in csp)
             out.append(Verdict(f"{name}-1", FAIL,
                                "a semiprime-annihilator member is not fully "
                                "cosemiprime", {"k": _describe(bad)}))
@@ -464,11 +459,11 @@ def _check_prime_radical(a: InstanceAnalysis, ctx) -> list:
                                "spectrum member without prime annihilator",
                                {"k": _describe(missing)}))
 
-    if not spec.radical_support:
+    if not ideals.radical_support:
         out.append(Verdict(f"{name}-3", UNSUPPORTED, _ideal_excuse(a)))
     else:
         an_corad = a.coproducts.annihilator(spec.cpcorad).subspace
-        if spec.prad == an_corad and spec.ke_prad == spec.cpcorad:
+        if ideals.prad == an_corad and ideals.ke_prad == spec.cpcorad:
             out.append(Verdict(f"{name}-3", PASS,
                                "prime radical matches An(CPcorad) and its "
                                "kernel recovers CPcorad (ring is finite "
@@ -476,9 +471,9 @@ def _check_prime_radical(a: InstanceAnalysis, ctx) -> list:
         else:
             out.append(Verdict(f"{name}-3", FAIL,
                                "prime radical does not match the coradical",
-                               {"prad_dim": spec.prad.dim,
+                               {"prad_dim": ideals.prad.dim,
                                 "an_corad_dim": an_corad.dim,
-                                "ke_prad": _describe(spec.ke_prad),
+                                "ke_prad": _describe(ideals.ke_prad),
                                 "cpcorad": _describe(spec.cpcorad)}))
 
     whole = Subspace.full(a.field, a.m.dim)
@@ -508,28 +503,31 @@ def _check_spectrum_restriction(a: InstanceAnalysis, ctx) -> list:
         if l_sub.is_full():
             continue
         r = a.restricted(l_sub)
+        cpspec = [parent_coords(l_sub, k) for k in r.spectrum.cpspec]
+        csp = [parent_coords(l_sub, k) for k in r.spectrum.csp]
+        cpcorad = parent_coords(l_sub, r.spectrum.cpcorad)
 
         def filtered(members):
             keep = []
             for k in members:
                 if l_sub.contains(k) and is_fully_invariant(
-                        _in_child_coords(a.field, l_sub, k), r.child_endo):
+                        child_coords(l_sub, k), r.endo):
                     keep.append(k)
             return _keyset(keep)
 
-        if _keyset(r.cpspec_in_parent) != filtered(spec.cpspec):
+        if _keyset(cpspec) != filtered(spec.cpspec):
             witness = {"l": _describe(l_sub), "side": "fully coprime",
-                       "standalone": len(r.cpspec_in_parent),
+                       "standalone": len(cpspec),
                        "cut_down": len(filtered(spec.cpspec))}
             break
-        if _keyset(r.csp_in_parent) != filtered(spec.csp):
+        if _keyset(csp) != filtered(spec.csp):
             witness = {"l": _describe(l_sub), "side": "fully cosemiprime",
-                       "standalone": len(r.csp_in_parent),
+                       "standalone": len(csp),
                        "cut_down": len(filtered(spec.csp))}
             break
-        if r.cpcorad_in_parent != l_sub.intersect(spec.cpcorad):
+        if cpcorad != l_sub.intersect(spec.cpcorad):
             witness = {"l": _describe(l_sub), "side": "coradical",
-                       "standalone": _describe(r.cpcorad_in_parent),
+                       "standalone": _describe(cpcorad),
                        "cut_down": _describe(l_sub.intersect(spec.cpcorad))}
             break
     if witness:
@@ -550,9 +548,8 @@ def _check_minimal_members(a: InstanceAnalysis, ctx) -> list:
 
     witness = None
     for s in a.socle.simples_fi:
-        r = a.restricted(s)
         whole = Subspace.full(a.field, s.dim)
-        if not r.report.is_cpspec_member(whole):
+        if not a.restricted(s).spectrum.is_cpspec_member(whole):
             witness = {"simple": _describe(s)}
             break
     out.append(Verdict(f"{name}-1", FAIL,
@@ -828,18 +825,17 @@ def _check_simple_points(a: InstanceAnalysis, ctx) -> list:
         if l_sub.is_full():
             continue
         r = a.restricted(l_sub)
-        if not _keyset(r.cpspec_in_parent) <= _keyset(points):
+        child_points = [parent_coords(l_sub, k) for k in r.spectrum.cpspec]
+        if not _keyset(child_points) <= _keyset(points):
             witness = {"l": _describe(l_sub), "case": "points do not embed"}
             break
-        child_top = build_topology(r.report, "full")
-        child_parent = [k.key() for k in r.cpspec_in_parent]
+        child_top = r.topology("full")
         for n_sub in a.lattice.elements:
-            pulled = frozenset(i for i, key in enumerate(child_parent)
-                               if n_sub.contains(r.cpspec_in_parent[i]))
+            pulled = frozenset(i for i, k in enumerate(child_points)
+                               if n_sub.contains(k))
             meet = n_sub.intersect(l_sub)
-            direct = frozenset(
-                i for i, key in enumerate(child_parent)
-                if meet.contains(r.cpspec_in_parent[i]))
+            direct = frozenset(i for i, k in enumerate(child_points)
+                               if meet.contains(k))
             if pulled != direct:
                 witness = {"l": _describe(l_sub), "n": _describe(n_sub),
                            "case": "preimage of a variety"}
@@ -893,11 +889,11 @@ def _check_prime_maximal(a: InstanceAnalysis, ctx) -> list:
         gaps.append("self-cogenerator")
     if gaps:
         return [_vacuous(name, gaps)]
-    spec = a.spectrum
-    if spec.primes is None:
+    spec, ideals = a.spectrum, a.ideal_side
+    if ideals.primes is None:
         return [Verdict(name, UNSUPPORTED, _ideal_excuse(a))]
-    maximal_keys = {i.subspace.key() for i in maximal_ideals(spec.two_sided)}
-    if not all(i.subspace.key() in maximal_keys for i in spec.primes):
+    maximal_keys = {i.subspace.key() for i in maximal_ideals(ideals.two_sided)}
+    if not all(i.subspace.key() in maximal_keys for i in ideals.primes):
         return [_vacuous(name, ["every prime ideal maximal"])]
     if _keyset(spec.cpspec) != _keyset(a.socle.simples):
         extra = next(k for k in spec.cpspec
@@ -1285,8 +1281,7 @@ def _check_regular_endomorphisms(a: InstanceAnalysis, ctx) -> list:
                                    for row in g_mat.data]})]
     if not endo.is_commutative():
         pair = None
-        units = [tuple(field.one if i == j else field.zero
-                       for j in range(endo.dim)) for i in range(endo.dim)]
+        units = coordinate_vectors(field, endo.dim)
         for x in units:
             for y in units:
                 if endo.multiply(x, y) != endo.multiply(y, x):

@@ -102,7 +102,7 @@ def cmd_validate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     a = _analysis(args)
-    report = a.spectrum
+    report, ideals = a.spectrum, a.ideal_side
     field = a.field
     lines = [f"field {field.name}, dim {a.m.dim}, "
              f"lattice {len(a.lattice.elements)} elements "
@@ -116,15 +116,17 @@ def cmd_spectrum(args) -> int:
     lines.append("coprime coradical:")
     lines.extend(_basis_lines(field, report.cpcorad))
     lines.append(f"fully cosemiprime members: {len(report.csp)}")
-    if report.ideal_support:
-        lines.append(f"prime-annihilator members: {len(report.ep)}; "
-                     f"semiprime-annihilator members: {len(report.esp)}")
-    if report.radical_support:
-        lines.append(f"prime radical dim {report.prad.dim}, "
-                     f"Jacobson radical dim {report.jac.dim}")
-    for note in report.notes:
+    if ideals.ideal_support:
+        lines.append(f"prime-annihilator members: {len(ideals.ep)}; "
+                     f"semiprime-annihilator members: {len(ideals.esp)}")
+    if ideals.radical_support:
+        lines.append(f"prime radical dim {ideals.prad.dim}, "
+                     f"Jacobson radical dim {ideals.jac.dim}")
+    notes = report.notes + ideals.notes
+    for note in notes:
         lines.append(f"note: {note}")
-    _emit(args, report.to_dict(), "\n".join(lines))
+    payload = {**report.to_dict(), **ideals.to_dict(), "notes": list(notes)}
+    _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 
 

@@ -240,31 +240,7 @@ class CoalgebraMorphism:
             if val != self.source.counit[i]:
                 report.add("counit-morphism", (i,),
                            f"{fmt(val)} != {fmt(self.source.counit[i])}")
-        report.issues.extend(self._dual_ring_issues())
         return report
-
-    def _dual_ring_issues(self):
-        """Redundant cross-check: the transposed map is a unital ring map of duals."""
-        field = self.source.field
-        src_dual = DualAlgebra(self.source)
-        tgt_dual = DualAlgebra(self.target)
-        tt = self.matrix.transpose()
-        issues = []
-        unit_pull = tt.apply(tgt_dual.unit)
-        if unit_pull != tuple(src_dual.unit):
-            issues.append(ValidationIssue("dual-ring-unit", (),
-                                          "counit does not pull back to counit"))
-        m = self.target.dim
-        for a in range(m):
-            fa = tuple(field.one if s == a else field.zero for s in range(m))
-            for b in range(m):
-                fb = tuple(field.one if s == b else field.zero for s in range(m))
-                lhs = tt.apply(tgt_dual.multiply(fa, fb))
-                rhs = src_dual.multiply(tt.apply(fa), tt.apply(fb))
-                if tuple(lhs) != tuple(rhs):
-                    issues.append(ValidationIssue("dual-ring-product", (a, b),
-                                                  "pullback is not multiplicative"))
-        return issues
 
     @property
     def is_valid(self) -> bool:

@@ -10,8 +10,9 @@ kernels is the kernel of the stacked matrix), with (X : Y) = M when
 An(X) = 0 or Y = M.  A nonzero fully invariant K is fully coprime
 when K <= (X : Y) forces K <= X or K <= Y over fully invariant pairs, and
 fully cosemiprime when K <= (X : X) forces K <= X.  The spectrum collects
-the fully coprime elements; annihilator-side prime data is available over
-finite prime fields where two-sided ideals can be enumerated.
+the fully coprime elements from the lattice and the coproduct alone; the
+annihilator-side prime data it is compared with (`ideal_side`) needs the
+right ideals of the endomorphism ring, enumerated over finite prime fields.
 
 Both tests scan only the maximal fully invariant X, Y with K not <= X, Y,
 which is equivalent by monotonicity: Y <= Y' gives (X : Y) <= (X : Y'),
@@ -22,11 +23,14 @@ element not containing K above it.
 
 from __future__ import annotations
 
-from .bicomodule import Bicomodule, restrict
-from .endo import (EndoAlgebra, IdealPoset, an, enumerate_ideals,
-                   endo_algebra, ideal_product, jacobson_radical, ke,
-                   prime_radical, radical_char0)
-from .exceptions import BudgetExceeded, NotFullyInvariant, ZeroSubmodule
+from dataclasses import dataclass
+
+from .bicomodule import Bicomodule
+from .endo import (EndoAlgebra, IdealPoset, an, endo_algebra, ideal_product,
+                   jacobson_radical, ke, prime_radical, radical_char0)
+# Unused here; kept because perfbench/tracing.py patches it in this module.
+from .endo import enumerate_ideals
+from .exceptions import NotFullyInvariant, ZeroSubmodule
 from .lattice import Lattice, is_fully_invariant
 from .linalg import Matrix, Subspace, kernel
 
@@ -140,12 +144,17 @@ def is_fully_cosemiprime(m: Bicomodule, k: Subspace, lattice: Lattice,
     return True, None
 
 
-class SpectrumReport:
-    """Spectral data of a bicomodule relative to a subbicomodule lattice."""
+def _rows(sub: Subspace):
+    fmt = sub.field.format_scalar
+    return [[fmt(a) for a in row] for row in sub.basis]
 
-    def __init__(self, m, lattice, endo, cache, cpspec, cpcorad, csp,
-                 ep, esp, prad, jac, ke_prad, ke_jac, notes,
-                 right_ideals=None, two_sided=None, primes=None):
+
+class SpectrumReport:
+    """The fully coprime spectrum of a bicomodule relative to a
+    subbicomodule lattice: its members, their sum and the fully
+    cosemiprime members."""
+
+    def __init__(self, m, lattice, endo, cache, cpspec, cpcorad, csp, notes):
         self.m = m
         self.lattice = lattice
         self.endo = endo
@@ -153,65 +162,34 @@ class SpectrumReport:
         self.cpspec = tuple(cpspec)
         self.cpcorad = cpcorad
         self.csp = tuple(csp)
-        self.ep = None if ep is None else tuple(ep)
-        self.esp = None if esp is None else tuple(esp)
-        self.prad = prad
-        self.jac = jac
-        self.ke_prad = ke_prad
-        self.ke_jac = ke_jac
         self.notes = tuple(notes)
-        self.right_ideals = right_ideals
-        self.two_sided = two_sided
-        self.primes = primes
 
     @property
     def certified(self) -> bool:
         return self.lattice.certified
 
-    @property
-    def ideal_support(self) -> bool:
-        """True when the prime and semiprime member classes were enumerated."""
-        return self.ep is not None
-
-    @property
-    def radical_support(self) -> bool:
-        """True when the prime and Jacobson radicals of E were computed."""
-        return self.prad is not None
-
     def is_cpspec_member(self, k: Subspace) -> bool:
         return any(k == p for p in self.cpspec)
 
     def to_dict(self):
-        fmt = self.m.field.format_scalar
-        basis = lambda s: [[fmt(a) for a in row] for row in s.basis]
-        payload = {
+        return {
             "field": self.m.field.name,
             "dim": self.m.dim,
             "lattice_size": len(self.lattice),
             "lattice_mode": self.lattice.mode.value,
             "certified": self.certified,
             "endo_dim": self.endo.dim,
-            "cpspec": [basis(k) for k in self.cpspec],
-            "cpcorad": basis(self.cpcorad),
-            "csp": [basis(k) for k in self.csp],
+            "cpspec": [_rows(k) for k in self.cpspec],
+            "cpcorad": _rows(self.cpcorad),
+            "csp": [_rows(k) for k in self.csp],
             "notes": list(self.notes),
         }
-        if self.ideal_support:
-            payload["ep"] = [basis(k) for k in self.ep]
-            payload["esp"] = [basis(k) for k in self.esp]
-        if self.radical_support:
-            payload["prad_dim"] = self.prad.dim
-            payload["jac_dim"] = self.jac.dim
-            payload["ke_prad"] = basis(self.ke_prad)
-            payload["ke_jac"] = basis(self.ke_jac)
-        return payload
 
 
 def spectrum(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
-             cache: CoproductCache | None = None,
-             ideal_budget: int = 50000,
-             right_ideals=None) -> SpectrumReport:
-    """Computes the fully coprime spectrum and its annihilator-side companions."""
+             cache: CoproductCache | None = None) -> SpectrumReport:
+    """Computes the fully coprime spectrum, its coradical and the fully
+    cosemiprime members."""
     if cache is None:
         cache = CoproductCache(m, endo)
     notes = []
@@ -231,86 +209,74 @@ def spectrum(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
     cpcorad = Subspace.zero(m.field, m.dim)
     for k in cpspec:
         cpcorad = cpcorad.sum_with(k)
-
-    ep = esp = prad = jac = ke_prad = ke_jac = None
-    two_sided = primes = None
-    if m.field.is_finite and right_ideals is None:
-        try:
-            right_ideals = enumerate_ideals(endo, side="right", budget=ideal_budget)
-        except BudgetExceeded:
-            notes.append("right-ideal enumeration exceeded the budget; "
-                         "prime and radical data omitted")
-    if m.field.is_finite and right_ideals is not None:
-        two_sided = [i for i in right_ideals if i.is_two_sided]
-        poset = IdealPoset(endo, two_sided)
-        primes = poset.primes()
-        ep = [k for k in lattice.nonzero_fi_elements()
-              if poset.is_prime(cache.annihilator(k))]
-        esp = [k for k in lattice.nonzero_fi_elements()
-               if poset.is_semiprime(cache.annihilator(k))]
-        prad = prime_radical(endo, poset)
-        jac = jacobson_radical(endo, right_ideals)
-        ke_prad = ke(prad, endo)
-        ke_jac = ke(jac, endo)
-    elif not m.field.is_finite:
-        prad = jac = radical_char0(endo)
-        ke_prad = ke_jac = ke(prad, endo)
-        notes.append("ideal enumeration is unsupported over Q; prime and "
-                     "semiprime member classes omitted (radicals via the "
-                     "characteristic-zero trace form)")
-
-    return SpectrumReport(m, lattice, endo, cache, cpspec, cpcorad, csp,
-                          ep, esp, prad, jac, ke_prad, ke_jac, notes,
-                          right_ideals, two_sided, primes)
+    return SpectrumReport(m, lattice, endo, cache, cpspec, cpcorad, csp, notes)
 
 
-class RestrictedSpectrum:
-    """Standalone spectral analysis of a fully invariant subbicomodule."""
+@dataclass(frozen=True)
+class IdealSide:
+    """Annihilator-side prime data beside a spectrum: the members with a
+    prime (semiprime) annihilator, the prime and Jacobson radicals of the
+    endomorphism ring and their kernels, the two-sided and prime ideals.
+    A field is None when it was not computed; `notes` says why."""
 
-    def __init__(self, sub_bicomodule, embed, child_lattice, child_endo,
-                 report, cpspec_in_parent, cpcorad_in_parent, csp_in_parent):
-        self.sub_bicomodule = sub_bicomodule
-        self.embed = embed
-        self.child_lattice = child_lattice
-        self.child_endo = child_endo
-        self.report = report
-        self.cpspec_in_parent = tuple(cpspec_in_parent)
-        self.cpcorad_in_parent = cpcorad_in_parent
-        self.csp_in_parent = tuple(csp_in_parent)
+    ep: tuple | None = None
+    esp: tuple | None = None
+    prad: Subspace | None = None
+    jac: Subspace | None = None
+    ke_prad: Subspace | None = None
+    ke_jac: Subspace | None = None
+    two_sided: list | None = None
+    primes: list | None = None
+    notes: tuple = ()
+
+    @property
+    def ideal_support(self) -> bool:
+        """True when the prime and semiprime member classes were enumerated."""
+        return self.ep is not None
+
+    @property
+    def radical_support(self) -> bool:
+        """True when the prime and Jacobson radicals of E were computed."""
+        return self.prad is not None
+
+    def to_dict(self):
+        payload = {}
+        if self.ideal_support:
+            payload["ep"] = [_rows(k) for k in self.ep]
+            payload["esp"] = [_rows(k) for k in self.esp]
+        if self.radical_support:
+            payload["prad_dim"] = self.prad.dim
+            payload["jac_dim"] = self.jac.dim
+            payload["ke_prad"] = _rows(self.ke_prad)
+            payload["ke_jac"] = _rows(self.ke_jac)
+        return payload
 
 
-def map_through(embed, child: Subspace, ambient_dim: int) -> Subspace:
-    """Pushes a subspace forward along an injection matrix."""
-    vectors = [embed.apply(row) for row in child.basis]
-    return Subspace.from_vectors(embed.field, ambient_dim, vectors)
+def ideal_side(spec: SpectrumReport, right_ideals) -> IdealSide:
+    """The annihilator-side prime data of the bicomodule of `spec`.
 
-
-def restricted_spectrum(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
-                        l_sub: Subspace, ideal_budget: int = 50000) -> RestrictedSpectrum:
-    """Treats a fully invariant L <= M as a bicomodule in its own right.
-
-    The subbicomodule lattice of L is induced from the parent lattice, the
-    endomorphism algebra of L is computed fresh, and the resulting spectrum
-    is mapped back into the coordinates of M for comparison.
+    `right_ideals` is the list of right ideals of its endomorphism ring, or
+    None when they were not enumerated (over budget, or over Q, where the
+    radicals come from the characteristic-zero trace form).
     """
-    if l_sub.is_zero():
-        raise ZeroSubmodule("cannot analyze the zero subbicomodule on its own")
-    if not is_fully_invariant(l_sub, endo):
-        raise NotFullyInvariant("restriction requires a fully invariant subbicomodule")
-    sub_m, embed = restrict(m, l_sub)
-    child_endo = endo_algebra(sub_m)
-    child_elements = []
-    for k in lattice.elements:
-        if l_sub.contains(k):
-            rows = [l_sub.coords_of(v) for v in k.basis]
-            child_elements.append(Subspace.from_vectors(m.field, l_sub.dim, rows))
-    child_elements.sort(key=lambda s: s.sort_key())
-    child_lattice = Lattice(sub_m, child_elements,
-                            [is_fully_invariant(k, child_endo) for k in child_elements],
-                            lattice.mode)
-    report = spectrum(sub_m, child_lattice, child_endo, ideal_budget=ideal_budget)
-    back = [map_through(embed, k, m.dim) for k in report.cpspec]
-    corad_back = map_through(embed, report.cpcorad, m.dim)
-    csp_back = [map_through(embed, k, m.dim) for k in report.csp]
-    return RestrictedSpectrum(sub_m, embed, child_lattice, child_endo,
-                              report, back, corad_back, csp_back)
+    endo, cache = spec.endo, spec.cache
+    if not spec.m.field.is_finite:
+        prad = radical_char0(endo)
+        ke_prad = ke(prad, endo)
+        return IdealSide(prad=prad, jac=prad, ke_prad=ke_prad, ke_jac=ke_prad,
+                         notes=("ideal enumeration is unsupported over Q; prime and "
+                                "semiprime member classes omitted (radicals via the "
+                                "characteristic-zero trace form)",))
+    if right_ideals is None:
+        return IdealSide(notes=("right-ideal enumeration exceeded the budget; "
+                                "prime and radical data omitted",))
+    two_sided = [i for i in right_ideals if i.is_two_sided]
+    poset = IdealPoset(endo, two_sided)
+    members = spec.lattice.nonzero_fi_elements()
+    prad = prime_radical(endo, poset)
+    jac = jacobson_radical(endo, right_ideals)
+    return IdealSide(
+        ep=tuple(k for k in members if poset.is_prime(cache.annihilator(k))),
+        esp=tuple(k for k in members if poset.is_semiprime(cache.annihilator(k))),
+        prad=prad, jac=jac, ke_prad=ke(prad, endo), ke_jac=ke(jac, endo),
+        two_sided=two_sided, primes=poset.primes())

@@ -287,11 +287,13 @@ class PredicateReport:
 
 
 def predicates(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
-               right_ideals=None, ideal_budget: int = 50000, seed: int = 0,
-               cache=None) -> PredicateReport:
+               right_ideals, seed: int = 0, cache=None) -> PredicateReport:
     """Evaluate the structural hypotheses used to gate theorem checks.
 
-    A `coprime.CoproductCache` passed as `cache` serves the annihilators.
+    `right_ideals` is the list of right ideals of `endo`, or None when they
+    were not enumerated; intrinsic injectivity is then tested on a seeded
+    sample of right ideals.  A `coprime.CoproductCache` passed as `cache`
+    serves the annihilators.
     """
     annihilator = cache.annihilator if cache is not None else (lambda k: an(k, endo))
     notes = []
@@ -313,25 +315,14 @@ def predicates(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
 
     self_cogenerator = all(ke(annihilator(k), endo) == k for k in lattice.elements)
 
-    intrinsic_partial = False
-    if endo.field.p is not None:
-        if right_ideals is None:
-            try:
-                from .endo import enumerate_ideals
-                right_ideals = enumerate_ideals(endo, side="right", budget=ideal_budget)
-            except BudgetExceeded:
-                right_ideals = None
-        samples = right_ideals
-    else:
-        samples = None
-    if samples is None:
-        intrinsic_partial = True
+    intrinsic_partial = right_ideals is None
+    samples = right_ideals
+    if intrinsic_partial:
         rng = Random(seed)
-        sampled = [annihilator(k) for k in lattice.elements]
+        samples = [annihilator(k) for k in lattice.elements]
         for _ in range(8):
             vec = tuple(endo.field.random_element(rng) for _ in range(endo.dim))
-            sampled.append(right_ideal_generated(endo, [vec]))
-        samples = sampled
+            samples.append(right_ideal_generated(endo, [vec]))
         notes.append("intrinsic injectivity tested on a finite ideal sample")
     intrinsically_injective = all(
         annihilator(ke(ideal, endo)).subspace == ideal.subspace for ideal in samples)
@@ -350,7 +341,7 @@ def predicates(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
                         for e in lattice.nonzero_fi_elements())
     corad_essential = all(not corad.intersect(e).is_zero() for e in nonzero)
 
-    if endo.field.p is not None and right_ideals is not None:
+    if right_ideals is not None:
         e_right_duo = all(i.is_two_sided for i in right_ideals)
     else:
         e_right_duo = None

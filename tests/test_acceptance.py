@@ -92,11 +92,12 @@ def test_criterion_2_divided_power_chain_spectrum_and_radicals():
                                            a.coproducts)
                 assert not flag
 
-            assert spec.radical_support
+            ideals = a.ideal_side
+            assert ideals.radical_support
             an_socle = an(c(0), a.endo).subspace
-            assert spec.prad == an_socle
-            assert spec.ke_prad == c(0)
-            assert spec.prad.dim == n_top
+            assert ideals.prad == an_socle
+            assert ideals.ke_prad == c(0)
+            assert ideals.prad.dim == n_top
 
             rep = topology_report(a.topology("fi"))
             assert rep.point_count == 1
@@ -165,10 +166,10 @@ def test_criterion_4_oracle_agreement_on_100_incidence_instances():
         a = analyze(m)
         p = a.predicates
         if p.certified and p.self_cogenerator and p.intrinsically_injective:
-            spec = a.spectrum
-            assert spec.ideal_support
-            assert keyset(spec.ep) == keyset(spec.cpspec), seed
-            assert keyset(spec.esp) == keyset(spec.csp), seed
+            spec, ideals = a.spectrum, a.ideal_side
+            assert ideals.ideal_support
+            assert keyset(ideals.ep) == keyset(spec.cpspec), seed
+            assert keyset(ideals.esp) == keyset(spec.csp), seed
             certified_pairs += 1
     elapsed = time.monotonic() - started
     assert elapsed < 300.0, elapsed

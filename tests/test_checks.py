@@ -139,3 +139,22 @@ def test_verdict_serialization():
     assert d["witness"] == {"dim": 2}
     assert v.failed
     assert not Verdict("demo", PASS, "ok").failed
+
+
+def test_only_the_instance_and_its_comodule_form_enumerate_ideals(monkeypatch):
+    import sys
+    from coprimespec.endo import enumerate_ideals
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_ideals(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("coprimespec.") and "enumerate_ideals" in vars(module):
+            monkeypatch.setattr(module, "enumerate_ideals", counted)
+    verdicts = run_checks(analyze(regular_bicomodule(divided_power(4, F2))))
+    assert not any(v.failed for v in verdicts)
+    # The instance itself and the one-sided comodule form of
+    # morphism-spectral-map; fully invariant parts never enumerate.
+    assert len(calls) == 2

@@ -8,8 +8,8 @@ import pytest
 from coprimespec.catalog import (chain_inclusion, comatrix, direct_sum,
                                  divided_power, grouplike, incidence,
                                  permutation_morphism, Poset)
-from coprimespec.coalgebra import (Coalgebra, CoalgebraMorphism, dual_algebra,
-                                   identity_morphism)
+from coprimespec.coalgebra import (Coalgebra, CoalgebraMorphism, DualAlgebra,
+                                   dual_algebra, identity_morphism)
 from coprimespec.exceptions import InvalidMorphism
 from coprimespec.fields import prime_field, rationals
 
@@ -141,3 +141,39 @@ def test_non_coalgebra_map_is_rejected():
     shear = Matrix.from_rows(F2, [(1, 1), (0, 1)])
     with pytest.raises(InvalidMorphism):
         CoalgebraMorphism(c, c, shear).require_valid()
+
+
+def _dual_ring_issues(theta):
+    """The laws by which the transpose of theta fails to be a unital algebra
+    map of the duals.  For finite dimensions it is one exactly when theta is
+    counital and comultiplicative, so this agrees with `validate`."""
+    field = theta.source.field
+    src_dual = DualAlgebra(theta.source)
+    tgt_dual = DualAlgebra(theta.target)
+    tt = theta.matrix.transpose()
+    issues = []
+    unit_pull = tt.apply(tgt_dual.unit)
+    if unit_pull != tuple(src_dual.unit):
+        issues.append("dual-ring-unit")
+    m = theta.target.dim
+    for a in range(m):
+        fa = tuple(field.one if s == a else field.zero for s in range(m))
+        for b in range(m):
+            fb = tuple(field.one if s == b else field.zero for s in range(m))
+            lhs = tt.apply(tgt_dual.multiply(fa, fb))
+            rhs = src_dual.multiply(tt.apply(fa), tt.apply(fb))
+            if tuple(lhs) != tuple(rhs):
+                issues.append("dual-ring-product")
+    return issues
+
+
+def test_dual_ring_map_agrees_with_validation():
+    from coprimespec.linalg import Matrix
+    c = grouplike(2, F2)
+    swap = Matrix.from_rows(F2, [(0, 1), (1, 0)])
+    shear = Matrix.from_rows(F2, [(1, 1), (0, 1)])
+    for theta, valid in ((identity_morphism(divided_power(3, QQ)), True),
+                         (CoalgebraMorphism(c, c, swap), True),
+                         (CoalgebraMorphism(c, c, shear), False)):
+        assert theta.validate().ok is valid
+        assert (not _dual_ring_issues(theta)) is valid

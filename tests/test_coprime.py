@@ -2,13 +2,12 @@
 
 import pytest
 
-from coprimespec.analysis import analyze
+from coprimespec.analysis import analyze, parent_coords
 from coprimespec.bicomodule import regular_bicomodule
 from coprimespec.catalog import comatrix, divided_power, grouplike
 from coprimespec.coprime import (CoproductCache, internal_coproduct,
                                  is_fully_coprime, is_fully_cosemiprime,
-                                 ke_product_bound, restricted_spectrum,
-                                 spectrum)
+                                 ke_product_bound)
 from coprimespec.endo import endo_algebra
 from coprimespec.fields import prime_field, rationals
 from coprimespec.lattice import cyclic_subbicomodule, enumerate_lattice
@@ -129,47 +128,45 @@ def test_comatrix_spectrum_is_the_whole_coalgebra():
 def test_prime_and_semiprime_members_match_the_spectrum_over_f2():
     m = regular_bicomodule(divided_power(4, F2))
     a = analyze(m)
-    s = a.spectrum
-    assert s.ideal_support and s.radical_support
-    assert {k.key() for k in s.ep} == {k.key() for k in s.cpspec}
-    assert {k.key() for k in s.esp} == {k.key() for k in s.csp}
-    assert s.prad.dim == 4 and s.jac.dim == 4
-    assert s.ke_prad == s.cpcorad and s.ke_jac == s.cpcorad
+    s, i = a.spectrum, a.ideal_side
+    assert i.ideal_support and i.radical_support
+    assert {k.key() for k in i.ep} == {k.key() for k in s.cpspec}
+    assert {k.key() for k in i.esp} == {k.key() for k in s.csp}
+    assert i.prad.dim == 4 and i.jac.dim == 4
+    assert i.ke_prad == s.cpcorad and i.ke_jac == s.cpcorad
 
 
 def test_radicals_over_q_come_from_the_trace_form():
     m = regular_bicomodule(divided_power(4, QQ))
     a = analyze(m, mode="generated")
-    s = a.spectrum
-    assert not s.ideal_support
-    assert s.radical_support
-    assert s.ep is None and s.esp is None
-    assert s.prad.dim == 4 and s.jac.dim == 4
-    assert s.ke_prad == s.cpcorad
+    s, i = a.spectrum, a.ideal_side
+    assert not i.ideal_support
+    assert i.radical_support
+    assert i.ep is None and i.esp is None
+    assert i.prad.dim == 4 and i.jac.dim == 4
+    assert i.ke_prad == s.cpcorad
     an_corad = a.coproducts.annihilator(s.cpcorad).subspace
-    assert s.prad == an_corad
-    assert any("trace form" in note for note in s.notes)
+    assert i.prad == an_corad
+    assert any("trace form" in note for note in i.notes)
 
 
 def test_spectrum_report_serialization_gates_on_support():
-    d_f2 = analyze(regular_bicomodule(divided_power(3, F2))).spectrum.to_dict()
+    d_f2 = analyze(regular_bicomodule(divided_power(3, F2))).ideal_side.to_dict()
     assert "ep" in d_f2 and "prad_dim" in d_f2
     d_q = analyze(regular_bicomodule(divided_power(3, QQ)),
-                  mode="generated").spectrum.to_dict()
+                  mode="generated").ideal_side.to_dict()
     assert "ep" not in d_q and d_q["prad_dim"] == 3
 
 
 def test_restricted_spectrum_matches_the_variety():
-    m = regular_bicomodule(grouplike(3, F3))
-    lat = enumerate_lattice(m)
-    endo = endo_algebra(m)
-    full = analyze(m).spectrum
-    sub = sorted(lat.fi_elements(), key=lambda s: s.dim)[2]
+    a = analyze(regular_bicomodule(grouplike(3, F3)))
+    sub = sorted(a.lattice.fi_elements(), key=lambda s: s.dim)[2]
     assert sub.dim == 1
-    restricted = restricted_spectrum(m, lat, endo, sub)
-    inside = {k.key() for k in full.cpspec if sub.contains(k)}
-    assert {k.key() for k in restricted.cpspec_in_parent} == inside
-    assert restricted.cpcorad_in_parent == sub
+    part = a.restricted(sub).spectrum
+    inside = {k.key() for k in a.spectrum.cpspec if sub.contains(k)}
+    assert {parent_coords(sub, k).key() for k in part.cpspec} == inside
+    assert parent_coords(sub, part.cpcorad) == sub
+    assert a.corad_standalone(sub) == sub
 
 
 def test_coprime_candidates_must_be_nonzero():
@@ -182,10 +179,10 @@ def test_coprime_candidates_must_be_nonzero():
 
 
 def test_spectrum_notes_an_exceeded_ideal_budget():
-    a = analyze(regular_bicomodule(grouplike(4, F2)))
-    report = spectrum(a.m, a.lattice, a.endo, ideal_budget=3)
+    a = analyze(regular_bicomodule(grouplike(4, F2)), ideal_budget=3)
+    ideals = a.ideal_side
     assert any("right-ideal enumeration exceeded the budget" in note
-               for note in report.notes)
-    assert report.ep is None
-    assert report.prad is None
-    assert len(report.cpspec) == 4
+               for note in ideals.notes)
+    assert ideals.ep is None
+    assert ideals.prad is None
+    assert len(a.spectrum.cpspec) == 4

@@ -9,7 +9,7 @@ literal statement bodies below are the pre-table versions of the checks.
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from coprimespec import checks
@@ -405,7 +405,10 @@ def _check_coproducts_match_literal(a):
             assert cache.coproduct(x, y) == _literal_coproduct(a, x, y)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# No shrink phase: shrinking a failing example takes minutes, and the
+# unshrunk example already fails the test.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 @given(seed=st.integers(0, 10 ** 6), field=st.sampled_from([F2, F3, F5]))
 def test_reductions_match_the_definitions_over_finite_fields(seed, field):
     m, _ = random_instance(seed, dim_budget=DIM_BUDGET[field], field=field)

@@ -96,9 +96,9 @@ def test_socle_of_grouplike_is_everything():
 
 def test_predicates_on_the_divided_power_chain():
     m = regular_bicomodule(divided_power(4, F2))
-    lat = enumerate_lattice(m)
-    endo = endo_algebra(m)
-    p = predicates(m, lat, endo)
+    a = InstanceAnalysis(m)
+    p = predicates(m, a.lattice, a.endo, a.right_ideals)
+    assert not p.intrinsic_partial
     assert p.duo
     assert p.self_injective
     assert p.self_cogenerator
@@ -112,8 +112,9 @@ def test_predicates_on_the_divided_power_chain():
 
 def test_predicates_on_grouplike_see_semisimplicity():
     m = regular_bicomodule(grouplike(3, F3))
-    lat = enumerate_lattice(m)
-    p = predicates(m, lat, endo_algebra(m))
+    a = InstanceAnalysis(m)
+    p = predicates(m, a.lattice, a.endo, a.right_ideals)
+    assert not p.intrinsic_partial
     assert p.semisimple
     assert p.duo
     assert not p.subdirectly_irreducible
@@ -122,8 +123,9 @@ def test_predicates_on_grouplike_see_semisimplicity():
 
 def test_right_comodule_of_comatrix_is_not_duo():
     m = right_comodule(comatrix(2, F2))
-    lat = enumerate_lattice(m)
-    p = predicates(m, lat, endo_algebra(m))
+    a = InstanceAnalysis(m)
+    p = predicates(m, a.lattice, a.endo, a.right_ideals)
+    assert not p.intrinsic_partial
     assert not p.duo
 
 
@@ -152,7 +154,7 @@ def test_lattice_budget_is_checked_before_the_endomorphism_solve(monkeypatch):
 def test_predicates_read_annihilators_from_the_analysis_cache(monkeypatch):
     m, _ = random_instance(15, field=F2)
     a = InstanceAnalysis(m)
-    plain = predicates(m, a.lattice, a.endo, right_ideals=a.right_ideals)
+    plain = predicates(m, a.lattice, a.endo, a.right_ideals)
 
     def no_solve(*args):
         raise AssertionError("an annihilator was solved outside the cache")
