@@ -25,8 +25,11 @@ from functools import lru_cache
 from .bicomodule import Bicomodule
 from .exceptions import (AmbientMismatch, BudgetExceeded, CoalgebraMismatch,
                          UnsupportedOverQ)
-from .linalg import (Matrix, Subspace, bits_of, enumerate_subspaces, kernel,
-                     maximal_bits, minimal_bits, strict_upsets)
+from .linalg import (Matrix, Subspace, bits_of, check_subspace_budget,
+                     invariant_span, kernel, maximal_bits, minimal_bits,
+                     strict_upsets, sum_closure)
+# Unused here; kept because perfbench/tracing.py patches it in this module.
+from .linalg import enumerate_subspaces
 
 
 def intertwiners(src: Bicomodule, tgt: Bicomodule):
@@ -158,30 +161,23 @@ class RightIdeal:
         return not self.subspace.contains_vector(self.algebra.unit_coords)
 
 
-def _closure_flags(algebra, sub: Subspace):
+def _closed(algebra, sub: Subspace, left: bool) -> bool:
+    """Whether sub is closed under multiplication by the algebra on the left
+    (or on the right); the basis of the algebra suffices."""
     units = coordinate_vectors(algebra.field, algebra.dim)
-    right = True
-    for x in sub.basis:
-        for e in units:
-            if not sub.contains_vector(algebra.multiply(x, e)):
-                right = False
-                break
-        if not right:
-            break
-    left = True
-    for x in sub.basis:
-        for e in units:
-            if not sub.contains_vector(algebra.multiply(e, x)):
-                left = False
-                break
-        if not left:
-            break
-    return right, left
+    mul = algebra.multiply
+    return all(sub.contains_vector(mul(e, x) if left else mul(x, e))
+               for x in sub.basis for e in units)
 
 
 def make_ideal(algebra, sub: Subspace) -> RightIdeal:
-    right, left = _closure_flags(algebra, sub)
-    return RightIdeal(algebra, sub, right, right and left)
+    right = _closed(algebra, sub, left=False)
+    return RightIdeal(algebra, sub, right, right and _closed(algebra, sub, left=True))
+
+
+def _right_ideal(algebra, sub: Subspace) -> RightIdeal:
+    """Flags a subspace known to be a right ideal; only the left side is tested."""
+    return RightIdeal(algebra, sub, True, _closed(algebra, sub, left=True))
 
 
 def an(sub: Subspace, endo: EndoAlgebra) -> RightIdeal:
@@ -222,22 +218,23 @@ def ideal_product(algebra, a: Subspace, b: Subspace) -> Subspace:
 def enumerate_ideals(algebra, side: str = "right", budget: int = 50000):
     """All right (or two-sided) ideals of a finite algebra, canonically sorted.
 
-    Raises UnsupportedOverQ over the rationals and BudgetExceeded when the
-    subspace count of the coordinate space is too large.
+    A right ideal is the sum of the cyclic right ideals of its elements, so
+    the right ideals are the sum-closure of `right_ideal_span` of every
+    vector (`linalg.sum_closure`); only the left flag is tested on each.
+    Raises UnsupportedOverQ over the rationals and BudgetExceeded, before
+    any work, when the subspace count of the coordinate space exceeds the
+    budget.
     """
     field = algebra.field
     if field.p is None:
         raise UnsupportedOverQ("ideal enumeration needs a finite field")
     if side not in ("right", "two_sided"):
         raise ValueError(f"side must be 'right' or 'two_sided', got {side!r}")
-    found = []
-    for sub in enumerate_subspaces(field, algebra.dim, budget=budget):
-        right, left = _closure_flags(algebra, sub)
-        if not right:
-            continue
-        if side == "two_sided" and not left:
-            continue
-        found.append(RightIdeal(algebra, sub, right, right and left))
+    check_subspace_budget(field, algebra.dim, budget)
+    found = [_right_ideal(algebra, sub) for sub in
+             sum_closure(field, algebra.dim, lambda x: right_ideal_span(algebra, [x]))]
+    if side == "two_sided":
+        found = [ideal for ideal in found if ideal.is_two_sided]
     found.sort(key=lambda ideal: ideal.subspace.sort_key())
     return found
 
@@ -372,16 +369,14 @@ def radical_char0(algebra) -> Subspace:
     return kernel(Matrix(field, n, n, gram))
 
 
-def right_ideal_generated(algebra, vectors) -> RightIdeal:
-    """Right ideal generated by coordinate vectors, closed by iteration."""
+def right_ideal_span(algebra, vectors) -> Subspace:
+    """Smallest right ideal containing the coordinate vectors: their span
+    closed under right multiplication by the basis of the algebra."""
     units = coordinate_vectors(algebra.field, algebra.dim)
-    sub = Subspace.from_vectors(algebra.field, algebra.dim, vectors)
-    queue = list(sub.basis)
-    while queue:
-        x = queue.pop()
-        for e in units:
-            y = algebra.multiply(x, e)
-            if not sub.contains_vector(y):
-                sub = sub.sum_with(Subspace.from_vectors(algebra.field, algebra.dim, [y]))
-                queue.append(y)
-    return make_ideal(algebra, sub)
+    return invariant_span(algebra.field, algebra.dim, vectors,
+                          lambda x: (algebra.multiply(x, e) for e in units))
+
+
+def right_ideal_generated(algebra, vectors) -> RightIdeal:
+    """Right ideal generated by coordinate vectors."""
+    return _right_ideal(algebra, right_ideal_span(algebra, vectors))

@@ -1,10 +1,12 @@
 """Subbicomodule lattices, socles, and structural predicates.
 
-Over a finite field the whole lattice is enumerated from reduced echelon
-forms and certified exhaustive.  Over Q the lattice of subbicomodules can
-be infinite, so a Generated mode closes cyclic subbicomodules of basis and
-probe vectors under sum and intersection; every result computed against a
-Generated lattice is only valid relative to the enumerated elements and is
+Over a finite field the whole lattice is enumerated and certified
+exhaustive: a subbicomodule is the sum of the cyclic subbicomodules of its
+elements, so the lattice is the sum-closure of the cyclic subbicomodules of
+all vectors (`linalg.sum_closure`).  Over Q the lattice of subbicomodules
+can be infinite, so a Generated mode closes cyclic subbicomodules of basis
+and probe vectors under sum and intersection; every result computed against
+a Generated lattice is only valid relative to the enumerated elements and is
 reported as such.
 """
 
@@ -15,13 +17,15 @@ from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from random import Random
 
-from .bicomodule import Bicomodule, is_subbicomodule, restrict
+from .bicomodule import Bicomodule, restrict
 from .endo import EndoAlgebra, an, intertwiners, ke, right_ideal_generated
 from .exceptions import (BudgetExceeded, ExhaustiveUnavailableOverQ,
                          UncertifiedLattice)
 from .linalg import (Matrix, Subspace, bits_of, check_subspace_budget,
-                     enumerate_subspaces, maximal_bits, minimal_bits,
-                     strict_upsets)
+                     invariant_span, maximal_bits, minimal_bits, strict_upsets,
+                     sum_closure)
+# Unused here; kept because perfbench/tracing.py patches it in this module.
+from .linalg import enumerate_subspaces
 
 _CLOSURE_CAP = 20000
 
@@ -34,17 +38,9 @@ class LatticeMode(Enum):
 def cyclic_subbicomodule(m: Bicomodule, v) -> Subspace:
     """Smallest subbicomodule containing v: the two-sided rational orbit span."""
     field = m.field
-    sub = Subspace.from_vectors(field, m.dim, [tuple(field.coerce(x) for x in v)])
     ops = m.all_ops()
-    queue = list(sub.basis)
-    while queue:
-        w = queue.pop()
-        for op in ops:
-            u = op.apply(w)
-            if not sub.contains_vector(u):
-                sub = sub.sum_with(Subspace.from_vectors(field, m.dim, [u]))
-                queue.append(u)
-    return sub
+    return invariant_span(field, m.dim, [tuple(field.coerce(x) for x in v)],
+                          lambda w: (op.apply(w) for op in ops))
 
 
 def is_fully_invariant(sub: Subspace, endo: EndoAlgebra) -> bool:
@@ -158,8 +154,10 @@ def enumerate_lattice(m: Bicomodule, mode: str = "exhaustive", budget: int = 200
                       endo: EndoAlgebra | None = None, seed: int = 0) -> Lattice:
     """Subbicomodule lattice of m.
 
-    mode 'exhaustive' (finite fields only): every subspace is tested; the
-    budget bounds the subspace count of the ambient space.  mode 'generated':
+    mode 'exhaustive' (finite fields only): every sum of cyclic
+    subbicomodules, grown one cyclic subbicomodule at a time from 0; the
+    budget bounds the subspace count of the ambient space and is checked
+    before any work.  mode 'generated':
     cyclic subbicomodules of the basis vectors plus a few dozen seeded probe
     vectors (never more than the budget), closed under sum and intersection.
     """
@@ -168,8 +166,7 @@ def enumerate_lattice(m: Bicomodule, mode: str = "exhaustive", budget: int = 200
     if endo is None:
         endo = EndoAlgebra.compute(m)
     if mode == "exhaustive":
-        elements = [sub for sub in enumerate_subspaces(field, m.dim, budget=budget)
-                    if is_subbicomodule(m, sub)]
+        elements = sum_closure(field, m.dim, lambda v: cyclic_subbicomodule(m, v))
         lattice_mode = LatticeMode.EXHAUSTIVE
     elif mode == "generated":
         if field.p is None and m.dim >= 2 and _all_ops_scalar(m):

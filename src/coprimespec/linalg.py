@@ -446,3 +446,67 @@ def enumerate_subspaces(field: Field, ambient: int, budget: int | None = None):
                 for (i, j), v in zip(free_cells, values):
                     rows[i][j] = v
                 yield Subspace(field, ambient, [tuple(r_) for r_ in rows], pivots)
+
+
+def invariant_span(field: Field, ambient: int, vectors, images) -> Subspace:
+    """Smallest subspace containing vectors and closed under images(w),
+    which yields the images of w under a spanning set of operators."""
+    sub = Subspace.from_vectors(field, ambient, vectors)
+    queue = list(sub.basis)
+    while queue:
+        w = queue.pop()
+        for u in images(w):
+            if not sub.contains_vector(u):
+                sub = sub.sum_with(Subspace.from_vectors(field, ambient, [u]))
+                queue.append(u)
+    return sub
+
+
+def _normalized_vectors(p: int, ambient: int, positions):
+    """Nonzero vectors of F_p^ambient supported on positions (ascending)
+    whose first nonzero entry is 1: one per line through the origin."""
+    for k, lead in enumerate(positions):
+        rest = positions[k + 1:]
+        for values in product(range(p), repeat=len(rest)):
+            v = [0] * ambient
+            v[lead] = 1
+            for j, x in zip(rest, values):
+                v[j] = x
+            yield tuple(v)
+
+
+def sum_closure(field: Field, ambient: int, cyclic):
+    """Every sum of the subspaces cyclic(v), v in F_p^ambient, each once.
+
+    cyclic(v) is the smallest invariant subspace containing v (for some
+    fixed set of operators), so the result is every invariant subspace,
+    zero included, each listed once.  Each found S grows to S + cyclic(v)
+    for one v per nonzero coset of S up to scalars: v zero at S's pivots,
+    leading entry 1.  That loses nothing, because S + cyclic(v) depends
+    only on the line of v modulo S: for s in S, cyclic(s) <= S, so
+    cyclic(v + s) <= cyclic(v) + S and cyclic(v) <= cyclic(v + s) + S, and
+    cyclic(c v) = cyclic(v) for c != 0.  Any invariant T > S contains such
+    a v outside S, and S < S + cyclic(v) <= T, so T is reached.  cyclic is
+    called once per line of F_p^ambient.
+    """
+    p = field.p
+    # gens[v] is (i, cyclic(v)), with one index i per distinct subspace, so
+    # each S is summed with each distinct cyclic subspace at most once.
+    gens, distinct = {}, {}
+    for v in _normalized_vectors(p, ambient, range(ambient)):
+        c = cyclic(v)
+        gens[v] = distinct.setdefault(c.key(), (len(distinct), c))
+    zero = Subspace.zero(field, ambient)
+    found = {zero.key(): zero}
+    queue = [zero]
+    while queue:
+        s = queue.pop()
+        pivots = set(s.pivots)
+        free = [j for j in range(ambient) if j not in pivots]
+        grow = dict(gens[v] for v in _normalized_vectors(p, ambient, free))
+        for c in grow.values():
+            t = s.sum_with(c)
+            if t.key() not in found:
+                found[t.key()] = t
+                queue.append(t)
+    return list(found.values())

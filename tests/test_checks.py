@@ -18,8 +18,18 @@ F3 = prime_field(3)
 QQ = rationals()
 
 
+# Statement parts that compute nothing or cannot fail, with the words
+# their VACUOUS detail gives as the reason.
+ALWAYS_VACUOUS = {"simple-point-characterization-5": "nothing is computed",
+                  "finite-compactness": "cannot fail"}
+
+
 def profile(verdicts):
     return Counter(v.status for v in verdicts)
+
+
+def vacuous_statements(verdicts):
+    return {v.statement for v in verdicts if v.status == VACUOUS}
 
 
 def test_verdicts_require_witnesses_for_failures():
@@ -40,21 +50,26 @@ def test_statement_names_are_stable_and_ordered():
 def test_divided_power_chain_passes_every_statement():
     a = analyze(regular_bicomodule(divided_power(4, F2)))
     verdicts = run_checks(a)
-    assert profile(verdicts) == {PASS: 50}
+    assert profile(verdicts) == {PASS: 48, VACUOUS: 2}
+    assert vacuous_statements(verdicts) == set(ALWAYS_VACUOUS)
 
 
 def test_grouplike_passes_every_statement():
     a = analyze(regular_bicomodule(grouplike(2, F2)))
-    assert profile(run_checks(a)) == {PASS: 50}
+    verdicts = run_checks(a)
+    assert profile(verdicts) == {PASS: 48, VACUOUS: 2}
+    assert vacuous_statements(verdicts) == set(ALWAYS_VACUOUS)
 
 
 def test_comatrix_profile_has_one_vacuous_morphism_part():
     a = analyze(regular_bicomodule(comatrix(2, F2)))
     verdicts = run_checks(a)
-    assert profile(verdicts) == {PASS: 49, VACUOUS: 1}
-    vacuous = [v for v in verdicts if v.status == VACUOUS]
-    assert vacuous[0].statement == "morphism-spectral-map-2"
-    assert "duo" in vacuous[0].detail
+    assert profile(verdicts) == {PASS: 47, VACUOUS: 3}
+    assert vacuous_statements(verdicts) == set(ALWAYS_VACUOUS) | {
+        "morphism-spectral-map-2"}
+    morphism = next(v for v in verdicts
+                    if v.statement == "morphism-spectral-map-2")
+    assert "duo" in morphism.detail
 
 
 def test_rational_profiles_mark_ideal_statements_unsupported():
@@ -66,7 +81,8 @@ def test_rational_profiles_mark_ideal_statements_unsupported():
     for c in (divided_power(4, QQ), grouplike(3, QQ)):
         a = analyze(regular_bicomodule(c), mode="generated")
         verdicts = run_checks(a)
-        assert profile(verdicts) == {PASS: 45, UNSUPPORTED: 5}
+        assert profile(verdicts) == {PASS: 43, VACUOUS: 2, UNSUPPORTED: 5}
+        assert vacuous_statements(verdicts) == set(ALWAYS_VACUOUS)
         unsupported = {v.statement for v in verdicts
                        if v.status == UNSUPPORTED}
         assert unsupported == expected_unsupported
@@ -112,7 +128,8 @@ def test_vacuous_verdicts_name_the_missing_hypothesis():
         m, _ = random_instance(seed + 40, field=F3)
         for v in run_checks(analyze(m)):
             if v.status == VACUOUS:
-                assert "needs" in v.detail
+                assert ("needs" in v.detail
+                        or ALWAYS_VACUOUS.get(v.statement, "needs") in v.detail)
 
 
 def test_chain_inclusion_morphism_statements():

@@ -1,30 +1,37 @@
-"""The order-table reductions against the definitions.
+"""The fast paths against the definitions.
 
-Coprimality is tested on maximal pairs, primality on minimal ideals, and
-the coproduct, variety and Galois statements read the containment table;
-these tests recompute every verdict by scanning all pairs literally.  The
-literal statement bodies below are the pre-table versions of the checks.
+Lattices and right ideals are enumerated by cyclic sum-closure; these tests
+compare them with literal filters over every subspace.  Coprimality is
+tested on maximal pairs, primality on minimal ideals, and the coproduct,
+variety and Galois statements read the containment table; these tests
+recompute every verdict by scanning all pairs literally.  The literal
+statement bodies below are the pre-table versions of the checks.
 """
 
+from collections import Counter
 from random import Random
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from coprimespec import checks
+from coprimespec import checks, endo as endo_module, lattice as lattice_module, linalg
 from coprimespec.analysis import InstanceAnalysis
-from coprimespec.catalog import random_instance, resolve_ref_to_bicomodule
+from coprimespec.bicomodule import is_subbicomodule, quotient
+from coprimespec.catalog import (random_instance, resolve_ref,
+                                 resolve_ref_to_bicomodule, right_comodule)
 from coprimespec.checks import (FAIL, PASS, CheckContext, Verdict, _describe,
                                 _quotient_cogenerated, _vacuous, run_checks)
 from coprimespec.coprime import (CoproductCache, is_fully_coprime,
                                  is_fully_cosemiprime, ke_product_bound)
-from coprimespec.endo import (IdealPoset, an, ideal_product, is_prime_ideal,
+from coprimespec.endo import (EndoAlgebra, IdealPoset, an, coordinate_vectors,
+                              enumerate_ideals, ideal_product, is_prime_ideal,
                               is_semiprime_ideal, ke, maximal_ideals,
                               prime_radical)
 from coprimespec.fields import prime_field, rationals
-from coprimespec.lattice import is_fully_invariant, simples, simples_fi
-from coprimespec.linalg import Subspace, preimage
+from coprimespec.lattice import (cyclic_subbicomodule, enumerate_lattice,
+                                 is_fully_invariant, simples, simples_fi)
+from coprimespec.linalg import Subspace, enumerate_subspaces, preimage
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -405,8 +412,95 @@ def _check_coproducts_match_literal(a):
             assert cache.coproduct(x, y) == _literal_coproduct(a, x, y)
 
 
+# --- cyclic sum-closure against subspace filters ------------------------------
+
+def _literal_closed(algebra, sub, left):
+    units = coordinate_vectors(algebra.field, algebra.dim)
+    for x in sub.basis:
+        for e in units:
+            y = algebra.multiply(e, x) if left else algebra.multiply(x, e)
+            if not sub.contains_vector(y):
+                return False
+    return True
+
+
+def _check_closure_matches_filters(m):
+    e = EndoAlgebra.compute(m)
+    lat = enumerate_lattice(m, endo=e)
+    literal = sorted((s for s in enumerate_subspaces(m.field, m.dim)
+                      if is_subbicomodule(m, s)), key=lambda s: s.sort_key())
+    assert list(lat.elements) == literal
+    assert list(lat.fi_mask) == [is_fully_invariant(s, e) for s in literal]
+    rights = []
+    for sub in enumerate_subspaces(e.field, e.dim):
+        if _literal_closed(e, sub, left=False):
+            rights.append((sub, True, _literal_closed(e, sub, left=True)))
+    rights.sort(key=lambda row: row[0].sort_key())
+    for side, want in (("right", rights),
+                       ("two_sided", [row for row in rights if row[2]])):
+        got = [(i.subspace, i.is_right, i.is_two_sided)
+               for i in enumerate_ideals(e, side=side)]
+        assert got == want
+
+
 # No shrink phase: shrinking a failing example takes minutes, and the
 # unshrunk example already fails the test.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
+@given(seed=st.integers(0, 10 ** 6), field=st.sampled_from([F2, F3, F5]))
+def test_cyclic_closure_matches_subspace_filters(seed, field):
+    m, _ = random_instance(seed, dim_budget=DIM_BUDGET[field], field=field)
+    _check_closure_matches_filters(m)
+    if m.regular_of is not None:
+        _check_closure_matches_filters(right_comodule(m.regular_of))
+
+
+def _comodule_quotient(ref, field, index):
+    m = right_comodule(resolve_ref(ref, field)[1])
+    v = tuple(1 if i == index else 0 for i in range(m.dim))
+    return quotient(m, cyclic_subbicomodule(m, v))[0]
+
+
+# Right-comodule forms of comatrix sums have members that are not fully
+# invariant and right ideals that are not two-sided.
+@pytest.mark.parametrize("build", [
+    lambda: right_comodule(resolve_ref("sum:(comatrix:2, grouplike:1)", F3)[1]),
+    lambda: _comodule_quotient("sum:(comatrix:2, divided:1)", F2, 4),
+    lambda: _comodule_quotient("sum:(comatrix:2, grouplike:1)", F3, 4),
+    lambda: resolve_ref_to_bicomodule("sum:(grouplike:2, divided:1)", F5),
+], ids=["comodule-sum-f3", "comodule-quotient-f2", "comodule-quotient-f3",
+        "sum-f5"])
+def test_cyclic_closure_matches_subspace_filters_on_sums_and_quotients(build):
+    _check_closure_matches_filters(build())
+
+
+def test_divided_6_closes_at_most_one_cyclic_generator_per_vector(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumerate_subspaces was called")
+
+    for module in (linalg, lattice_module, endo_module):
+        monkeypatch.setattr(module, "enumerate_subspaces", forbidden)
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapped(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapped
+
+    monkeypatch.setattr(lattice_module, "cyclic_subbicomodule",
+                        counted("lattice", cyclic_subbicomodule))
+    monkeypatch.setattr(endo_module, "right_ideal_span",
+                        counted("ideals", endo_module.right_ideal_span))
+    m = resolve_ref_to_bicomodule("divided:6", F2)
+    e = EndoAlgebra.compute(m)
+    assert len(enumerate_lattice(m, endo=e)) == 8
+    assert len(enumerate_ideals(e)) == 8
+    assert 0 < calls["lattice"] <= 2 ** 7
+    assert 0 < calls["ideals"] <= 2 ** 7
+
+
+# No shrink phase, as above.
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 @given(seed=st.integers(0, 10 ** 6), field=st.sampled_from([F2, F3, F5]))

@@ -8,7 +8,7 @@ from coprimespec.exceptions import BudgetExceeded
 from coprimespec.fields import prime_field, rationals
 from coprimespec.linalg import (Matrix, Subspace, count_subspaces,
                                 enumerate_subspaces, gaussian_binomial,
-                                kernel, preimage, rref)
+                                kernel, preimage, rref, sum_closure)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -162,6 +162,17 @@ def test_enumerate_subspaces_is_complete_and_duplicate_free():
         field = prime_field(p)
         seen = {s.key() for s in enumerate_subspaces(field, n)}
         assert len(seen) == count_subspaces(p, n)
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                                  (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+def test_sum_closure_of_lines_yields_every_subspace_once(p, n):
+    # With cyclic(v) = span(v) every subspace is invariant.
+    field = prime_field(p)
+    found = sum_closure(field, n, lambda v: Subspace.from_vectors(field, n, [v]))
+    keys = [s.key() for s in found]
+    assert len(keys) == len(set(keys)) == count_subspaces(p, n)
+    assert set(keys) == {s.key() for s in enumerate_subspaces(field, n)}
 
 
 def test_enumerate_subspaces_budget():
