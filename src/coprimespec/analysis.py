@@ -8,7 +8,7 @@ from .endo import endo_algebra, enumerate_ideals
 from .exceptions import BudgetExceeded, NotFullyInvariant, ZeroSubmodule
 from .lattice import (Lattice, check_lattice_budget, enumerate_lattice,
                       is_fully_invariant, predicates, socle_report)
-from .linalg import Subspace
+from .linalg import Subspace, bits_of
 from .zariski import build_topology, topology_report
 
 
@@ -134,8 +134,9 @@ class InstanceAnalysis:
         """The analysis of a fully invariant L <= M as a bicomodule of its
         own, in the coordinates of L's basis (`parent_coords` maps back).
 
-        Its lattice is the part of M's lattice below L; its endomorphism
-        ring is L's own, so full invariance is decided afresh.
+        L must be an element of M's lattice.  Its lattice is the part of
+        M's lattice below L; its endomorphism ring is L's own, so full
+        invariance is decided afresh.
         """
         found = self._restricted.get(l_sub.key())
         if found is None:
@@ -148,8 +149,9 @@ class InstanceAnalysis:
             found = InstanceAnalysis(sub_m, mode=self.mode, budget=self.budget,
                                      ideal_budget=self.ideal_budget,
                                      seed=self.seed)
-            elements = sorted((child_coords(l_sub, k) for k in self.lattice
-                               if l_sub.contains(k)),
+            t = self.lattice.index_of(l_sub)
+            elements = sorted((child_coords(l_sub, self.lattice.elements[j])
+                               for j in bits_of(self.lattice.below[t] | 1 << t)),
                               key=lambda s: s.sort_key())
             found._lattice = Lattice(
                 sub_m, elements,

@@ -13,7 +13,8 @@ exactly when it is stable under all of them, which is the workhorse test.
 
 from __future__ import annotations
 
-from .coalgebra import Coalgebra, DualAlgebra, ValidationReport
+from .coalgebra import (Coalgebra, DualAlgebra, ValidationReport,
+                        dense_from_triples)
 from .exceptions import (AmbientMismatch, CoalgebraMismatch, InvalidBicomodule,
                          NotSubbicomodule)
 from .fields import Field
@@ -55,12 +56,8 @@ class Bicomodule:
     def from_triples(cls, left, right, dim, left_triples, right_triples,
                      regular_of=None) -> "Bicomodule":
         field = left.field
-        rl = [[[field.zero] * dim for _ in range(left.dim)] for _ in range(dim)]
-        for i, j, k, coeff in left_triples:
-            rl[i][j][k] = field.add(rl[i][j][k], field.coerce(coeff))
-        rr = [[[field.zero] * right.dim for _ in range(dim)] for _ in range(dim)]
-        for i, j, k, coeff in right_triples:
-            rr[i][j][k] = field.add(rr[i][j][k], field.coerce(coeff))
+        rl = dense_from_triples(field, (dim, left.dim, dim), left_triples)
+        rr = dense_from_triples(field, (dim, dim, right.dim), right_triples)
         return cls(left, right, dim, rl, rr, regular_of=regular_of)
 
     def left_triples(self):

@@ -15,9 +15,10 @@ A failing verdict always carries a witness payload naming the offending
 subspaces.  Checks about morphisms run on one-sided comodule forms and are
 exposed separately through `morphism_checks`.
 
-Order questions between lattice elements are read from the lattice's
-containment table.  Monotonicity of (X : -) is scanned on cover pairs only:
-any Y1 < Y2 is joined by a chain of covers, and inclusion is transitive.
+Order, sums and intersections of lattice elements are read from the
+lattice's containment table, and varieties from the topology's variety
+table.  Monotonicity of (X : -) is scanned on cover pairs only: any
+Y1 < Y2 is joined by a chain of covers, and inclusion is transitive.
 """
 
 from __future__ import annotations
@@ -95,27 +96,10 @@ def _ideal_excuse(a: InstanceAnalysis) -> str:
     return "right-ideal enumeration exceeded the budget"
 
 
-def _xmask(points, l_sub) -> int:
-    """The bitmask of the points not inside l_sub."""
-    return sum(1 << i for i, k in enumerate(points) if not l_sub.contains(k))
-
-
 def _within(lat, i: int, sub: Subspace, j) -> bool:
     """Whether lattice element i lies in sub, read from the containment
     table when sub is element j and by `contains` when j is None."""
     return lat.le(i, j) if j is not None else sub.contains(lat.elements[i])
-
-
-def _xmasks(lat, points):
-    """Entry t is the bitmask of the points (lattice elements) not inside
-    lattice element t."""
-    inside = [0] * len(lat)
-    for i, k in enumerate(points):
-        t = lat.index_of(k)
-        for j in bits_of(lat.above[t] | 1 << t):
-            inside[j] |= 1 << i
-    space = (1 << len(points)) - 1
-    return [space & ~v for v in inside]
 
 
 def _quotient_cogenerated(a: InstanceAnalysis, k: Subspace) -> bool:
@@ -218,8 +202,8 @@ def _check_an_ke_galois(a: InstanceAnalysis, ctx) -> list:
         return out
     witness = None
     for i, x in enumerate(elements):
-        for y in elements[i:]:
-            lhs = cache.annihilator(x.intersect(y)).subspace
+        for j, y in enumerate(elements[i:], i):
+            lhs = cache.annihilator(elements[lat.meet(1 << i | 1 << j)]).subspace
             rhs = cache.annihilator(x).subspace.sum_with(
                 cache.annihilator(y).subspace)
             if lhs != rhs:
@@ -498,20 +482,23 @@ def _check_spectrum_restriction(a: InstanceAnalysis, ctx) -> list:
     name = "spectrum-restriction"
     if not a.predicates.self_injective:
         return [_vacuous(name, ["self-injective"])]
-    spec = a.spectrum
+    lat, spec = a.lattice, a.spectrum
+    corad = lat.index_of(spec.cpcorad)
     witness = None
-    for l_sub in a.lattice.nonzero_fi_elements():
+    for t in bits_of(lat.fi_bits & ~1):
+        l_sub = lat.elements[t]
         if l_sub.is_full():
             continue
         r = a.restricted(l_sub)
         cpspec = [parent_coords(l_sub, k) for k in r.spectrum.cpspec]
         csp = [parent_coords(l_sub, k) for k in r.spectrum.csp]
         cpcorad = parent_coords(l_sub, r.spectrum.cpcorad)
+        cut_corad = lat.elements[lat.meet(1 << t | 1 << corad)]
 
         def filtered(members):
             keep = []
             for k in members:
-                if l_sub.contains(k) and is_fully_invariant(
+                if lat.le(lat.index_of(k), t) and is_fully_invariant(
                         child_coords(l_sub, k), r.endo):
                     keep.append(k)
             return _keyset(keep)
@@ -526,10 +513,10 @@ def _check_spectrum_restriction(a: InstanceAnalysis, ctx) -> list:
                        "standalone": len(csp),
                        "cut_down": len(filtered(spec.csp))}
             break
-        if cpcorad != l_sub.intersect(spec.cpcorad):
+        if cpcorad != cut_corad:
             witness = {"l": _describe(l_sub), "side": "coradical",
                        "standalone": _describe(cpcorad),
-                       "cut_down": _describe(l_sub.intersect(spec.cpcorad))}
+                       "cut_down": _describe(cut_corad)}
             break
     if witness:
         return [Verdict(name, FAIL,
@@ -550,7 +537,7 @@ def _check_minimal_members(a: InstanceAnalysis, ctx) -> list:
     witness = None
     for s in a.socle.simples_fi:
         whole = Subspace.full(a.field, s.dim)
-        if not a.restricted(s).spectrum.is_cpspec_member(whole):
+        if whole not in a.restricted(s).spectrum.cpspec:
             witness = {"simple": _describe(s)}
             break
     out.append(Verdict(f"{name}-1", FAIL,
@@ -579,7 +566,7 @@ def _check_minimal_members(a: InstanceAnalysis, ctx) -> list:
         return out
     witness = None
     for l_sub in a.lattice.nonzero_fi_elements():
-        if not any(l_sub.contains(k) for k in spec.cpspec):
+        if not a.topology("fi").v_of(l_sub):
             witness = {"l": _describe(l_sub)}
             break
     out.append(Verdict(f"{name}-3", FAIL,
@@ -614,15 +601,18 @@ def _check_essential_coradical(a: InstanceAnalysis, ctx) -> list:
                        "every vector generates a finite cyclic "
                        "subbicomodule"))
 
+    lat = a.lattice
     if not p.property_s:
-        bad = next(l for l in a.lattice.nonzero_elements()
-                   if not any(l.contains(s) for s in a.socle.simples))
+        simple = sum(1 << lat.index_of(s) for s in a.socle.simples)
+        bad = next(lat.elements[t] for t in range(1, len(lat))
+                   if not simple & (lat.below[t] | 1 << t))
         out.append(Verdict(f"{name}-2", FAIL,
                            "a nonzero part contains no simple",
                            {"l": _describe(bad)}))
     elif p.quasi_duo and not p.property_s_fi:
-        bad = next(l for l in a.lattice.nonzero_fi_elements()
-                   if not any(l.contains(s) for s in a.socle.simples_fi))
+        simple = sum(1 << lat.index_of(s) for s in a.socle.simples_fi)
+        bad = next(lat.elements[t] for t in bits_of(lat.fi_bits & ~1)
+                   if not simple & (lat.below[t] | 1 << t))
         out.append(Verdict(f"{name}-2", FAIL,
                            "quasi-duo instance misses Property S on the "
                            "fully invariant lattice", {"l": _describe(bad)}))
@@ -636,8 +626,9 @@ def _check_essential_coradical(a: InstanceAnalysis, ctx) -> list:
         out.append(Verdict(f"{name}-3", PASS,
                            "the coradical meets every nonzero part"))
     else:
-        bad = next(l for l in a.lattice.nonzero_elements()
-                   if a.socle.coradical.intersect(l).is_zero())
+        corad = lat.index_of(a.socle.coradical)
+        bad = next(l for t, l in enumerate(lat.elements)
+                   if t and lat.meet(1 << corad | 1 << t) == 0)
         out.append(Verdict(f"{name}-3", FAIL, "coradical is not essential",
                            {"l": _describe(bad)}))
     return out
@@ -647,30 +638,16 @@ def _check_essential_coradical(a: InstanceAnalysis, ctx) -> list:
 
 def _check_variety_identities(a: InstanceAnalysis, ctx) -> list:
     name = "variety-identities"
-    lat, spec = a.lattice, a.spectrum
-    elements, points = lat.elements, spec.cpspec
-    xs = _xmasks(lat, points)
+    lat = a.lattice
+    top = a.topology("fi")
+    elements, v, space = lat.elements, top.varieties, top.space
     out = []
 
-    def x_of(sub):
-        t = lat.find(sub)
-        return xs[t] if t is not None else _xmask(points, sub)
-
-    sum_x = {}
-
-    def x_of_sum(i, j):
-        key = (min(i, j), max(i, j))
-        found = sum_x.get(key)
-        if found is None:
-            found = x_of(elements[i].sum_with(elements[j]))
-            sum_x[key] = found
-        return found
-
-    x_top, x_zero = x_of(lat.top()), x_of(lat.zero())
-    if x_top != 0 or x_zero != (1 << len(points)) - 1:
+    v_top, v_zero = top.v_of(lat.top()), top.v_of(lat.zero())
+    if v_top != space or v_zero:
         out.append(Verdict(f"{name}-1", FAIL, "endpoint identities fail",
-                           {"x_of_top": list(bits_of(x_top)),
-                            "x_of_zero": list(bits_of(x_zero))}))
+                           {"x_of_top": sorted(space - v_top),
+                            "x_of_zero": sorted(space - v_zero)}))
     else:
         out.append(Verdict(f"{name}-1", PASS,
                            "the whole space opens nothing and zero opens "
@@ -679,13 +656,13 @@ def _check_variety_identities(a: InstanceAnalysis, ctx) -> list:
     # Both sides are symmetric in (l1, l2), so pairs i <= j suffice, and the
     # first failing ordered pair already has i <= j.
     witness = None
-    for i, l1 in enumerate(elements):
+    for i in range(len(elements)):
         for j in range(i, len(elements)):
-            l2 = elements[j]
-            x1, x2 = xs[i], xs[j]
-            if (x_of_sum(i, j) & ~(x1 & x2)
-                    or (x1 | x2) != x_of(l1.intersect(l2))):
-                witness = {"l1": _describe(l1), "l2": _describe(l2)}
+            pair = 1 << i | 1 << j
+            if (not (v[i] | v[j]) <= v[lat.join(pair)]
+                    or v[i] & v[j] != v[lat.meet(pair)]):
+                witness = {"l1": _describe(elements[i]),
+                           "l2": _describe(elements[j])}
                 break
         if witness:
             break
@@ -699,14 +676,14 @@ def _check_variety_identities(a: InstanceAnalysis, ctx) -> list:
     for i in fi:
         for j in fi:
             l1, l2 = elements[i], elements[j]
-            x_sum = x_of_sum(i, j)
-            x_meet = xs[i] & xs[j]
-            x_cop = x_of(a.coproducts.coproduct(l1, l2))
-            if not (x_sum == x_meet == x_cop):
+            v_sum = v[lat.join(1 << i | 1 << j)]
+            v_union = v[i] | v[j]
+            v_cop = top.v_of(a.coproducts.coproduct(l1, l2))
+            if not (v_sum == v_union == v_cop):
                 witness = {"l1": _describe(l1), "l2": _describe(l2),
-                           "x_sum": list(bits_of(x_sum)),
-                           "x_meet": list(bits_of(x_meet)),
-                           "x_coproduct": list(bits_of(x_cop))}
+                           "x_sum": sorted(space - v_sum),
+                           "x_meet": sorted(space - v_union),
+                           "x_coproduct": sorted(space - v_cop)}
                 break
         if witness:
             break
@@ -758,9 +735,7 @@ def _check_simple_points(a: InstanceAnalysis, ctx) -> list:
     gaps = _standing_gaps(a)
     if gaps:
         return [_vacuous(f"{name}-{i}", gaps) for i in (1, 2, 3, 4, 5)]
-    top = a.topology("full")
-    spec = a.spectrum
-    points = spec.cpspec
+    top, lat = a.topology("full"), a.lattice
     simple_keys = _keyset(a.socle.simples)
     out = []
 
@@ -772,7 +747,7 @@ def _check_simple_points(a: InstanceAnalysis, ctx) -> list:
 
     witness = None
     opens = top.open_sets()
-    basis = [frozenset(top.space - top.v_of(l)) for l in a.lattice.elements]
+    basis = [top.space - v for v in top.varieties]
     for o in opens:
         union = frozenset()
         for b in basis:
@@ -787,14 +762,14 @@ def _check_simple_points(a: InstanceAnalysis, ctx) -> list:
                Verdict(f"{name}-2", PASS, "lattice opens form a basis"))
 
     witness = None
-    for l_sub in a.lattice.elements:
-        v = top.v_of(l_sub)
+    corad = lat.index_of(a.socle.coradical)
+    for t, l_sub in enumerate(lat.elements):
+        v = top.varieties[t]
         is_simple = l_sub.key() in simple_keys
-        is_point = spec.is_cpspec_member(l_sub)
+        idx = top.position(l_sub)
+        is_point = idx is not None
         singleton_variety = False
         if is_point:
-            idx = next(j for j, k in enumerate(points)
-                       if k.key() == l_sub.key())
             singleton_variety = v == frozenset({idx})
             if top.point_closure(idx) != v:
                 witness = {"l": _describe(l_sub), "case": "point closure"}
@@ -810,7 +785,7 @@ def _check_simple_points(a: InstanceAnalysis, ctx) -> list:
         if (len(v) == 0) != l_sub.is_zero():
             witness = {"l": _describe(l_sub), "case": "empty variety"}
             break
-        if len(v) == len(points) and not l_sub.contains(a.socle.coradical):
+        if len(v) == top.size and not lat.le(corad, t):
             witness = {"l": _describe(l_sub), "case": "full variety misses "
                                                       "the coradical"}
             break
@@ -822,18 +797,18 @@ def _check_simple_points(a: InstanceAnalysis, ctx) -> list:
                        "empty or full behave as described"))
 
     witness = None
-    for l_sub in a.lattice.nonzero_fi_elements():
+    for l_sub in lat.nonzero_fi_elements():
         if l_sub.is_full():
             continue
         r = a.restricted(l_sub)
-        child_points = [parent_coords(l_sub, k) for k in r.spectrum.cpspec]
-        if not _keyset(child_points) <= _keyset(points):
+        positions = [top.position(parent_coords(l_sub, k))
+                     for k in r.spectrum.cpspec]
+        if None in positions:
             witness = {"l": _describe(l_sub), "case": "points do not embed"}
             break
         child_top = r.topology("full")
-        for n_sub in a.lattice.elements:
-            pulled = frozenset(i for i, k in enumerate(child_points)
-                               if n_sub.contains(k))
+        for n_sub, v in zip(lat.elements, top.varieties):
+            pulled = frozenset(i for i, p in enumerate(positions) if p in v)
             if not child_top.is_closed(pulled):
                 witness = {"l": _describe(l_sub), "n": _describe(n_sub),
                            "case": "preimage not closed"}
@@ -895,9 +870,11 @@ def _check_prime_maximal(a: InstanceAnalysis, ctx) -> list:
         return [Verdict(name, FAIL,
                         "maximal primes but a non-simple spectrum member",
                         {"k": _describe(extra)})]
-    for l_sub in a.lattice.elements:
-        empty = _xmask(spec.cpspec, l_sub) == 0
-        if empty != l_sub.contains(a.socle.coradical):
+    lat, top = a.lattice, a.topology("full")
+    corad = lat.index_of(a.socle.coradical)
+    for t, l_sub in enumerate(lat.elements):
+        empty = top.varieties[t] == top.space
+        if empty != lat.le(corad, t):
             return [Verdict(name, FAIL,
                             "empty opens do not match coradical containment",
                             {"l": _describe(l_sub)})]
@@ -925,21 +902,19 @@ def _check_locally_finite(a: InstanceAnalysis, ctx) -> list:
     gaps = _standing_gaps(a)
     if gaps:
         return [_vacuous(name, gaps)]
-    spec = a.spectrum
-    simples = a.socle.simples
+    lat = a.lattice
+    simples = [lat.index_of(s) for s in a.socle.simples]
     if not simples:
         return [Verdict(name, PASS, "no simples, nothing to separate")]
-    for l_sub in spec.cpspec:
-        outside = Subspace.zero(a.field, a.m.dim)
-        for s in simples:
-            if not l_sub.contains(s):
-                outside = outside.sum_with(s)
-        if outside.contains(l_sub):
+    for l_sub in a.spectrum.cpspec:
+        t = lat.index_of(l_sub)
+        outside = lat.join(sum(1 << s for s in simples if not lat.le(s, t)))
+        if lat.le(t, outside):
             return [Verdict(name, FAIL,
                             "a point lies inside the sum of the simples it "
                             "excludes", {"point": _describe(l_sub)})]
-        inside_nbhd = {s.key() for s in simples if not outside.contains(s)}
-        inside_l = {s.key() for s in simples if l_sub.contains(s)}
+        inside_nbhd = {s for s in simples if not lat.le(s, outside)}
+        inside_l = {s for s in simples if lat.le(s, t)}
         if inside_nbhd != inside_l:
             return [Verdict(name, FAIL,
                             "the canonical neighbourhood meets the wrong "
@@ -1031,10 +1006,9 @@ def _check_point_varieties(a: InstanceAnalysis, ctx) -> list:
     if gaps:
         return [_vacuous(f"{name}-{i}", gaps) for i in (1, 2)]
     top = a.topology("full")
-    spec = a.spectrum
     out = []
     witness = None
-    for i, k in enumerate(spec.cpspec):
+    for k in top.points:
         if not is_irreducible_subset(top, top.v_of(k)):
             witness = {"point": _describe(k)}
             break
@@ -1045,15 +1019,15 @@ def _check_point_varieties(a: InstanceAnalysis, ctx) -> list:
                                           "irreducible"))
 
     witness = None
-    cp = _keyset(spec.cpspec)
+    lat = a.lattice
     for comp in irreducible_components(top):
         l_sub = top.phi(comp)
-        if l_sub.key() not in cp:
+        if top.position(l_sub) is None:
             witness = {"component": sorted(comp), "sum": _describe(l_sub),
                        "problem": "component sum is not a spectrum point"}
             break
-        if any(k.key() != l_sub.key() and k.contains(l_sub)
-               for k in spec.cpspec):
+        t = lat.index_of(l_sub)
+        if any(p != t and lat.le(t, p) for p in top.point_index):
             witness = {"component": sorted(comp), "sum": _describe(l_sub),
                        "problem": "component sum is not maximal"}
             break
@@ -1087,18 +1061,17 @@ def _check_connected_comparable(a: InstanceAnalysis, ctx) -> list:
     if gaps:
         return [_vacuous(name, gaps)]
     top = a.topology("full")
-    points = a.spectrum.cpspec
+    lat, index = a.lattice, top.point_index
     for subset in _subsets_upto(top.space, ctx.subset_cap):
         if not is_connected_subset(top, subset):
             continue
         for i in subset:
-            ki = points[i]
-            if not any(points[j].contains(ki) or ki.contains(points[j])
+            if not any(lat.le(index[j], index[i]) or lat.le(index[i], index[j])
                        for j in subset if j != i):
                 return [Verdict(name, FAIL,
                                 "an isolated member of a connected subset",
                                 {"subset": sorted(subset),
-                                 "member": _describe(ki)})]
+                                 "member": _describe(top.points[i])})]
     return [Verdict(name, PASS,
                     "members of connected subsets (size <= %d) are pairwise "
                     "linked by inclusion" % ctx.subset_cap)]
@@ -1342,8 +1315,8 @@ def morphism_checks(theta: CoalgebraMorphism, mode: str = "exhaustive",
     src_points = source.spectrum.cpspec
     tgt_points = target.spectrum.cpspec
     images = [image_subspace(theta, k) for k in src_points]
-    tgt_keys = _keyset(tgt_points)
-    defined = all(img.key() in tgt_keys for img in images)
+    tgt_position = {k.key(): j for j, k in enumerate(tgt_points)}
+    defined = all(img.key() in tgt_position for img in images)
 
     route_a = injective and pt.self_injective
     route_b = ps.e_right_duo
@@ -1359,7 +1332,7 @@ def morphism_checks(theta: CoalgebraMorphism, mode: str = "exhaustive",
         witness = None
         if not defined:
             bad = next(i for i, img in enumerate(images)
-                       if img.key() not in tgt_keys)
+                       if img.key() not in tgt_position)
             witness = {"point": _describe(src_points[bad]),
                        "image": _describe(images[bad])}
         elif not image_subspace(theta, source.spectrum.cpcorad).is_zero() \
@@ -1397,8 +1370,7 @@ def morphism_checks(theta: CoalgebraMorphism, mode: str = "exhaustive",
                             ["every source point a preimage of a target "
                              "point"]))
     else:
-        index_map = [next(j for j, k in enumerate(tgt_points)
-                          if k.key() == img.key()) for img in images]
+        index_map = [tgt_position[img.key()] for img in images]
         if len(set(index_map)) == len(index_map):
             out.append(Verdict(f"{name}-3", PASS, "the point map is "
                                                   "injective"))

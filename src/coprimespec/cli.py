@@ -22,7 +22,7 @@ from .exceptions import (BudgetExceeded, CoprimespecError,
 from .fields import parse_field_name
 from .instancefile import load_instance, render_instance
 from .oracle import diff_against_engine
-from .zariski import generic_points, separation, topology_report
+from .zariski import generic_points, topology_report
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -135,7 +135,7 @@ def cmd_topology(args) -> int:
     flavor = "fi" if args.fi else "full"
     top = a.topology(flavor)
     rep = topology_report(top)
-    sep = separation(top)
+    sep = rep.separation
     fixed = a.e_set()
     payload = rep.to_dict()
     payload["points"] = [[["%s" % a.field.format_scalar(x) for x in row]

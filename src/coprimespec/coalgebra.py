@@ -51,13 +51,18 @@ class ValidationReport:
         return iter(self.issues)
 
 
-def _dense_from_triples(field: Field, dim: int, triples):
-    delta = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
+def dense_from_triples(field: Field, shape, triples):
+    """The (a, b, c)-shaped tensor summing coeff into [i][j][k] for each
+    triple (i, j, k, coeff); ValueError unless each index is an in-range int."""
+    a, b, c = shape
+    dense = [[[field.zero] * c for _ in range(b)] for _ in range(a)]
     for i, j, k, coeff in triples:
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise ValueError(f"triple index ({i},{j},{k}) out of range for dim {dim}")
-        delta[i][j][k] = field.add(delta[i][j][k], field.coerce(coeff))
-    return tuple(tuple(tuple(row) for row in plane) for plane in delta)
+        if not (type(i) is int and type(j) is int and type(k) is int
+                and 0 <= i < a and 0 <= j < b and 0 <= k < c):
+            raise ValueError(f"triple index ({i!r},{j!r},{k!r}) is not an "
+                             f"integer index into shape {a}x{b}x{c}")
+        dense[i][j][k] = field.add(dense[i][j][k], field.coerce(coeff))
+    return dense
 
 
 class Coalgebra:
@@ -81,7 +86,7 @@ class Coalgebra:
 
     @classmethod
     def from_triples(cls, field: Field, dim: int, triples, counit) -> "Coalgebra":
-        return cls(field, dim, _dense_from_triples(field, dim, triples), counit)
+        return cls(field, dim, dense_from_triples(field, (dim, dim, dim), triples), counit)
 
     def triples(self):
         """Sparse (i, j, k, coeff) entries of the comultiplication, sorted."""
@@ -241,10 +246,6 @@ class CoalgebraMorphism:
                 report.add("counit-morphism", (i,),
                            f"{fmt(val)} != {fmt(self.source.counit[i])}")
         return report
-
-    @property
-    def is_valid(self) -> bool:
-        return self.validate().ok
 
     def require_valid(self):
         report = self.validate()

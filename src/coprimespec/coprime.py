@@ -32,7 +32,7 @@ from .endo import (EndoAlgebra, IdealPoset, an, endo_algebra, ideal_product,
 from .endo import enumerate_ideals
 from .exceptions import NotFullyInvariant, ZeroSubmodule
 from .lattice import Lattice, is_fully_invariant
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Matrix, Subspace, bits_of, kernel
 
 
 class CoproductCache:
@@ -168,9 +168,6 @@ class SpectrumReport:
     def certified(self) -> bool:
         return self.lattice.certified
 
-    def is_cpspec_member(self, k: Subspace) -> bool:
-        return any(k == p for p in self.cpspec)
-
     def to_dict(self):
         return {
             "field": self.m.field.name,
@@ -198,17 +195,18 @@ def spectrum(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
 
     cpspec = []
     csp = []
-    for k in lattice.nonzero_fi_elements():
+    points = 0
+    for i in bits_of(lattice.fi_bits & ~1):
+        k = lattice.elements[i]
         flag, _ = is_fully_coprime(m, k, lattice, endo, cache)
         if flag:
             cpspec.append(k)
+            points |= 1 << i
         flag, _ = is_fully_cosemiprime(m, k, lattice, endo, cache)
         if flag:
             csp.append(k)
 
-    cpcorad = Subspace.zero(m.field, m.dim)
-    for k in cpspec:
-        cpcorad = cpcorad.sum_with(k)
+    cpcorad = lattice.elements[lattice.join(points)]
     return SpectrumReport(m, lattice, endo, cache, cpspec, cpcorad, csp, notes)
 
 

@@ -45,10 +45,6 @@ class UnsupportedOverQ(CoprimespecError):
     """The requested computation is only defined over a finite field."""
 
 
-class UnknownPoint(CoprimespecError):
-    """A point index is outside the spectrum."""
-
-
 class InvalidMorphism(CoprimespecError):
     """A linear map is not a coalgebra morphism."""
 

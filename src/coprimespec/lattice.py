@@ -8,6 +8,11 @@ can be infinite, so a Generated mode closes cyclic subbicomodules of basis
 and probe vectors under sum and intersection; every result computed against
 a Generated lattice is only valid relative to the enumerated elements and is
 reported as such.
+
+Every lattice built here is closed under + and intersection (the sum-closure
+holds every subbicomodule, the Generated loop closes under both, and the
+part below an element inherits both), which is why `Lattice.join` and
+`Lattice.meet` are lookups in the containment table.
 """
 
 from __future__ import annotations
@@ -57,7 +62,10 @@ class Lattice:
 
     The order is held as one containment table, built on first use: entry
     i of `above` is the bitmask of the elements strictly containing element
-    i, and `fi_bits` is the bitmask of the fully invariant elements.
+    i, `below` its transpose, and `fi_bits` is the bitmask of the fully
+    invariant elements.  The list is closed under + and intersection and
+    sorted by dimension first (zero at index 0), so a sum is the lowest
+    index above its terms and an intersection the highest index below them.
     """
 
     def __init__(self, bicomodule: Bicomodule, elements, fi_mask, mode: LatticeMode):
@@ -68,12 +76,38 @@ class Lattice:
         self.mode = mode
         self._index = {sub.key(): i for i, sub in enumerate(self.elements)}
         self._above = None
+        self._below = None
 
     @property
     def above(self):
         if self._above is None:
             self._above = strict_upsets(self.elements)
         return self._above
+
+    @property
+    def below(self):
+        """Entry i is the bitmask of the elements strictly inside element i."""
+        if self._below is None:
+            above = self.above
+            self._below = [sum(1 << j for j in range(i) if above[j] >> i & 1)
+                           for i in range(len(above))]
+        return self._below
+
+    def join(self, mask: int) -> int:
+        """Index of the sum of the elements in mask (0, the zero element,
+        for an empty mask): the lowest index above all of them."""
+        common = -1
+        for i in bits_of(mask):
+            common &= self.above[i] | 1 << i
+        return (common & -common).bit_length() - 1
+
+    def meet(self, mask: int) -> int:
+        """Index of the intersection of the elements in mask (the top for an
+        empty mask): the highest index below all of them."""
+        common = (1 << len(self.elements)) - 1
+        for i in bits_of(mask):
+            common &= self.below[i] | 1 << i
+        return common.bit_length() - 1
 
     @property
     def certified(self) -> bool:
@@ -211,26 +245,26 @@ class SocleReport:
     certified: bool
 
 
-def _minimal_nonzero(lattice: Lattice, mask: int):
-    nonzero = mask & ~sum(1 << i for i, e in enumerate(lattice.elements) if e.is_zero())
-    return [lattice.elements[i] for i in bits_of(minimal_bits(nonzero, lattice.above))]
+def _simple_bits(lattice: Lattice, mask: int) -> int:
+    """The minimal members of mask other than the zero element."""
+    return minimal_bits(mask & ~1, lattice.above)
 
 
 def simples(lattice: Lattice):
     """Minimal nonzero lattice elements."""
-    return _minimal_nonzero(lattice, (1 << len(lattice)) - 1)
+    return [lattice.elements[i]
+            for i in bits_of(_simple_bits(lattice, (1 << len(lattice)) - 1))]
 
 
 def simples_fi(lattice: Lattice):
     """Minimal nonzero fully invariant elements (within the invariant sublattice)."""
-    return _minimal_nonzero(lattice, lattice.fi_bits)
+    return [lattice.elements[i]
+            for i in bits_of(_simple_bits(lattice, lattice.fi_bits))]
 
 
 def coradical(lattice: Lattice) -> Subspace:
-    total = lattice.zero()
-    for s in simples(lattice):
-        total = total.sum_with(s)
-    return total
+    simple = _simple_bits(lattice, (1 << len(lattice)) - 1)
+    return lattice.elements[lattice.join(simple)]
 
 
 def socle_report(lattice: Lattice) -> SocleReport:
@@ -297,9 +331,11 @@ def predicates(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
     if not lattice.certified:
         notes.append("relative to enumerated lattice")
 
+    nonzero = (1 << len(lattice)) - 2
+    simple = _simple_bits(lattice, nonzero)
+    fi_simple = _simple_bits(lattice, lattice.fi_bits)
     duo = all(lattice.fi_mask)
-    simple_list = simples(lattice)
-    quasi_duo = all(lattice.is_fi(s) for s in simple_list)
+    quasi_duo = not simple & ~lattice.fi_bits
 
     self_injective = True
     for k in lattice.nonzero_elements():
@@ -324,19 +360,15 @@ def predicates(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
     intrinsically_injective = all(
         annihilator(ke(ideal, endo)).subspace == ideal.subspace for ideal in samples)
 
-    nonzero = lattice.nonzero_elements()
-    meet = lattice.top()
-    for e in nonzero:
-        meet = meet.intersect(e)
-    subdirectly_irreducible = not meet.is_zero()
-
-    corad = coradical(lattice)
-    semisimple = corad.is_full()
-    property_s = all(any(e.contains(s) for s in simple_list) for e in nonzero)
-    fi_simples = simples_fi(lattice)
-    property_s_fi = all(any(e.contains(s) for s in fi_simples)
-                        for e in lattice.nonzero_fi_elements())
-    corad_essential = all(not corad.intersect(e).is_zero() for e in nonzero)
+    down = lattice.below
+    subdirectly_irreducible = lattice.meet(nonzero) != 0
+    corad = lattice.join(simple)
+    semisimple = lattice.elements[corad].is_full()
+    property_s = all(simple & (down[i] | 1 << i) for i in bits_of(nonzero))
+    property_s_fi = all(fi_simple & (down[i] | 1 << i)
+                        for i in bits_of(lattice.fi_bits & nonzero))
+    corad_essential = all(lattice.meet(1 << corad | 1 << i) != 0
+                          for i in bits_of(nonzero))
 
     if right_ideals is not None:
         e_right_duo = all(i.is_two_sided for i in right_ideals)

@@ -59,9 +59,6 @@ class Matrix:
         data = [row for m in mats for row in m.data]
         return cls(field, len(data), cols, data)
 
-    def row(self, i):
-        return self.data[i]
-
     def column(self, j):
         return tuple(row[j] for row in self.data)
 

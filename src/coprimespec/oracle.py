@@ -81,12 +81,6 @@ def _vanishing(field, space, ncols):
     return _nullspace(field, list(space[0]), ncols)
 
 
-def _intersect(field, a, b, ncols):
-    va = _vanishing(field, a, ncols)
-    vb = _vanishing(field, b, ncols)
-    return _nullspace(field, list(va[0]) + list(vb[0]), ncols)
-
-
 def _sum(field, a, b):
     return _rref(field, list(a[0]) + list(b[0]))
 

@@ -3,8 +3,9 @@
 Points are the fully coprime subbicomodules.  Each lattice element L induces
 the variety V(L) = set of points contained in L; the closed sets are the
 varieties of fully invariant elements (flavor "fi") or of all lattice
-elements (flavor "full").  The family is checked literally for the topology
-axioms rather than assumed to satisfy them.
+elements (flavor "full").  Varieties are read from the lattice's containment
+table and sums of points from `Lattice.join`.  The family is checked
+literally for the topology axioms rather than assumed to satisfy them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .coalgebra import CoalgebraMorphism
 from .coprime import SpectrumReport
-from .linalg import Subspace
+from .linalg import Subspace, bits_of
 
 
 def _canon(sets):
@@ -22,18 +23,29 @@ def _canon(sets):
 
 
 class ZariskiTopology:
-    """Finite topological space whose points are fully coprime subbicomodules."""
+    """Finite topological space whose points are fully coprime subbicomodules.
 
-    def __init__(self, report: SpectrumReport, flavor: str, closed_sets,
-                 variety_of_index, is_topology: bool, witness):
-        self.report = report
+    The varieties of all lattice elements are read once from the containment
+    table: entry t of `varieties` is the set of positions of the points
+    inside lattice element t.
+    """
+
+    def __init__(self, report: SpectrumReport, flavor: str):
+        self.lattice = lattice = report.lattice
         self.flavor = flavor
         self.points = report.cpspec
-        self.closed = _canon(closed_sets)
+        self.point_index = tuple(lattice.index_of(k) for k in self.points)
+        self._position = {t: i for i, t in enumerate(self.point_index)}
+        inside = [0] * len(lattice)
+        for i, t in enumerate(self.point_index):
+            for j in bits_of(lattice.above[t] | 1 << t):
+                inside[j] |= 1 << i
+        self.varieties = tuple(frozenset(bits_of(v)) for v in inside)
+        params = bits_of(lattice.fi_bits) if flavor == "fi" else range(len(lattice))
+        self.closed = _canon([self.varieties[t] for t in params]
+                             + [frozenset(), self.space])
         self._closed_set = frozenset(self.closed)
-        self.variety_of_index = dict(variety_of_index)
-        self.is_topology = is_topology
-        self.witness = witness
+        self.is_topology, self.witness = _axiom_scan(self._closed_set, self.space)
 
     @property
     def size(self) -> int:
@@ -53,15 +65,22 @@ class ZariskiTopology:
         return frozenset(self.space - frozenset(subset)) in self._closed_set
 
     def v_of(self, l_sub: Subspace) -> frozenset:
-        """Indices of the points contained in a lattice element."""
+        """Positions of the points inside l_sub; by `contains` only when l_sub
+        is not a lattice element (a coproduct in Generated mode can be one)."""
+        t = self.lattice.find(l_sub)
+        if t is not None:
+            return self.varieties[t]
         return frozenset(i for i, k in enumerate(self.points) if l_sub.contains(k))
 
+    def position(self, sub: Subspace) -> int | None:
+        """Position of sub among the points, or None when it is not a point."""
+        t = self.lattice.find(sub)
+        return None if t is None else self._position.get(t)
+
     def phi(self, subset) -> Subspace:
-        """Sum of the point subspaces over a set of indices."""
-        out = Subspace.zero(self.report.m.field, self.report.m.dim)
-        for i in subset:
-            out = out.sum_with(self.points[i])
-        return out
+        """Sum of the points at a set of positions."""
+        mask = sum(1 << self.point_index[i] for i in subset)
+        return self.lattice.elements[self.lattice.join(mask)]
 
     def closure(self, subset) -> frozenset:
         subset = frozenset(subset)
@@ -95,20 +114,7 @@ def _axiom_scan(closed, space):
 def build_topology(report: SpectrumReport, flavor: str = "fi") -> ZariskiTopology:
     if flavor not in ("fi", "full"):
         raise ValueError(f"flavor must be 'fi' or 'full', got {flavor!r}")
-    lattice = report.lattice
-    params = lattice.fi_elements() if flavor == "fi" else list(lattice.elements)
-    points = report.cpspec
-    varieties = []
-    variety_of_index = {}
-    for idx, l_sub in enumerate(params):
-        v = frozenset(i for i, k in enumerate(points) if l_sub.contains(k))
-        varieties.append(v)
-        variety_of_index[idx] = v
-    space = frozenset(range(len(points)))
-    varieties.append(frozenset())
-    varieties.append(space)
-    ok, witness = _axiom_scan({frozenset(v) for v in varieties}, space)
-    return ZariskiTopology(report, flavor, varieties, variety_of_index, ok, witness)
+    return ZariskiTopology(report, flavor)
 
 
 @dataclass(frozen=True)
@@ -255,7 +261,7 @@ def spectral_map(theta: CoalgebraMorphism, source_top: ZariskiTopology,
     index_map = []
     defined = True
     for img in images:
-        hit = next((j for j, k in enumerate(target_top.points) if k == img), None)
+        hit = target_top.position(img)
         if hit is None:
             defined = False
             break

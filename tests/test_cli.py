@@ -158,3 +158,31 @@ def test_invalid_instance_file_is_rejected(tmp_path):
     assert proc.returncode == 1
     spectrum = run_cli("spectrum", str(path))
     assert spectrum.returncode == 1
+
+
+def _instance_with(left_delta, rho_right):
+    payload = {
+        "format": "coprimespec-instance",
+        "version": 1,
+        "field": "F2",
+        "left": {"dim": 1, "delta": left_delta, "counit": [1]},
+    }
+    if rho_right is not None:
+        payload["bicomodule"] = {"dim": 1, "rho_left": [[0, 0, 0, 1]],
+                                 "rho_right": rho_right}
+    return payload
+
+
+@pytest.mark.parametrize("payload", [
+    _instance_with([[0, 0, 0, 1]], [[0, 0, 5, 1]]),
+    _instance_with([[0, 0, 0, 1]], [[0, -1, 0, 1]]),
+    _instance_with([["a", 0, 0, 1]], None),
+], ids=["index-out-of-range", "negative-index", "non-integer-index"])
+@pytest.mark.parametrize("command", ["validate", "spectrum"])
+def test_bad_triple_indices_are_clean_errors(tmp_path, payload, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    proc = run_cli(command, str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

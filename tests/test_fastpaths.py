@@ -5,7 +5,9 @@ compare them with literal filters over every subspace.  Coprimality is
 tested on maximal pairs, primality on minimal ideals, and the coproduct,
 variety and Galois statements read the containment table; these tests
 recompute every verdict by scanning all pairs literally.  The literal
-statement bodies below are the pre-table versions of the checks.
+statement bodies below are the pre-table versions of the checks.  Joins,
+meets and varieties read from the table are compared with +, intersection
+and `contains`, on instances and on their fully invariant parts.
 """
 
 from collections import Counter
@@ -531,6 +533,70 @@ def test_spectrum_of_grouplike_5_computes_few_coproducts():
     a = InstanceAnalysis(m)
     assert len(a.spectrum.cpspec) == 5
     assert len(a.coproducts._co) <= 25
+
+
+# --- joins, meets and varieties against +, intersection and contains ---------
+
+def _parts(a):
+    """a and the analyses of its proper nonzero fully invariant parts."""
+    return [a] + [a.restricted(l) for l in a.lattice.nonzero_fi_elements()
+                  if not l.is_full()]
+
+
+def _check_table_against_definitions(a):
+    for part in _parts(a):
+        lat = part.lattice
+        assert lat.join(0) == lat.find(lat.zero())
+        assert lat.meet(0) == lat.find(lat.top())
+        for i, x in enumerate(lat.elements):
+            for j, y in enumerate(lat.elements):
+                pair = 1 << i | 1 << j
+                assert lat.join(pair) == lat.find(x.sum_with(y))
+                assert lat.meet(pair) == lat.find(x.intersect(y))
+        spec = part.spectrum
+        literal = Subspace.zero(part.field, part.m.dim)
+        for k in spec.cpspec:
+            literal = literal.sum_with(k)
+        assert spec.cpcorad == literal
+        for flavor in ("fi", "full"):
+            top = part.topology(flavor)
+            for l_sub in lat.elements:
+                assert top.v_of(l_sub) == frozenset(
+                    i for i, k in enumerate(spec.cpspec) if l_sub.contains(k))
+
+
+# No shrink phase, as above.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
+@given(seed=st.integers(0, 10 ** 6), field=st.sampled_from([F2, F3, F5]))
+def test_joins_meets_and_varieties_match_the_definitions(seed, field):
+    m, _ = random_instance(seed, dim_budget=DIM_BUDGET[field], field=field)
+    _check_table_against_definitions(InstanceAnalysis(m))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_joins_meets_and_varieties_match_the_definitions_over_q(seed):
+    m, _ = random_instance(seed, field=QQ)
+    _check_table_against_definitions(InstanceAnalysis(m, mode="generated"))
+
+
+def test_variety_of_a_subspace_outside_the_lattice_uses_contains():
+    a = InstanceAnalysis(resolve_ref_to_bicomodule("grouplike:3", F2))
+    top = a.topology("full")
+    sub = Subspace.from_vectors(F2, 3, [(1, 0, 0), (0, 1, 1)])
+    assert a.lattice.find(sub) is None
+    e1 = Subspace.from_vectors(F2, 3, [(1, 0, 0)])
+    assert top.v_of(sub) == frozenset({top.position(e1)})
+
+
+def test_join_rigged_to_the_top_fails_the_closure_statements(monkeypatch):
+    a = InstanceAnalysis(resolve_ref_to_bicomodule("grouplike:3", F2))
+    names = ["closure-formula", "closed-set-bijection"]
+    assert all(v.status == PASS for v in run_checks(a, names=names))
+    monkeypatch.setattr(lattice_module.Lattice, "join",
+                        lambda lat, mask: len(lat) - 1)
+    failed = [v for v in run_checks(a, names=names) if v.status == FAIL]
+    assert failed and all(v.witness for v in failed)
 
 
 # --- mutation and count guards for the coproduct statement -------------------
