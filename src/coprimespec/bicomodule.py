@@ -18,7 +18,7 @@ from .coalgebra import (Coalgebra, DualAlgebra, ValidationReport,
 from .exceptions import (AmbientMismatch, CoalgebraMismatch, InvalidBicomodule,
                          NotSubbicomodule)
 from .fields import Field
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, is_stable
 
 
 class Bicomodule:
@@ -252,11 +252,7 @@ def is_subbicomodule(m: Bicomodule, sub: Subspace) -> bool:
     """Stability of a subspace under every dual action operator."""
     if sub.ambient != m.dim or sub.field != m.field:
         raise AmbientMismatch("subspace does not live in the bicomodule")
-    for op in m.all_ops():
-        for row in sub.basis:
-            if not sub.contains_vector(op.apply(row)):
-                return False
-    return True
+    return is_stable(sub, m.all_ops())
 
 
 def restrict(m: Bicomodule, sub: Subspace):

@@ -33,8 +33,8 @@ from .coprime import is_fully_coprime, is_fully_cosemiprime, ke_product_bound
 from .endo import coordinate_vectors, intertwiners, ke, maximal_ideals
 from .exceptions import CoalgebraMismatch
 from .lattice import cyclic_subbicomodule, is_fully_invariant
-from .linalg import (Matrix, Subspace, bits_of, kernel, minimal_bits,
-                     preimage)
+from .linalg import (Matrix, Subspace, bits_of, is_stable, kernel,
+                     minimal_bits, preimage)
 from .zariski import (image_subspace, irreducible_components,
                       is_connected_subset, is_irreducible_subset, separation,
                       spectral_map)
@@ -586,16 +586,23 @@ def _check_essential_coradical(a: InstanceAnalysis, ctx) -> list:
     p = a.predicates
     out = []
 
+    # The closure is tested with `apply` and `contains_vector`, not with the
+    # kernel that built it, and against the enumerated lattice.
+    ops = a.m.all_ops()
     witness = None
     for i in range(a.m.dim):
         vec = tuple(a.field.one if j == i else a.field.zero
                     for j in range(a.m.dim))
         cyc = cyclic_subbicomodule(a.m, vec)
-        if not cyc.contains_vector(vec):
-            witness = {"basis_index": i}
+        failed = ("generator" if not cyc.contains_vector(vec) else
+                  "stability" if not is_stable(cyc, ops) else
+                  "lattice" if a.lattice.find(cyc) is None else None)
+        if failed:
+            witness = {"basis_index": i, "test": failed}
             break
     out.append(Verdict(f"{name}-1", FAIL,
-                       "cyclic span misses its generator", witness)
+                       "cyclic span of a basis vector is not a lattice "
+                       "subbicomodule containing it", witness)
                if witness else
                Verdict(f"{name}-1", PASS,
                        "every vector generates a finite cyclic "

@@ -41,9 +41,19 @@ def _field(name: str):
         raise UsageError(str(exc)) from None
 
 
+def _resolve(ref: str, field_name: str):
+    """A catalog reference as a bicomodule; a bad family size (grouplike:0,
+    comatrix:0, divided:-1) is a usage error."""
+    field = _field(field_name)
+    try:
+        return resolve_ref_to_bicomodule(ref, field)
+    except ValueError as exc:
+        raise UsageError(f"{ref}: {exc}") from None
+
+
 def _load_bicomodule(instance: str, field_name: str):
     if looks_like_ref(instance):
-        return resolve_ref_to_bicomodule(instance, _field(field_name))
+        return _resolve(instance, field_name)
     parsed = load_instance(instance)
     bad = [f"{label}: {rep}" for label, rep in
            parsed.validation_reports().items() if not rep.ok]
@@ -78,8 +88,7 @@ def _basis_lines(field, subspace, indent="    "):
 
 def cmd_validate(args) -> int:
     if looks_like_ref(args.instance):
-        m = resolve_ref_to_bicomodule(args.instance,
-                                      _field(args.field))
+        m = _resolve(args.instance, args.field)
         reports = [("left coalgebra", m.left.validate()),
                    ("right coalgebra", m.right.validate()),
                    ("bicomodule", m.validate())]
@@ -194,6 +203,8 @@ def cmd_check(args) -> int:
     runs = []
     if args.random is not None:
         from .catalog import random_instance
+        if args.random < 0:
+            raise UsageError(f"--random needs a count >= 0, got {args.random}")
         field = _field(args.field)
         for i in range(args.random):
             m, desc = random_instance(args.seed + i, field=field)
@@ -250,7 +261,7 @@ def cmd_catalog(args) -> int:
                      "subbicomodule of basis vector K")
         _emit(args, {"families": list(CATALOG_NAMES)}, "\n".join(lines))
         return EXIT_OK
-    m = resolve_ref_to_bicomodule(args.ref, _field(args.field))
+    m = _resolve(args.ref, args.field)
     text = render_instance(m)
     if args.out:
         with open(args.out, "w") as handle:

@@ -161,13 +161,14 @@ class DualAlgebra:
     is the counit.
     """
 
-    __slots__ = ("coalgebra", "field", "dim", "unit")
+    __slots__ = ("coalgebra", "field", "dim", "unit", "_mult_ops")
 
     def __init__(self, coalgebra: Coalgebra):
         self.coalgebra = coalgebra
         self.field = coalgebra.field
         self.dim = coalgebra.dim
         self.unit = coalgebra.counit
+        self._mult_ops = None  # filled by endo.multiplication_ops
 
     @property
     def unit_coords(self):

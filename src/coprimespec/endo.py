@@ -7,7 +7,8 @@ opposite composition (x * y means "apply x, then y"), which makes the
 annihilator of any subspace a right ideal.
 
 Ideal enumeration/primality is written against a tiny algebra protocol
-(field, dim, multiply, unit_coords) so the same machinery serves both the
+(field, dim, multiply, unit_coords, and a `_mult_ops` slot that
+`multiplication_ops` fills) so the same machinery serves both the
 endomorphism ring and a convolution dual algebra.
 
 Primality and semiprimality of a two-sided ideal I are tested only on the
@@ -26,8 +27,8 @@ from .bicomodule import Bicomodule
 from .exceptions import (AmbientMismatch, BudgetExceeded, CoalgebraMismatch,
                          UnsupportedOverQ)
 from .linalg import (Matrix, Subspace, bits_of, check_subspace_budget,
-                     invariant_span, kernel, maximal_bits, minimal_bits,
-                     strict_upsets, sum_closure)
+                     invariant_span, is_stable, kernel, maximal_bits,
+                     minimal_bits, strict_upsets, sum_closure)
 # Unused here; kept because perfbench/tracing.py patches it in this module.
 from .linalg import enumerate_subspaces
 
@@ -62,7 +63,8 @@ def intertwiners(src: Bicomodule, tgt: Bicomodule):
 class EndoAlgebra:
     """Ring of bicolinear endomorphisms with opposite-composition product."""
 
-    __slots__ = ("bicomodule", "field", "basis", "dim", "flat", "unit_coords", "_table")
+    __slots__ = ("bicomodule", "field", "basis", "dim", "flat", "unit_coords", "_table",
+                 "_mult_ops")
 
     def __init__(self, bicomodule: Bicomodule, basis):
         self.bicomodule = bicomodule
@@ -75,6 +77,7 @@ class EndoAlgebra:
         ident = Matrix.identity(self.field, n)
         self.unit_coords = self.coords_of(ident)
         self._table = None
+        self._mult_ops = None
 
     @classmethod
     def compute(cls, m: Bicomodule) -> "EndoAlgebra":
@@ -161,13 +164,26 @@ class RightIdeal:
         return not self.subspace.contains_vector(self.algebra.unit_coords)
 
 
+def multiplication_ops(algebra):
+    """(right, left) multiplication operators on coordinates, built once per
+    algebra from its dim^2 basis products: column a of R_b holds e_a * e_b
+    and column a of L_b holds e_b * e_a, so R_b x = x * e_b, L_b x = e_b * x."""
+    if algebra._mult_ops is None:
+        field, n = algebra.field, algebra.dim
+        units = coordinate_vectors(field, n)
+        prod = [[algebra.multiply(ea, eb) for eb in units] for ea in units]
+        right = tuple(Matrix(field, n, n, [[prod[a][b][i] for a in range(n)]
+                                           for i in range(n)]) for b in range(n))
+        left = tuple(Matrix(field, n, n, [[prod[b][a][i] for a in range(n)]
+                                          for i in range(n)]) for b in range(n))
+        algebra._mult_ops = (right, left)
+    return algebra._mult_ops
+
+
 def _closed(algebra, sub: Subspace, left: bool) -> bool:
     """Whether sub is closed under multiplication by the algebra on the left
     (or on the right); the basis of the algebra suffices."""
-    units = coordinate_vectors(algebra.field, algebra.dim)
-    mul = algebra.multiply
-    return all(sub.contains_vector(mul(e, x) if left else mul(x, e))
-               for x in sub.basis for e in units)
+    return is_stable(sub, multiplication_ops(algebra)[1 if left else 0])
 
 
 def make_ideal(algebra, sub: Subspace) -> RightIdeal:
@@ -372,9 +388,8 @@ def radical_char0(algebra) -> Subspace:
 def right_ideal_span(algebra, vectors) -> Subspace:
     """Smallest right ideal containing the coordinate vectors: their span
     closed under right multiplication by the basis of the algebra."""
-    units = coordinate_vectors(algebra.field, algebra.dim)
     return invariant_span(algebra.field, algebra.dim, vectors,
-                          lambda x: (algebra.multiply(x, e) for e in units))
+                          multiplication_ops(algebra)[0])
 
 
 def right_ideal_generated(algebra, vectors) -> RightIdeal:

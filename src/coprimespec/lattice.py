@@ -27,8 +27,8 @@ from .endo import EndoAlgebra, an, intertwiners, ke, right_ideal_generated
 from .exceptions import (BudgetExceeded, ExhaustiveUnavailableOverQ,
                          UncertifiedLattice)
 from .linalg import (Matrix, Subspace, bits_of, check_subspace_budget,
-                     invariant_span, maximal_bits, minimal_bits, strict_upsets,
-                     sum_closure)
+                     invariant_span, is_stable, maximal_bits, minimal_bits,
+                     strict_upsets, sum_closure)
 # Unused here; kept because perfbench/tracing.py patches it in this module.
 from .linalg import enumerate_subspaces
 
@@ -43,18 +43,13 @@ class LatticeMode(Enum):
 def cyclic_subbicomodule(m: Bicomodule, v) -> Subspace:
     """Smallest subbicomodule containing v: the two-sided rational orbit span."""
     field = m.field
-    ops = m.all_ops()
     return invariant_span(field, m.dim, [tuple(field.coerce(x) for x in v)],
-                          lambda w: (op.apply(w) for op in ops))
+                          m.all_ops())
 
 
 def is_fully_invariant(sub: Subspace, endo: EndoAlgebra) -> bool:
     """Stability under every bicolinear endomorphism (basis suffices)."""
-    for mat in endo.basis:
-        for row in sub.basis:
-            if not sub.contains_vector(mat.apply(row)):
-                return False
-    return True
+    return is_stable(sub, endo.basis)
 
 
 class Lattice:

@@ -5,6 +5,14 @@ so composition of linear maps is the matrix product in the same order.
 Subspaces are stored as reduced row-echelon bases with zero rows removed;
 two Subspace values are equal iff their stored bases are identical, which
 makes RREF the equality oracle for the whole package.
+
+Over F2 the kernels run on rows packed into Python ints (bit i is entry i):
+RREF and kernels, `Matrix.apply` and `@`, membership, sums and the
+invariant-span closure.  Each Matrix and Subspace packs its rows on first
+use and keeps them in a slot; tuples stay the representation at every API
+boundary.  The reduced row-echelon form of a row space is unique, so the
+packed and the tuple arithmetic return identical bases and pivots.  Other
+fields use the tuple arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -20,10 +28,62 @@ def _check_same_field(a: Field, b: Field):
         raise AmbientMismatch(f"field mismatch: {a.name} vs {b.name}")
 
 
+# -- packed F2 rows ------------------------------------------------------------
+
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _pack(vec) -> int:
+    """An F2 vector (a sequence of 0s and 1s) as an int whose bit i is
+    entry i: the entries, last first, read as binary digits."""
+    return int(bytes(vec[::-1]).translate(_BINARY_DIGITS) or b"0", 2)
+
+
+def _unpack(bits: int, n: int):
+    return tuple([(bits >> i) & 1 for i in range(n)])
+
+
+def _f2_reduce(bits: int, pivots, rows) -> int:
+    """bits modulo packed reduced echelon rows with the given pivots: each
+    row is zero at every other pivot, so one pass clears every pivot."""
+    for c, row in zip(pivots, rows):
+        if bits >> c & 1:
+            bits ^= row
+    return bits
+
+
+def _f2_rref(rows):
+    """(pivots, rows): the packed reduced echelon basis of the span of
+    packed rows, ordered by pivot.
+
+    Each row is reduced against the table {pivot bit: row}, and its lowest
+    remaining bit, a new pivot, is then cleared from the rows in the table.
+    """
+    table = {}
+    for r in rows:
+        for low, row in table.items():
+            if r & low:
+                r ^= row
+        if r:
+            low = r & -r
+            for b, row in table.items():
+                if row & low:
+                    table[b] = row ^ r
+            table[low] = r
+    keys = sorted(table)
+    return [k.bit_length() - 1 for k in keys], [table[k] for k in keys]
+
+
+def _f2_subspace(field: Field, ambient: int, rows) -> "Subspace":
+    """The span of packed rows."""
+    pivots, rows = _f2_rref(rows)
+    return Subspace(field, ambient, [_unpack(r, ambient) for r in rows], pivots)
+
+
 class Matrix:
     """Immutable dense matrix over an exact field."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "data", "_f2")
 
     def __init__(self, field: Field, rows: int, cols: int, data):
         data = tuple(tuple(row) for row in data)
@@ -33,6 +93,13 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.data = data
+        self._f2 = None
+
+    def _packed(self):
+        """The columns packed into ints; F2 only, built on first use."""
+        if self._f2 is None:
+            self._f2 = tuple(_pack(self.column(j)) for j in range(self.cols))
+        return self._f2
 
     @classmethod
     def from_rows(cls, field: Field, data) -> "Matrix":
@@ -72,6 +139,17 @@ class Matrix:
             raise AmbientMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         f = self.field
         p = f.p
+        if p == 2:
+            cols = self._packed()
+            out = []
+            for b in other._packed():
+                u = 0
+                for i, c in enumerate(cols):
+                    if b >> i & 1:
+                        u ^= c
+                out.append(u)
+            return Matrix(f, self.rows, other.cols,
+                          [[(u >> i) & 1 for u in out] for i in range(self.rows)])
         ocols = other.cols
         odata = other.data
         out = []
@@ -92,6 +170,12 @@ class Matrix:
             raise AmbientMismatch(f"vector length {len(vec)} != {self.cols}")
         f = self.field
         p = f.p
+        if p == 2:
+            u = 0
+            for c, x in zip(self._packed(), vec):
+                if x:
+                    u ^= c
+            return _unpack(u, self.rows)
         out = []
         for row in self.data:
             acc = 0
@@ -126,6 +210,10 @@ def _rref_rows(field: Field, rows):
     Output rows are the canonical reduced echelon basis, zero rows removed.
     """
     p = field.p
+    if p == 2:
+        ncols = len(rows[0]) if rows else 0
+        pivots, packed = _f2_rref([_pack(r) for r in rows])
+        return [_unpack(r, ncols) for r in packed], tuple(pivots)
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -173,6 +261,12 @@ def kernel(m: Matrix) -> "Subspace":
     """Null space {v : m @ v = 0} as a canonical subspace of the domain."""
     field = m.field
     n = m.cols
+    if field.p == 2:
+        pivots, rows = _f2_rref([_pack(r) for r in m.data])
+        # Free column f gives e_f plus e_c for each pivot row with a 1 at f.
+        return _f2_subspace(field, n, [
+            1 << f | sum(1 << c for c, row in zip(pivots, rows) if row >> f & 1)
+            for f in range(n) if f not in pivots])
     rows, pivots = _rref_rows(field, m.data)
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
@@ -190,7 +284,7 @@ def kernel(m: Matrix) -> "Subspace":
 class Subspace:
     """Subspace of k^n held as a canonical RREF row basis."""
 
-    __slots__ = ("field", "ambient", "basis", "pivots", "_vanish")
+    __slots__ = ("field", "ambient", "basis", "pivots", "_vanish", "_f2")
 
     def __init__(self, field: Field, ambient: int, basis, pivots):
         self.field = field
@@ -198,6 +292,13 @@ class Subspace:
         self.basis = tuple(tuple(row) for row in basis)
         self.pivots = tuple(pivots)
         self._vanish = None
+        self._f2 = None
+
+    def _packed(self):
+        """The basis rows packed into ints; F2 only, built on first use."""
+        if self._f2 is None:
+            self._f2 = tuple(_pack(row) for row in self.basis)
+        return self._f2
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors) -> "Subspace":
@@ -207,6 +308,8 @@ class Subspace:
                 raise AmbientMismatch(f"vector length {len(v)} != ambient {ambient}")
         if not vectors:
             return cls(field, ambient, (), ())
+        if field.p == 2:
+            return _f2_subspace(field, ambient, [_pack(v) for v in vectors])
         rows, pivots = _rref_rows(field, vectors)
         return cls(field, ambient, rows, pivots)
 
@@ -239,6 +342,9 @@ class Subspace:
             raise AmbientMismatch(f"vector length {len(v)} != ambient {self.ambient}")
         field = self.field
         p = field.p
+        if p == 2:
+            return _unpack(_f2_reduce(_pack(v), self.pivots, self._packed()),
+                           self.ambient)
         v = list(v)
         for row, c in zip(self.basis, self.pivots):
             coeff = v[c]
@@ -250,6 +356,10 @@ class Subspace:
         return tuple(v)
 
     def contains_vector(self, v) -> bool:
+        if self.field.p == 2:
+            if len(v) != self.ambient:
+                raise AmbientMismatch(f"vector length {len(v)} != ambient {self.ambient}")
+            return not _f2_reduce(_pack(v), self.pivots, self._packed())
         return all(x == 0 for x in self.reduce_vector(v))
 
     def coords_of(self, v):
@@ -261,6 +371,9 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
+        if self.field.p == 2:
+            pivots, rows = self.pivots, self._packed()
+            return not any(_f2_reduce(row, pivots, rows) for row in other._packed())
         return all(self.contains_vector(row) for row in other.basis)
 
     # -- lattice operations ----------------------------------------------------
@@ -276,6 +389,9 @@ class Subspace:
             return other
         if other.is_zero():
             return self
+        if self.field.p == 2:
+            return _f2_subspace(self.field, self.ambient,
+                                self._packed() + other._packed())
         return Subspace.from_vectors(self.field, self.ambient, self.basis + other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -445,18 +561,62 @@ def enumerate_subspaces(field: Field, ambient: int, budget: int | None = None):
                 yield Subspace(field, ambient, [tuple(r_) for r_ in rows], pivots)
 
 
-def invariant_span(field: Field, ambient: int, vectors, images) -> Subspace:
-    """Smallest subspace containing vectors and closed under images(w),
-    which yields the images of w under a spanning set of operators."""
+def invariant_span(field: Field, ambient: int, vectors, ops) -> Subspace:
+    """Smallest subspace containing vectors and stable under every operator
+    matrix in ops."""
+    if field.p == 2:
+        return _f2_invariant_span(field, ambient, vectors, ops)
     sub = Subspace.from_vectors(field, ambient, vectors)
     queue = list(sub.basis)
     while queue:
         w = queue.pop()
-        for u in images(w):
+        for op in ops:
+            u = op.apply(w)
             if not sub.contains_vector(u):
                 sub = sub.sum_with(Subspace.from_vectors(field, ambient, [u]))
                 queue.append(u)
     return sub
+
+
+def _f2_invariant_span(field: Field, ambient: int, vectors, ops) -> Subspace:
+    """`invariant_span` on packed rows.  The image of w under an operator is
+    the XOR of its packed columns at the set bits of w; each image is
+    reduced against an echelon table {lowest bit: row} and kept when
+    nonzero.  The kept vectors span the closure, and one RREF at the end
+    gives its canonical basis."""
+    for v in vectors:
+        if len(v) != ambient:
+            raise AmbientMismatch(f"vector length {len(v)} != ambient {ambient}")
+    columns = [op._packed() for op in ops]
+    table, mask, queue = {}, 0, []
+    images = [_pack(v) for v in vectors]
+    while True:
+        for u in images:
+            m = u & mask
+            while m:
+                u ^= table[m & -m]
+                m = u & mask
+            if u:
+                table[u & -u] = u
+                mask |= u & -u
+                queue.append(u)
+        if not queue or len(table) == ambient:
+            break
+        w = queue.pop()
+        support = [i for i in range(ambient) if w >> i & 1]
+        images = []
+        for cols in columns:
+            u = 0
+            for i in support:
+                u ^= cols[i]
+            images.append(u)
+    return _f2_subspace(field, ambient, list(table.values()))
+
+
+def is_stable(sub: Subspace, ops) -> bool:
+    """Whether every basis row of sub maps into sub under every operator."""
+    return all(sub.contains_vector(op.apply(row))
+               for op in ops for row in sub.basis)
 
 
 def _normalized_vectors(p: int, ambient: int, positions):

@@ -11,7 +11,9 @@ from coprimespec.catalog import (chain_inclusion, comatrix, divided_power,
                                  random_instance)
 from coprimespec.checks import (FAIL, PASS, UNSUPPORTED, VACUOUS, Verdict,
                                 morphism_checks, run_checks, statement_names)
+from coprimespec import checks
 from coprimespec.fields import prime_field, rationals
+from coprimespec.linalg import Subspace
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -175,3 +177,20 @@ def test_only_the_instance_and_its_comodule_form_enumerate_ideals(monkeypatch):
     # The instance itself and the one-sided comodule form of
     # morphism-spectral-map; fully invariant parts never enumerate.
     assert len(calls) == 2
+
+
+def test_essential_coradical_fails_when_a_cyclic_span_is_not_a_subbicomodule(monkeypatch):
+    m = regular_bicomodule(divided_power(2, F2))
+    a = analyze(m)
+
+    def part_1():
+        return next(v for v in run_checks(a, names=["essential-coradical"])
+                    if v.statement == "essential-coradical-1")
+
+    assert part_1().status == PASS
+    # span(e_1) is not stable: the dual action maps e_1 onto e_0.
+    monkeypatch.setattr(checks, "cyclic_subbicomodule",
+                        lambda m, v: Subspace.from_vectors(m.field, m.dim, [v]))
+    verdict = part_1()
+    assert verdict.status == FAIL
+    assert verdict.witness == {"basis_index": 1, "test": "stability"}

@@ -38,6 +38,20 @@ def test_bad_field_name_is_a_usage_error(name):
     assert name in lines[0]
 
 
+@pytest.mark.parametrize("args", [
+    ("spectrum", "grouplike:0"),
+    ("spectrum", "grouplike:-1"),
+    ("spectrum", "comatrix:0"),
+    ("check", "--random", "-2"),
+], ids=["grouplike-0", "grouplike-negative", "comatrix-0", "random-negative"])
+def test_bad_catalog_size_is_a_usage_error(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert proc.stdout == ""
+
+
 def test_validate_a_catalog_reference():
     proc = run_cli("validate", "divided:3", "--field", "F2")
     assert proc.returncode == 0

@@ -34,6 +34,7 @@ from coprimespec.fields import prime_field, rationals
 from coprimespec.lattice import (cyclic_subbicomodule, enumerate_lattice,
                                  is_fully_invariant, simples, simples_fi)
 from coprimespec.linalg import Subspace, enumerate_subspaces, preimage
+from coprimespec.oracle import diff_against_engine
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -500,6 +501,42 @@ def test_divided_6_closes_at_most_one_cyclic_generator_per_vector(monkeypatch):
     assert len(enumerate_ideals(e)) == 8
     assert 0 < calls["lattice"] <= 2 ** 7
     assert 0 < calls["ideals"] <= 2 ** 7
+
+
+def test_ideal_enumeration_builds_its_operators_from_dim_squared_products(monkeypatch):
+    calls = Counter()
+
+    def counted(algebra, x, y):
+        calls["multiply"] += 1
+        return original(algebra, x, y)
+
+    original = EndoAlgebra.multiply
+    monkeypatch.setattr(EndoAlgebra, "multiply", counted)
+    for ref in ("divided:6", "grouplike:4", "sum:(comatrix:2, divided:1)"):
+        e = EndoAlgebra.compute(resolve_ref_to_bicomodule(ref, F2))
+        calls.clear()
+        ideals = enumerate_ideals(e)
+        assert len(ideals) > 1
+        assert 0 < calls["multiply"] <= e.dim ** 2
+
+
+# --- the packed F2 kernels against the independent oracle ----------------------
+
+# No shrink phase, as above.
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
+@given(seed=st.integers(0, 10 ** 6))
+def test_oracle_agrees_with_the_engine_over_f2(seed):
+    m, desc = random_instance(seed, dim_budget=5, field=F2)
+    forms = [m] if m.regular_of is None else [m, right_comodule(m.regular_of)]
+    for form in forms:
+        diff = diff_against_engine(form)
+        assert diff.identical, (desc, diff.mismatches)
+
+
+def test_oracle_agrees_with_the_engine_on_an_f2_comodule_quotient():
+    diff = diff_against_engine(_comodule_quotient("sum:(comatrix:2, divided:1)", F2, 4))
+    assert diff.identical, diff.mismatches
 
 
 # No shrink phase, as above.

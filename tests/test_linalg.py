@@ -5,10 +5,11 @@ import random
 import pytest
 
 from coprimespec.exceptions import BudgetExceeded
-from coprimespec.fields import prime_field, rationals
+from coprimespec.fields import Field, prime_field, rationals
 from coprimespec.linalg import (Matrix, Subspace, count_subspaces,
                                 enumerate_subspaces, gaussian_binomial,
-                                kernel, preimage, rref, sum_closure)
+                                invariant_span, is_stable, kernel, preimage,
+                                rref, sum_closure)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -180,3 +181,107 @@ def test_enumerate_subspaces_budget():
         list(enumerate_subspaces(F2, 4, budget=3))
     with pytest.raises(ValueError):
         list(enumerate_subspaces(QQ, 2))
+
+
+# --- packed F2 rows against the tuple arithmetic -------------------------------
+
+class _Two(int):
+    """The order 2, unequal to the int 2: linalg packs rows when
+    `field.p == 2`, so a field of this order runs the generic prime-field
+    (tuple) path on F2 data.  Two such orders are equal to each other."""
+
+    def __eq__(self, other):
+        return isinstance(other, _Two)
+
+    def __ne__(self, other):
+        return not isinstance(other, _Two)
+
+    __hash__ = int.__hash__
+
+
+TUPLE_F2 = Field(_Two(2))
+
+
+def _f2_matrices(rng, count):
+    """Random F2 matrices of mixed shape, some of low rank (repeated and
+    zero rows), some with no rows."""
+    for _ in range(count):
+        rows, cols = rng.randrange(0, 7), rng.randrange(1, 10)
+        data = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.4:
+            data[rng.randrange(rows)] = list(data[0])
+            data[rng.randrange(rows)] = [0] * cols
+        yield Matrix(F2, rows, cols, data), Matrix(TUPLE_F2, rows, cols, data)
+
+
+def _same(packed: Subspace, tuples: Subspace):
+    assert packed.basis == tuples.basis
+    assert packed.pivots == tuples.pivots
+    assert packed.key() == tuples.key()
+    assert packed.sort_key() == tuples.sort_key()
+
+
+def test_generic_order_two_takes_the_tuple_path():
+    assert TUPLE_F2.p != 2 and TUPLE_F2.p % 2 == 0 and TUPLE_F2.p - 1 == 1
+    assert TUPLE_F2 == Field(_Two(2)) and TUPLE_F2 != F2
+    m = Matrix(TUPLE_F2, 1, 2, [[1, 1]])
+    assert m._f2 is None and m.apply((1, 0)) == (1,) and m._f2 is None
+
+
+def test_packed_rref_kernel_and_apply_match_the_tuple_path():
+    rng = random.Random(41)
+    for m, t in _f2_matrices(rng, 300):
+        reduced, rank = rref(m)
+        t_reduced, t_rank = rref(t)
+        assert reduced.data == t_reduced.data and rank == t_rank
+        _same(kernel(m), kernel(t))
+        for _ in range(3):
+            v = tuple(rng.randrange(2) for _ in range(m.cols))
+            assert m.apply(v) == t.apply(v)
+        k = rng.randrange(1, 6)
+        other = [[rng.randrange(2) for _ in range(k)] for _ in range(m.cols)]
+        assert (m @ Matrix(F2, m.cols, k, other)).data == \
+            (t @ Matrix(TUPLE_F2, m.cols, k, other)).data
+
+
+def test_packed_membership_sums_and_intersections_match_the_tuple_path():
+    rng = random.Random(43)
+    for _ in range(200):
+        n = rng.randrange(1, 10)
+        spaces = []
+        for _ in range(2):
+            vecs = [tuple(rng.randrange(2) for _ in range(n))
+                    for _ in range(rng.randrange(0, n + 1))]
+            s, t = Subspace.from_vectors(F2, n, vecs), Subspace.from_vectors(TUPLE_F2, n, vecs)
+            _same(s, t)
+            spaces.append((s, t))
+        (s1, t1), (s2, t2) = spaces
+        for _ in range(4):
+            v = tuple(rng.randrange(2) for _ in range(n))
+            assert s1.reduce_vector(v) == t1.reduce_vector(v)
+            assert s1.contains_vector(v) == t1.contains_vector(v)
+        assert s1.contains(s2) == t1.contains(t2)
+        assert s2.contains(s1) == t2.contains(t1)
+        _same(s1.sum_with(s2), t1.sum_with(t2))
+        _same(s1.intersect(s2), t1.intersect(t2))
+
+
+def test_packed_invariant_span_matches_the_tuple_path():
+    rng = random.Random(47)
+    for _ in range(200):
+        n = rng.randrange(1, 9)
+        ops_data = []
+        for _ in range(rng.randrange(0, 4)):
+            # Sparse operators give proper invariant subspaces more often.
+            ops_data.append([[1 if rng.random() < 0.2 else 0 for _ in range(n)]
+                             for _ in range(n)])
+        vecs = [tuple(rng.randrange(2) for _ in range(n))
+                for _ in range(rng.randrange(1, 3))]
+        spans = []
+        for field in (F2, TUPLE_F2):
+            ops = [Matrix(field, n, n, d) for d in ops_data]
+            span = invariant_span(field, n, vecs, ops)
+            assert is_stable(span, ops)
+            assert all(span.contains_vector(v) for v in vecs)
+            spans.append(span)
+        _same(*spans)

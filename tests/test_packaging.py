@@ -27,3 +27,20 @@ def test_every_absolute_import_is_stdlib_or_the_package():
                if name.split(".")[0] not in sys.stdlib_module_names
                and name.split(".")[0] != "coprimespec"]
     assert outside == []
+
+
+def test_the_oracle_keeps_its_own_linear_algebra():
+    # The oracle is the independent reference: it must not reuse the
+    # engine's linear algebra, lattices, endomorphism rings or spectra.
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.startswith("coprimespec"):
+                imported.add(module.rsplit(".", 1)[-1])
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert imported, "the oracle imports nothing from the package"
+    assert not imported & {"linalg", "lattice", "endo", "coprime"}
