@@ -4,7 +4,9 @@ Commands: validate, spectrum, topology, check, oracle, catalog.  Instances
 are JSON files or catalog references (grouplike:n, divided:N, comatrix:n,
 incidence:<poset-file>, sum:(a,b), quotient:(m,vK)).  Exit codes: 0 success
 or all-PASS, 1 validation failure or FAIL verdicts or oracle mismatch,
-2 usage, 3 budget exhausted or unsupported over the requested field.
+2 usage or bad input (an unknown or malformed reference, an unreadable or
+malformed instance or poset file, an unknown statement name, a negative
+budget or count), 3 budget exhausted or unsupported over the requested field.
 """
 
 from __future__ import annotations
@@ -352,20 +354,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for option in ("budget", "ideal_budget", "subset_cap"):
+            value = getattr(args, option, 0)
+            if value < 0:
+                raise UsageError(f"--{option.replace('_', '-')} needs a count "
+                                 f">= 0, got {value}")
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BudgetExceeded, ExhaustiveUnavailableOverQ,
             UnsupportedOverQ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except CoprimespecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -32,7 +32,7 @@ from .endo import (EndoAlgebra, IdealPoset, an, endo_algebra, ideal_product,
 from .endo import enumerate_ideals
 from .exceptions import NotFullyInvariant, ZeroSubmodule
 from .lattice import Lattice, is_fully_invariant
-from .linalg import Matrix, Subspace, bits_of, kernel
+from .linalg import Matrix, Subspace, bits_of, f2_image, f2_kernel, kernel
 
 
 class CoproductCache:
@@ -44,6 +44,7 @@ class CoproductCache:
         self.endo = endo
         self._an = {}
         self._maps = {}
+        self._rows = {}
         self._co = {}
         self._ke = {}
 
@@ -71,15 +72,32 @@ class CoproductCache:
             self._maps[x.key()] = found
         return found
 
+    def _annihilator_rows(self, x: Subspace):
+        """The packed rows of the maps of a basis of An(X); F2 only."""
+        found = self._rows.get(x.key())
+        if found is None:
+            found = [self.endo.element_rows(coords)
+                     for coords in self.annihilator(x).subspace.packed()]
+            self._rows[x.key()] = found
+        return found
+
     def coproduct(self, x: Subspace, y: Subspace) -> Subspace:
-        """The internal coproduct (X : Y) inside M."""
+        """The internal coproduct (X : Y) inside M.  Over F2, row r of
+        N_Y f is the XOR of the packed rows of f at the set bits of row r
+        of N_Y."""
         key = (x.key(), y.key())
         found = self._co.get(key)
         if found is not None:
             return found
-        maps = self._annihilator_maps(x)
+        field = self.m.field
+        f2 = field.p == 2
+        maps = self._annihilator_rows(x) if f2 else self._annihilator_maps(x)
         if not maps or y.is_full():
-            result = Subspace.full(self.m.field, self.m.dim)
+            result = Subspace.full(field, self.m.dim)
+        elif f2:
+            n_y = y.vanishing().packed_rows()
+            result = f2_kernel(field, self.m.dim,
+                               [f2_image(f, r) for f in maps for r in n_y])
         else:
             n_y = y.vanishing()
             result = kernel(Matrix.stack([n_y @ f for f in maps]))

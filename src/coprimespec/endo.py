@@ -23,10 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bicomodule import Bicomodule
+from .bicomodule import Bicomodule, restrict
 from .exceptions import (AmbientMismatch, BudgetExceeded, CoalgebraMismatch,
-                         UnsupportedOverQ)
+                         NotSubbicomodule, UnsupportedOverQ)
 from .linalg import (Matrix, Subspace, bits_of, check_subspace_budget,
+                     f2_image, f2_kernel, f2_rank, f2_reduce, f2_span,
                      invariant_span, is_stable, kernel, maximal_bits,
                      minimal_bits, strict_upsets, sum_closure)
 # Unused here; kept because perfbench/tracing.py patches it in this module.
@@ -39,25 +40,77 @@ def intertwiners(src: Bicomodule, tgt: Bicomodule):
         raise CoalgebraMismatch("intertwiners need matching coalgebras")
     field = src.field
     ns, nt = src.dim, tgt.dim
-    rows = []
-    for op_s, op_t in zip(src.all_ops(), tgt.all_ops()):
-        ts, tt = op_s.data, op_t.data
-        for a in range(nt):
-            for i in range(ns):
-                row = [field.zero] * (nt * ns)
-                for b in range(ns):
-                    if ts[b][i]:
-                        row[a * ns + b] = field.add(row[a * ns + b], ts[b][i])
-                for b in range(nt):
-                    if tt[a][b]:
-                        row[b * ns + i] = field.sub(row[b * ns + i], tt[a][b])
-                rows.append(row)
-    sol = kernel(Matrix(field, len(rows), nt * ns, rows))
+    if field.p == 2:
+        sol = f2_kernel(field, nt * ns, _f2_commutation_rows(
+            [(op_s.packed_columns(), op_t.packed_rows())
+             for op_s, op_t in zip(src.all_ops(), tgt.all_ops())], ns, nt))
+    else:
+        rows = []
+        for op_s, op_t in zip(src.all_ops(), tgt.all_ops()):
+            ts, tt = op_s.data, op_t.data
+            for a in range(nt):
+                for i in range(ns):
+                    row = [field.zero] * (nt * ns)
+                    for b in range(ns):
+                        if ts[b][i]:
+                            row[a * ns + b] = field.add(row[a * ns + b], ts[b][i])
+                    for b in range(nt):
+                        if tt[a][b]:
+                            row[b * ns + i] = field.sub(row[b * ns + i], tt[a][b])
+                    rows.append(row)
+        sol = kernel(Matrix(field, len(rows), nt * ns, rows))
     mats = []
     for flat in sol.basis:
         data = [flat[a * ns:(a + 1) * ns] for a in range(nt)]
         mats.append(Matrix(field, nt, ns, data))
     return mats
+
+
+def _f2_commutation_rows(pairs, ns: int, nt: int):
+    """The equations g @ op_s = op_t @ g over F2 as packed rows, for an
+    nt x ns unknown g flattened row by row (entry (a, b) is bit a*ns + b).
+    Each pair holds the packed columns of op_s and the packed rows of op_t.
+    The equation for entry (a, i) is column i of op_s shifted by a*ns, XOR
+    row a of op_t spread to bits b*ns and then shifted by i."""
+    rows = []
+    for cols_s, rows_t in pairs:
+        for row_t, shift in zip(rows_t, range(0, nt * ns, ns)):
+            spread = 0
+            for b in bits_of(row_t):
+                spread |= 1 << b * ns
+            rows += [col << shift ^ spread << i for i, col in enumerate(cols_s)]
+    return rows
+
+
+def hom_dim(m: Bicomodule, k: Subspace) -> int:
+    """dim Hom(K, M) for a nonzero subbicomodule K of M, the number of
+    intertwiners from `restrict(m, k)` to m; NotSubbicomodule when K is not
+    stable under the coactions.
+
+    Over F2 no restricted bicomodule is built.  Column t of the operator
+    that op induces on K holds the coordinates of w = op(b_t), b_t the
+    packed RREF basis row t of K: the bits of w at K's pivots.  w lies in K
+    exactly when XOR-ing the matching basis rows out of it leaves 0.  The
+    dimension is m.dim * dim K minus the rank of the commutation system.
+    """
+    field = m.field
+    if field.p != 2:
+        return len(intertwiners(restrict(m, k)[0], m))
+    if k.ambient != m.dim or k.field != field:
+        raise AmbientMismatch("subspace does not live in the bicomodule")
+    if k.is_zero():
+        raise ValueError("cannot restrict to the zero subspace")
+    basis, pivots = k.packed(), k.pivots
+    pairs = []
+    for op in m.all_ops():
+        op_cols, cols = op.packed_columns(), []
+        for row in basis:
+            w = f2_image(op_cols, row)
+            if f2_reduce(w, pivots, basis):
+                raise NotSubbicomodule("subspace is not stable under the coactions")
+            cols.append(sum(1 << j for j, c in enumerate(pivots) if w >> c & 1))
+        pairs.append((cols, op.packed_rows()))
+    return m.dim * k.dim - f2_rank(_f2_commutation_rows(pairs, k.dim, m.dim))
 
 
 class EndoAlgebra:
@@ -94,6 +147,15 @@ class EndoAlgebra:
                         if row[b]:
                             data[a][b] = field.add(data[a][b], field.mul(c, row[b]))
         return Matrix(field, n, n, data)
+
+    def element_rows(self, coords: int):
+        """The packed rows of the element with packed coordinates (F2
+        only): the XOR of the basis matrices' packed rows at its set bits."""
+        out = [0] * self.bicomodule.dim
+        for b, mat in enumerate(self.basis):
+            if coords >> b & 1:
+                out = [x ^ r for x, r in zip(out, mat.packed_rows())]
+        return out
 
     def coords_of(self, mat: Matrix):
         """Coordinates of a bicolinear matrix in the stored basis."""
@@ -202,6 +264,16 @@ def an(sub: Subspace, endo: EndoAlgebra) -> RightIdeal:
     if sub.ambient != m.dim:
         raise AmbientMismatch("subspace does not live in the bicomodule")
     field = endo.field
+    if field.p == 2:
+        # One row per coordinate i of M and basis row v of sub; its bit j
+        # is coordinate i of e_j(v).
+        columns = [mat.packed_columns() for mat in endo.basis]
+        rows = []
+        for v in sub.packed():
+            images = [f2_image(cols, v) for cols in columns]
+            rows.extend(sum((u >> i & 1) << j for j, u in enumerate(images))
+                        for i in range(m.dim))
+        return make_ideal(endo, f2_kernel(field, endo.dim, rows))
     rows = []
     for v in sub.basis:
         images = [mat.apply(v) for mat in endo.basis]
@@ -221,12 +293,29 @@ def ke(ideal, endo: EndoAlgebra) -> Subspace:
     m = endo.bicomodule
     if sub.is_zero():
         return Subspace.full(endo.field, m.dim)
+    if endo.field.p == 2:
+        return f2_kernel(endo.field, m.dim, [
+            row for coords in sub.packed() for row in endo.element_rows(coords)])
     mats = [endo.element(coords) for coords in sub.basis]
     return kernel(Matrix.stack(mats))
 
 
 def ideal_product(algebra, a: Subspace, b: Subspace) -> Subspace:
-    """Span of pairwise products; the ideal product for two-sided operands."""
+    """Span of pairwise products; the ideal product for two-sided operands.
+    Over F2, x * y = R_y x with R_y = sum of y_b R_b over the right
+    multiplication operators R_b, so the packed columns of R_y are the XOR
+    of those of the R_b at the set bits of y."""
+    field = algebra.field
+    if field.p == 2:
+        right = [op.packed_columns() for op in multiplication_ops(algebra)[0]]
+        vectors = []
+        for y in b.packed():
+            r_y = [0] * algebra.dim
+            for n, cols in enumerate(right):
+                if y >> n & 1:
+                    r_y = [u ^ v for u, v in zip(r_y, cols)]
+            vectors.extend(f2_image(r_y, x) for x in a.packed())
+        return f2_span(field, algebra.dim, vectors)
     vectors = [algebra.multiply(x, y) for x in a.basis for y in b.basis]
     return Subspace.from_vectors(algebra.field, algebra.dim, vectors)
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from random import Random
 
-from .bicomodule import Bicomodule, restrict
-from .endo import EndoAlgebra, an, intertwiners, ke, right_ideal_generated
+from .bicomodule import Bicomodule
+from .endo import EndoAlgebra, an, hom_dim, ke, right_ideal_generated
 from .exceptions import (BudgetExceeded, ExhaustiveUnavailableOverQ,
                          UncertifiedLattice)
 from .linalg import (Matrix, Subspace, bits_of, check_subspace_budget,
@@ -332,14 +332,8 @@ def predicates(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
     duo = all(lattice.fi_mask)
     quasi_duo = not simple & ~lattice.fi_bits
 
-    self_injective = True
-    for k in lattice.nonzero_elements():
-        restricted, _ = restrict(m, k)
-        hom_dim = len(intertwiners(restricted, m))
-        an_dim = annihilator(k).subspace.dim
-        if hom_dim != endo.dim - an_dim:
-            self_injective = False
-            break
+    self_injective = all(hom_dim(m, k) == endo.dim - annihilator(k).subspace.dim
+                         for k in lattice.nonzero_elements())
 
     self_cogenerator = all(ke(annihilator(k), endo) == k for k in lattice.elements)
 

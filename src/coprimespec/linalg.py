@@ -7,12 +7,16 @@ two Subspace values are equal iff their stored bases are identical, which
 makes RREF the equality oracle for the whole package.
 
 Over F2 the kernels run on rows packed into Python ints (bit i is entry i):
-RREF and kernels, `Matrix.apply` and `@`, membership, sums and the
-invariant-span closure.  Each Matrix and Subspace packs its rows on first
-use and keeps them in a slot; tuples stay the representation at every API
-boundary.  The reduced row-echelon form of a row space is unique, so the
-packed and the tuple arithmetic return identical bases and pivots.  Other
-fields use the tuple arithmetic throughout.
+RREF and kernels, `Matrix.apply` and `@`, membership, sums, the
+invariant-span closure and the stability test.  The `f2_*` helpers (image,
+reduction, span, kernel, rank) let `endo` and `coprime` build their linear
+systems as packed rows too: intertwiners and Hom dimensions, annihilators,
+kernels of ideals, ideal products and internal coproducts.  Each Matrix
+(columns and rows) and Subspace packs on first use and keeps the ints in a
+slot; tuples stay the representation at every API boundary.  The reduced
+row-echelon form of a row space is unique, so the packed and the tuple
+arithmetic return identical bases and pivots.  Other fields use the tuple
+arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ def _unpack(bits: int, n: int):
     return tuple([(bits >> i) & 1 for i in range(n)])
 
 
-def _f2_reduce(bits: int, pivots, rows) -> int:
+def f2_reduce(bits: int, pivots, rows) -> int:
     """bits modulo packed reduced echelon rows with the given pivots: each
     row is zero at every other pivot, so one pass clears every pivot."""
     for c, row in zip(pivots, rows):
@@ -74,16 +78,52 @@ def _f2_rref(rows):
     return [k.bit_length() - 1 for k in keys], [table[k] for k in keys]
 
 
-def _f2_subspace(field: Field, ambient: int, rows) -> "Subspace":
+def f2_span(field: Field, ambient: int, rows) -> "Subspace":
     """The span of packed rows."""
     pivots, rows = _f2_rref(rows)
-    return Subspace(field, ambient, [_unpack(r, ambient) for r in rows], pivots)
+    sub = Subspace(field, ambient, [_unpack(r, ambient) for r in rows], pivots)
+    sub._f2 = tuple(rows)
+    return sub
+
+
+def f2_image(columns, bits: int) -> int:
+    """The image of a packed vector under a map given by its packed
+    columns: the XOR of the columns at the set bits of the vector."""
+    u = 0
+    for i, c in enumerate(columns):
+        if bits >> i & 1:
+            u ^= c
+    return u
+
+
+def f2_kernel(field: Field, n: int, rows) -> "Subspace":
+    """The null space in F2^n of packed rows.  In their reduced echelon
+    form, free column f gives e_f plus e_c for each pivot row with a 1 at f."""
+    pivots, rows = _f2_rref(rows)
+    return f2_span(field, n, [
+        1 << f | sum(1 << c for c, row in zip(pivots, rows) if row >> f & 1)
+        for f in range(n) if f not in pivots])
+
+
+def f2_rank(rows) -> int:
+    """The rank of packed rows: each is reduced against an echelon table
+    {lowest bit: row} and kept when nonzero."""
+    table, mask = {}, 0
+    for u in rows:
+        m = u & mask
+        while m:
+            u ^= table[m & -m]
+            m = u & mask
+        if u:
+            table[u & -u] = u
+            mask |= u & -u
+    return len(table)
 
 
 class Matrix:
     """Immutable dense matrix over an exact field."""
 
-    __slots__ = ("field", "rows", "cols", "data", "_f2")
+    __slots__ = ("field", "rows", "cols", "data", "_f2", "_f2_rows")
 
     def __init__(self, field: Field, rows: int, cols: int, data):
         data = tuple(tuple(row) for row in data)
@@ -94,12 +134,19 @@ class Matrix:
         self.cols = cols
         self.data = data
         self._f2 = None
+        self._f2_rows = None
 
-    def _packed(self):
+    def packed_columns(self):
         """The columns packed into ints; F2 only, built on first use."""
         if self._f2 is None:
             self._f2 = tuple(_pack(self.column(j)) for j in range(self.cols))
         return self._f2
+
+    def packed_rows(self):
+        """The rows packed into ints; F2 only, built on first use."""
+        if self._f2_rows is None:
+            self._f2_rows = tuple(_pack(row) for row in self.data)
+        return self._f2_rows
 
     @classmethod
     def from_rows(cls, field: Field, data) -> "Matrix":
@@ -140,14 +187,8 @@ class Matrix:
         f = self.field
         p = f.p
         if p == 2:
-            cols = self._packed()
-            out = []
-            for b in other._packed():
-                u = 0
-                for i, c in enumerate(cols):
-                    if b >> i & 1:
-                        u ^= c
-                out.append(u)
+            cols = self.packed_columns()
+            out = [f2_image(cols, b) for b in other.packed_columns()]
             return Matrix(f, self.rows, other.cols,
                           [[(u >> i) & 1 for u in out] for i in range(self.rows)])
         ocols = other.cols
@@ -172,7 +213,7 @@ class Matrix:
         p = f.p
         if p == 2:
             u = 0
-            for c, x in zip(self._packed(), vec):
+            for c, x in zip(self.packed_columns(), vec):
                 if x:
                     u ^= c
             return _unpack(u, self.rows)
@@ -262,11 +303,7 @@ def kernel(m: Matrix) -> "Subspace":
     field = m.field
     n = m.cols
     if field.p == 2:
-        pivots, rows = _f2_rref([_pack(r) for r in m.data])
-        # Free column f gives e_f plus e_c for each pivot row with a 1 at f.
-        return _f2_subspace(field, n, [
-            1 << f | sum(1 << c for c, row in zip(pivots, rows) if row >> f & 1)
-            for f in range(n) if f not in pivots])
+        return f2_kernel(field, n, m.packed_rows())
     rows, pivots = _rref_rows(field, m.data)
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
@@ -294,7 +331,7 @@ class Subspace:
         self._vanish = None
         self._f2 = None
 
-    def _packed(self):
+    def packed(self):
         """The basis rows packed into ints; F2 only, built on first use."""
         if self._f2 is None:
             self._f2 = tuple(_pack(row) for row in self.basis)
@@ -309,7 +346,7 @@ class Subspace:
         if not vectors:
             return cls(field, ambient, (), ())
         if field.p == 2:
-            return _f2_subspace(field, ambient, [_pack(v) for v in vectors])
+            return f2_span(field, ambient, [_pack(v) for v in vectors])
         rows, pivots = _rref_rows(field, vectors)
         return cls(field, ambient, rows, pivots)
 
@@ -343,7 +380,7 @@ class Subspace:
         field = self.field
         p = field.p
         if p == 2:
-            return _unpack(_f2_reduce(_pack(v), self.pivots, self._packed()),
+            return _unpack(f2_reduce(_pack(v), self.pivots, self.packed()),
                            self.ambient)
         v = list(v)
         for row, c in zip(self.basis, self.pivots):
@@ -359,7 +396,7 @@ class Subspace:
         if self.field.p == 2:
             if len(v) != self.ambient:
                 raise AmbientMismatch(f"vector length {len(v)} != ambient {self.ambient}")
-            return not _f2_reduce(_pack(v), self.pivots, self._packed())
+            return not f2_reduce(_pack(v), self.pivots, self.packed())
         return all(x == 0 for x in self.reduce_vector(v))
 
     def coords_of(self, v):
@@ -372,8 +409,8 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
         if self.field.p == 2:
-            pivots, rows = self.pivots, self._packed()
-            return not any(_f2_reduce(row, pivots, rows) for row in other._packed())
+            pivots, rows = self.pivots, self.packed()
+            return not any(f2_reduce(row, pivots, rows) for row in other.packed())
         return all(self.contains_vector(row) for row in other.basis)
 
     # -- lattice operations ----------------------------------------------------
@@ -390,8 +427,8 @@ class Subspace:
         if other.is_zero():
             return self
         if self.field.p == 2:
-            return _f2_subspace(self.field, self.ambient,
-                                self._packed() + other._packed())
+            return f2_span(self.field, self.ambient,
+                           self.packed() + other.packed())
         return Subspace.from_vectors(self.field, self.ambient, self.basis + other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -587,7 +624,7 @@ def _f2_invariant_span(field: Field, ambient: int, vectors, ops) -> Subspace:
     for v in vectors:
         if len(v) != ambient:
             raise AmbientMismatch(f"vector length {len(v)} != ambient {ambient}")
-    columns = [op._packed() for op in ops]
+    columns = [op.packed_columns() for op in ops]
     table, mask, queue = {}, 0, []
     images = [_pack(v) for v in vectors]
     while True:
@@ -610,11 +647,22 @@ def _f2_invariant_span(field: Field, ambient: int, vectors, ops) -> Subspace:
             for i in support:
                 u ^= cols[i]
             images.append(u)
-    return _f2_subspace(field, ambient, list(table.values()))
+    return f2_span(field, ambient, list(table.values()))
 
 
 def is_stable(sub: Subspace, ops) -> bool:
-    """Whether every basis row of sub maps into sub under every operator."""
+    """Whether every basis row of sub maps into sub under every operator.
+    Over F2 each image is the XOR of packed columns, reduced against the
+    packed basis."""
+    if sub.field.p == 2:
+        pivots, rows = sub.pivots, sub.packed()
+        for op in ops:
+            if rows and (op.rows, op.cols) != (sub.ambient, sub.ambient):
+                raise AmbientMismatch(f"operator {op.rows}x{op.cols} on ambient {sub.ambient}")
+            cols = op.packed_columns()
+            if any(f2_reduce(f2_image(cols, row), pivots, rows) for row in rows):
+                return False
+        return True
     return all(sub.contains_vector(op.apply(row))
                for op in ops for row in sub.basis)
 

@@ -22,10 +22,45 @@ def test_no_arguments_is_a_usage_error():
     assert proc.returncode == 2
 
 
-def test_unknown_reference_is_an_error():
-    proc = run_cli("spectrum", "nosuch:3")
-    assert proc.returncode == 1
-    assert "nosuch" in proc.stderr
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+# Each row: the arguments (a callable gets tmp_path) and a word stderr names.
+BAD_INPUT = {
+    "unknown-reference": (lambda _: ("spectrum", "nosuch:3"), "nosuch"),
+    "bad-size": (lambda _: ("spectrum", "grouplike:x"), "'x'"),
+    "unreadable-instance-file": (
+        lambda tmp: ("spectrum", str(tmp / "missing.json")), "missing.json"),
+    "malformed-instance-file": (
+        lambda tmp: ("spectrum", _write(tmp, "bad.json", "{not json")), "line 1"),
+    "unknown-suite": (
+        lambda _: ("check", "--suite", "nosuch", "grouplike:2"), "nosuch"),
+    "unreadable-poset-file": (
+        lambda tmp: ("spectrum", f"incidence:{tmp / 'missing.poset'}"), "missing.poset"),
+    "malformed-poset-file": (
+        lambda tmp: ("spectrum", "incidence:" + _write(tmp, "bad.poset", "{not json")),
+        "bad.poset"),
+    "negative-budget": (
+        lambda _: ("spectrum", "grouplike:2", "--budget", "-5"), "--budget"),
+    "negative-ideal-budget": (
+        lambda _: ("check", "grouplike:2", "--ideal-budget", "-1"), "--ideal-budget"),
+    "negative-subset-cap": (
+        lambda _: ("check", "grouplike:2", "--subset-cap", "-1"), "--subset-cap"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT))
+def test_bad_input_is_a_usage_error(tmp_path, case):
+    build, word = BAD_INPUT[case]
+    proc = run_cli(*build(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert word in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("name", ["F4", "F1", "Fx"])
@@ -122,7 +157,7 @@ def test_check_suite_prefix_selection():
     assert proc.returncode == 0
     assert "variety-identities" in proc.stdout
     bad = run_cli("check", "divided:2", "--suite", "bogus-name")
-    assert bad.returncode == 1
+    assert bad.returncode == 2
 
 
 def test_check_random_batch():
@@ -197,6 +232,6 @@ def test_bad_triple_indices_are_clean_errors(tmp_path, payload, command):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     proc = run_cli(command, str(path))
-    assert proc.returncode == 1
+    assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr

@@ -17,24 +17,28 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from coprimespec import checks, endo as endo_module, lattice as lattice_module, linalg
+from coprimespec import (bicomodule as bicomodule_module, checks, coprime as coprime_module,
+                         endo as endo_module, lattice as lattice_module, linalg)
 from coprimespec.analysis import InstanceAnalysis
-from coprimespec.bicomodule import is_subbicomodule, quotient
+from coprimespec.bicomodule import Bicomodule, is_subbicomodule, quotient, restrict
 from coprimespec.catalog import (random_instance, resolve_ref,
                                  resolve_ref_to_bicomodule, right_comodule)
 from coprimespec.checks import (FAIL, PASS, CheckContext, Verdict, _describe,
                                 _quotient_cogenerated, _vacuous, run_checks)
+from coprimespec.coalgebra import Coalgebra
 from coprimespec.coprime import (CoproductCache, is_fully_coprime,
                                  is_fully_cosemiprime, ke_product_bound)
 from coprimespec.endo import (EndoAlgebra, IdealPoset, an, coordinate_vectors,
-                              enumerate_ideals, ideal_product, is_prime_ideal,
-                              is_semiprime_ideal, ke, maximal_ideals,
-                              prime_radical)
+                              enumerate_ideals, hom_dim, ideal_product,
+                              intertwiners, is_prime_ideal, is_semiprime_ideal,
+                              ke, maximal_ideals, prime_radical)
+from coprimespec.exceptions import NotSubbicomodule
 from coprimespec.fields import prime_field, rationals
 from coprimespec.lattice import (cyclic_subbicomodule, enumerate_lattice,
                                  is_fully_invariant, simples, simples_fi)
-from coprimespec.linalg import Subspace, enumerate_subspaces, preimage
+from coprimespec.linalg import Subspace, enumerate_subspaces, is_stable, preimage
 from coprimespec.oracle import diff_against_engine
+from test_linalg import TUPLE_F2
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -735,3 +739,118 @@ def test_coproduct_bound_computes_each_probe_pair_once(monkeypatch):
     verdicts = run_checks(a, names=["coproduct-annihilator-kernel-bound"])
     assert all(v.status == PASS for v in verdicts)
     assert 0 < len(calls) <= (len(a.lattice) + 3) ** 2
+
+
+# --- packed F2 linear systems against the tuple arithmetic --------------------
+
+# Derandomized F2 instances: the first sweep seeds, three catalog families,
+# and the right-comodule form of each coalgebra among them.
+def _f2_forms():
+    forms = {f"seed-{s}": random_instance(s, field=F2)[0] for s in range(7, 17)}
+    for ref in ("grouplike:4", "divided:4", "comatrix:2"):
+        forms[ref] = resolve_ref_to_bicomodule(ref, F2)
+    for name, m in list(forms.items()):
+        if m.regular_of is not None:
+            forms[f"{name}-comodule"] = right_comodule(m.regular_of)
+    return forms
+
+
+F2_FORMS = _f2_forms()
+
+
+def _tuple_form(m):
+    """m with its coalgebras and coactions over TUPLE_F2, which runs the
+    generic prime-field code on the same 0/1 data."""
+    def coalgebra(c):
+        return Coalgebra(TUPLE_F2, c.dim, c.delta, c.counit)
+    return Bicomodule(coalgebra(m.left), coalgebra(m.right), m.dim,
+                      m.rho_left, m.rho_right)
+
+
+def _tuple_sub(sub):
+    return Subspace(TUPLE_F2, sub.ambient, sub.basis, sub.pivots)
+
+
+def _rows(sub):
+    return sub.basis, sub.pivots
+
+
+def _random_subspaces(rng, n, count):
+    for _ in range(count):
+        vectors = [tuple(rng.randrange(2) for _ in range(n))
+                   for _ in range(rng.randrange(1, n + 1))]
+        yield Subspace.from_vectors(F2, n, vectors)
+
+
+@pytest.mark.parametrize("name", list(F2_FORMS))
+def test_packed_systems_match_the_tuple_path(name):
+    m = F2_FORMS[name]
+    t = _tuple_form(m)
+    e, e_t = EndoAlgebra.compute(m), EndoAlgebra.compute(t)
+    assert [f.data for f in e.basis] == [f.data for f in e_t.basis]
+    lattice = enumerate_lattice(m, endo=e)
+    cache, cache_t = CoproductCache(m, e), CoproductCache(t, e_t)
+    for k in lattice.elements:
+        k_t = _tuple_sub(k)
+        if not k.is_zero():
+            restricted = len(intertwiners(restrict(m, k)[0], m))
+            assert hom_dim(m, k) == restricted == hom_dim(t, k_t)
+        ideal, ideal_t = an(k, e), an(k_t, e_t)
+        assert _rows(ideal.subspace) == _rows(ideal_t.subspace)
+        assert (ideal.is_right, ideal.is_two_sided) == (ideal_t.is_right, ideal_t.is_two_sided)
+        assert _rows(ke(ideal, e)) == _rows(ke(ideal_t, e_t))
+    fi = lattice.fi_elements()
+    for x in fi:
+        for y in fi:
+            x_t, y_t = _tuple_sub(x), _tuple_sub(y)
+            assert _rows(cache.coproduct(x, y)) == _rows(cache_t.coproduct(x_t, y_t))
+            product = ideal_product(e, cache.annihilator(x).subspace,
+                                    cache.annihilator(y).subspace)
+            product_t = ideal_product(e_t, cache_t.annihilator(x_t).subspace,
+                                      cache_t.annihilator(y_t).subspace)
+            assert _rows(product) == _rows(product_t)
+    rng = Random(sum(map(ord, name)))
+    for sub in _random_subspaces(rng, m.dim, 12):
+        sub_t = _tuple_sub(sub)
+        stable = is_stable(sub, m.all_ops())
+        assert stable == is_stable(sub_t, t.all_ops())
+        assert is_stable(sub, e.basis) == is_stable(sub_t, e_t.basis)
+        assert _rows(an(sub, e).subspace) == _rows(an(sub_t, e_t).subspace)
+        if not stable:
+            with pytest.raises(NotSubbicomodule):
+                hom_dim(m, sub)
+    ops, ops_t = endo_module.multiplication_ops(e), endo_module.multiplication_ops(e_t)
+    for a_sub in _random_subspaces(rng, e.dim, 6):
+        b_sub = next(_random_subspaces(rng, e.dim, 1))
+        assert _rows(ideal_product(e, a_sub, b_sub)) == \
+            _rows(ideal_product(e_t, _tuple_sub(a_sub), _tuple_sub(b_sub)))
+        assert _rows(ke(a_sub, e)) == _rows(ke(_tuple_sub(a_sub), e_t))
+        for side in (0, 1):
+            assert is_stable(a_sub, ops[side]) == is_stable(_tuple_sub(a_sub), ops_t[side])
+
+
+def test_f2_predicates_build_no_restricted_bicomodule(monkeypatch):
+    calls = Counter()
+    original = bicomodule_module.restrict
+
+    def counted(*args):
+        calls["restrict"] += 1
+        return original(*args)
+
+    for module in (bicomodule_module, endo_module, lattice_module):
+        monkeypatch.setattr(module, "restrict", counted, raising=False)
+    for name in ("grouplike:4", "divided:4", "comatrix:2", "seed-10"):
+        assert InstanceAnalysis(F2_FORMS[name]).predicates is not None
+    assert calls["restrict"] == 0
+    # Odd p still restricts, so the counter is on the path it guards.
+    assert InstanceAnalysis(resolve_ref_to_bicomodule("divided:2", F3)).predicates
+    assert calls["restrict"] > 0
+
+
+@pytest.mark.parametrize("ref", ["grouplike:3", "divided:4", "comatrix:2"])
+def test_an_ideal_product_returning_its_second_factor_fails_the_bound(monkeypatch, ref):
+    a = InstanceAnalysis(resolve_ref_to_bicomodule(ref, F2))
+    assert _bound_verdict(a, 2).status == PASS
+    monkeypatch.setattr(coprime_module, "ideal_product", lambda algebra, x, y: y)
+    a = InstanceAnalysis(resolve_ref_to_bicomodule(ref, F2))
+    assert _bound_verdict(a, 2).status == FAIL
