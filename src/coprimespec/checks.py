@@ -15,6 +15,25 @@ A failing verdict always carries a witness payload naming the offending
 subspaces.  Checks about morphisms run on one-sided comodule forms and are
 exposed separately through `morphism_checks`.
 
+Statements are data.  A `_Family` holds a standing gate, a setup that
+computes the state its parts share, and a fixed tuple of `_Part` records;
+a part has its name, its gates, a witness search, and its PASS and FAIL
+details.  One runner, `_run`, decides every part in this order:
+
+1. the family gate: unmet standing hypotheses make every part VACUOUS,
+   with one `needs ...` detail, and the setup is skipped;
+2. the part's own gates, in order: the first that closes gives VACUOUS
+   (an unmet hypothesis, or a part that cannot fail) or UNSUPPORTED (no
+   ideal enumeration);
+3. the search: it yields counterexamples only, and the first one fails the
+   part, so a search stops where its first counterexample is found.  A
+   witness is a dict, or a (detail, dict) pair where a part has several
+   FAIL details;
+4. otherwise PASS, marked relative to the enumerated lattice when
+   `run_checks` runs on an uncertified one.
+
+So every family emits the same parts, in the same order, on every instance.
+
 Order, sums and intersections of lattice elements are read from the
 lattice's containment table, and varieties from the topology's variety
 table.  Monotonicity of (X : -) is scanned on cover pairs only: any
@@ -23,8 +42,10 @@ Y1 < Y2 is joined by a chain of covers, and inclusion is transitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
+from types import SimpleNamespace
+from typing import Callable
 
 from .analysis import InstanceAnalysis, analyze, child_coords, parent_coords
 from .bicomodule import centralizer, phi_matrix, quotient
@@ -77,15 +98,6 @@ def _keyset(subspaces):
     return {s.key() for s in subspaces}
 
 
-def _standing_gaps(a: InstanceAnalysis):
-    """Unmet members of the standing hypothesis block duo + self-injective +
-    Property S that governs every topological statement."""
-    p = a.predicates
-    return [name for name, val in (("duo", p.duo),
-                                   ("self-injective", p.self_injective),
-                                   ("Property S", p.property_s)) if not val]
-
-
 def _vacuous(statement: str, gaps) -> Verdict:
     return Verdict(statement, VACUOUS, "needs " + ", ".join(gaps))
 
@@ -113,191 +125,254 @@ def _quotient_cogenerated(a: InstanceAnalysis, k: Subspace) -> bool:
     return kernel(Matrix.stack(maps)).is_zero()
 
 
+# --- statement parts as data ------------------------------------------------
+
+@dataclass(frozen=True)
+class _Part:
+    """One statement part: `search(s)` yields counterexamples only; a part
+    whose gates always close has none."""
+
+    name: str
+    search: Callable | None
+    passed: str | Callable = ""
+    failed: str = ""
+    gates: tuple = ()
+
+
+@dataclass(frozen=True)
+class _Family:
+    """A statement family: `gate(s)` lists unmet standing hypotheses, and
+    `setup(s)` adds the state the parts share once the gate is open."""
+
+    parts: tuple
+    gate: Callable | None = None
+    setup: Callable | None = None
+
+
+def _run(family: _Family, s, relative: bool = False) -> list:
+    gaps = family.gate(s) if family.gate else []
+    if not gaps and family.setup:
+        family.setup(s)
+    return [_decide(part, s, gaps, relative) for part in family.parts]
+
+
+def _decide(part: _Part, s, gaps, relative: bool) -> Verdict:
+    if gaps:
+        return _vacuous(part.name, gaps)
+    for gate in part.gates:
+        closed = gate(s)
+        if closed:
+            return Verdict(part.name, *closed)
+    found = next(part.search(s), None)
+    if found is not None:
+        detail, witness = found if isinstance(found, tuple) else (part.failed,
+                                                                  found)
+        return Verdict(part.name, FAIL, detail, witness)
+    detail = part.passed(s) if callable(part.passed) else part.passed
+    if relative and "enumerated lattice" not in detail:
+        detail += " (relative to the enumerated lattice)"
+    return Verdict(part.name, PASS, detail)
+
+
+# Hypotheses by the name a VACUOUS detail gives them.  Instance families read
+# `s.a`; the morphism family reads its comodule forms `s.ps` and `s.pt`.
+_HYPOTHESES = {
+    "duo": lambda s: s.a.predicates.duo,
+    "self-injective": lambda s: s.a.predicates.self_injective,
+    "Property S": lambda s: s.a.predicates.property_s,
+    "self-cogenerator": lambda s: s.a.predicates.self_cogenerator,
+    "intrinsically injective":
+        lambda s: s.a.predicates.intrinsically_injective,
+    "right-duo endomorphism ring": lambda s: s.a.predicates.e_right_duo,
+    "Property S on the fully invariant lattice":
+        lambda s: s.a.predicates.property_s_fi,
+    "every prime ideal maximal": lambda s: _primes_maximal(s.a.ideal_side),
+    "matching left and right coalgebras": lambda s: s.cen is not None,
+    "a coalgebra viewed as its own bicomodule":
+        lambda s: s.a.m.regular_of is not None,
+    "source intrinsically injective": lambda s: s.ps.intrinsically_injective,
+    "source self-cogenerator": lambda s: s.ps.self_cogenerator,
+    "target self-cogenerator": lambda s: s.pt.self_cogenerator,
+    "injective into self-injective, or right-duo source dual ring":
+        lambda s: s.route_a or s.ps.e_right_duo,
+    "source duo": lambda s: s.ps.duo,
+    "target duo": lambda s: s.pt.duo,
+    "a well-defined point map": lambda s: s.defined,
+    "every source point a preimage of a target point":
+        lambda s: _points_are_preimages(s),
+    "injective morphism": lambda s: s.injective,
+    "self-injective target": lambda s: s.pt.self_injective,
+    "an isomorphism": lambda s: s.theta.is_bijective(),
+}
+
+
+def _unmet(s, *names) -> list:
+    return [name for name in names if not _HYPOTHESES[name](s)]
+
+
+def _standing_gaps(s):
+    """Unmet members of the standing hypothesis block duo + self-injective +
+    Property S that governs every topological statement."""
+    return _unmet(s, "duo", "self-injective", "Property S")
+
+
+def _needs(*names):
+    """A gate: VACUOUS, naming every unmet hypothesis."""
+    def gate(s):
+        gaps = _unmet(s, *names)
+        return (VACUOUS, "needs " + ", ".join(gaps)) if gaps else None
+    return gate
+
+
+def _ideals(available):
+    """A gate: UNSUPPORTED when the ideal side it reads was not enumerated."""
+    def gate(s):
+        return None if available(s) else (UNSUPPORTED, _ideal_excuse(s.a))
+    return gate
+
+
+def _cannot_fail(detail):
+    """The gate of a part that computes nothing: always VACUOUS."""
+    return lambda s: (VACUOUS, detail)
+
+
+def _sampled(detail, side):
+    """A PASS detail that says so when intrinsic injectivity was sampled."""
+    return lambda s: detail + (f" ({side} sampled)"
+                               if s.a.predicates.intrinsic_partial else "")
+
+
 # --- annihilator / kernel Galois correspondence -----------------------------
 
-def _check_an_ke_galois(a: InstanceAnalysis, ctx) -> list:
-    name = "annihilator-kernel-galois"
-    lat, endo, cache = a.lattice, a.endo, a.coproducts
-    elements = list(lat.elements)
-    kes = [ke(cache.annihilator(x), endo) for x in elements]
-    out = []
+def _galois_setup(s):
+    a = s.a
+    s.elements = list(a.lattice.elements)
+    s.kes = [ke(a.coproducts.annihilator(x), a.endo) for x in s.elements]
 
-    witness = None
+
+def _galois_pair(s):
+    lat, endo, cache = s.a.lattice, s.a.endo, s.a.coproducts
+    elements, kes = s.elements, s.kes
     for x, kex in zip(elements, kes):
         ann = cache.annihilator(x)
         if not ann.is_right:
-            witness = {"subbicomodule": _describe(x),
-                       "problem": "annihilator is not a right ideal"}
-            break
+            yield {"subbicomodule": _describe(x),
+                   "problem": "annihilator is not a right ideal"}
         if lat.is_fi(x) and not ann.is_two_sided:
-            witness = {"subbicomodule": _describe(x),
-                       "problem": "annihilator of a fully invariant member "
-                                  "is not two-sided"}
-            break
+            yield {"subbicomodule": _describe(x),
+                   "problem": "annihilator of a fully invariant member "
+                              "is not two-sided"}
         if not kex.contains(x):
-            witness = {"subbicomodule": _describe(x),
-                       "problem": "Ke(An(X)) does not contain X"}
-            break
+            yield {"subbicomodule": _describe(x),
+                   "problem": "Ke(An(X)) does not contain X"}
         if ann.is_two_sided and not is_fully_invariant(kex, endo):
-            witness = {"subbicomodule": _describe(x),
-                       "problem": "kernel of a two-sided ideal is not "
-                                  "fully invariant"}
-            break
-    if witness is None:
-        for i, x in enumerate(elements):
-            ax = cache.annihilator(x)
-            for j in bits_of(lat.above[i] | 1 << i):
-                y = elements[j]
-                if not ax.subspace.contains(cache.annihilator(y).subspace):
-                    witness = {"x": _describe(x), "y": _describe(y),
-                               "problem": "An is not order reversing"}
-                    break
-                if not kes[j].contains(kes[i]):
-                    witness = {"x": _describe(x), "y": _describe(y),
-                               "problem": "Ke is not order reversing"}
-                    break
-            if witness:
-                break
-    if witness is None:
-        ideals = a.right_ideals or []
-        for ideal in ideals:
-            back = cache.annihilator(ke(ideal, endo))
-            if not back.subspace.contains(ideal.subspace):
-                witness = {"ideal_dim": ideal.subspace.dim,
-                           "problem": "An(Ke(I)) does not contain I"}
-                break
-    out.append(Verdict(f"{name}-1", FAIL, "Galois pair defect", witness)
-               if witness else
-               Verdict(f"{name}-1", PASS,
-                       "antitone maps, right/two-sided ideal classes, and "
-                       "both unit inclusions hold"))
+            yield {"subbicomodule": _describe(x),
+                   "problem": "kernel of a two-sided ideal is not "
+                              "fully invariant"}
+    for i, x in enumerate(elements):
+        ax = cache.annihilator(x)
+        for j in bits_of(lat.above[i] | 1 << i):
+            y = elements[j]
+            if not ax.subspace.contains(cache.annihilator(y).subspace):
+                yield {"x": _describe(x), "y": _describe(y),
+                       "problem": "An is not order reversing"}
+            if not kes[j].contains(kes[i]):
+                yield {"x": _describe(x), "y": _describe(y),
+                       "problem": "Ke is not order reversing"}
+    for ideal in s.a.right_ideals or []:
+        back = cache.annihilator(ke(ideal, endo))
+        if not back.subspace.contains(ideal.subspace):
+            yield {"ideal_dim": ideal.subspace.dim,
+                   "problem": "An(Ke(I)) does not contain I"}
 
-    witness = None
-    for k, kek in zip(elements, kes):
+
+def _galois_fixed_points(s):
+    a = s.a
+    for k, kek in zip(s.elements, s.kes):
         fixed = kek == k
         cogen = _quotient_cogenerated(a, k)
         if fixed != cogen:
-            witness = {"k": _describe(k), "ke_an_fixed": fixed,
-                       "quotient_cogenerated": cogen}
-            break
-    if witness is None and a.predicates.self_cogenerator:
+            yield {"k": _describe(k), "ke_an_fixed": fixed,
+                   "quotient_cogenerated": cogen}
+    if a.predicates.self_cogenerator:
         seen = {}
-        for k in elements:
-            key = cache.annihilator(k).subspace.key()
+        for k in s.elements:
+            key = a.coproducts.annihilator(k).subspace.key()
             if key in seen:
-                witness = {"k1": _describe(seen[key]), "k2": _describe(k),
-                           "problem": "An is not injective although the "
-                                      "instance is a self-cogenerator"}
-                break
+                yield {"k1": _describe(seen[key]), "k2": _describe(k),
+                       "problem": "An is not injective although the "
+                                  "instance is a self-cogenerator"}
             seen[key] = k
-    out.append(Verdict(f"{name}-2", FAIL,
-                       "fixed points of Ke(An(-)) differ from cogenerated "
-                       "quotients", witness)
-               if witness else
-               Verdict(f"{name}-2", PASS,
-                       "Ke(An(K)) = K exactly when M/K is cogenerated"))
 
-    if not a.predicates.self_injective:
-        out.append(_vacuous(f"{name}-3", ["self-injective"]))
-        return out
-    witness = None
+
+def _galois_injective(s):
+    lat, cache, elements = s.a.lattice, s.a.coproducts, s.elements
     for i, x in enumerate(elements):
         for j, y in enumerate(elements[i:], i):
             lhs = cache.annihilator(elements[lat.meet(1 << i | 1 << j)]).subspace
             rhs = cache.annihilator(x).subspace.sum_with(
                 cache.annihilator(y).subspace)
             if lhs != rhs:
-                witness = {"x": _describe(x), "y": _describe(y),
-                           "an_of_meet_dim": lhs.dim, "sum_of_an_dim": rhs.dim}
-                break
-        if witness:
-            break
-    if witness is None and not a.predicates.intrinsically_injective:
-        witness = {"problem": "AnKe fails to fix some right ideal"}
-    detail = "An is a lattice anti-morphism and AnKe fixes right ideals"
-    if a.predicates.intrinsic_partial:
-        detail += " (ideal side sampled)"
-    out.append(Verdict(f"{name}-3", FAIL, "self-injective consequences fail",
-                       witness)
-               if witness else Verdict(f"{name}-3", PASS, detail))
-    return out
+                yield {"x": _describe(x), "y": _describe(y),
+                       "an_of_meet_dim": lhs.dim, "sum_of_an_dim": rhs.dim}
+    if not s.a.predicates.intrinsically_injective:
+        yield {"problem": "AnKe fails to fix some right ideal"}
 
 
 # --- duo transfer between the instance and its endomorphism ring ------------
 
-def _check_duo_transfer(a: InstanceAnalysis, ctx) -> list:
-    name = "duo-transfer"
-    p = a.predicates
-    out = []
+def _right_duo_decided(s):
+    return s.a.predicates.e_right_duo is not None
 
-    if not p.self_cogenerator:
-        out.append(_vacuous(f"{name}-1", ["self-cogenerator"]))
-    elif p.e_right_duo is None:
-        out.append(Verdict(f"{name}-1", UNSUPPORTED, _ideal_excuse(a)))
-    elif not p.e_right_duo:
-        out.append(_vacuous(f"{name}-1", ["right-duo endomorphism ring"]))
-    elif p.duo:
-        out.append(Verdict(f"{name}-1", PASS,
-                           "self-cogenerator with right-duo endomorphisms "
-                           "is duo"))
-    else:
-        bad = next(l for l in a.lattice.elements if not a.lattice.is_fi(l))
-        out.append(Verdict(f"{name}-1", FAIL, "expected a duo instance",
-                           {"not_fully_invariant": _describe(bad)}))
 
-    if not (p.intrinsically_injective and p.duo):
-        gaps = []
-        if not p.intrinsically_injective:
-            gaps.append("intrinsically injective")
-        if not p.duo:
-            gaps.append("duo")
-        out.append(_vacuous(f"{name}-2", gaps))
-    elif p.e_right_duo is None:
-        out.append(Verdict(f"{name}-2", UNSUPPORTED, _ideal_excuse(a)))
-    elif p.e_right_duo:
-        detail = "duo and intrinsically injective forces a right-duo ring"
-        if p.intrinsic_partial:
-            detail += " (intrinsic injectivity sampled)"
-        out.append(Verdict(f"{name}-2", PASS, detail))
-    else:
-        bad = next(i for i in a.right_ideals if not i.is_two_sided)
-        out.append(Verdict(f"{name}-2", FAIL,
-                           "endomorphism ring is not right-duo",
-                           {"right_ideal_dim": bad.subspace.dim}))
+def _duo_from_right_duo_ring(s):
+    lat = s.a.lattice
+    if not s.a.predicates.duo:
+        bad = next(l for l in lat.elements if not lat.is_fi(l))
+        yield {"not_fully_invariant": _describe(bad)}
 
-    if not (p.self_injective and p.duo):
-        gaps = [g for g, v in (("self-injective", p.self_injective),
-                               ("duo", p.duo)) if not v]
-        out.append(_vacuous(f"{name}-3", gaps))
-        return out
-    witness = None
-    for l_sub in a.lattice.nonzero_fi_elements():
+
+def _right_duo_ring(s):
+    if not s.a.predicates.e_right_duo:
+        bad = next(i for i in s.a.right_ideals if not i.is_two_sided)
+        yield {"right_ideal_dim": bad.subspace.dim}
+
+
+def _duo_parts(s):
+    for l_sub in s.a.lattice.nonzero_fi_elements():
         if l_sub.is_full():
             continue
-        child = a.restricted(l_sub).lattice
+        child = s.a.restricted(l_sub).lattice
         if not all(child.fi_mask):
             idx = child.fi_mask.index(False)
-            witness = {"l": _describe(l_sub),
-                       "non_duo_child": _describe(child.elements[idx])}
-            break
-    out.append(Verdict(f"{name}-3", FAIL,
-                       "a fully invariant part is not duo on its own",
-                       witness)
-               if witness else
-               Verdict(f"{name}-3", PASS,
-                       "every fully invariant part is duo on its own"))
-    return out
+            yield {"l": _describe(l_sub),
+                   "non_duo_child": _describe(child.elements[idx])}
 
 
 # --- internal coproduct basics and the annihilator-product bound ------------
 
-def _check_coproduct_bound(a: InstanceAnalysis, ctx) -> list:
-    name = "coproduct-annihilator-kernel-bound"
-    lat, endo, cache = a.lattice, a.endo, a.coproducts
-    elements = list(lat.elements)
-    out = []
+def _bound_setup(s):
+    a = s.a
+    rng = Random(s.ctx.seed)
+    s.probes = list(a.lattice.elements)
+    for _ in range(3):
+        vec = tuple(a.field.random_element(rng) for _ in range(a.m.dim))
+        s.probes.append(Subspace.from_vectors(a.field, a.m.dim, [vec]))
+    bounds = {}
 
-    witness = None
+    def bound(i, j):
+        found = bounds.get((i, j))
+        if found is None:
+            found = ke_product_bound(a.m, s.probes[i], s.probes[j], a.endo,
+                                     a.coproducts)
+            bounds[(i, j)] = found
+        return found
+    s.bound = bound
+
+
+def _coproduct_basics(s):
+    lat, endo, cache = s.a.lattice, s.a.endo, s.a.coproducts
+    elements = lat.elements
     cops = []  # cops[i][j] is ((X_i : X_j), its lattice index or None)
     for i, x in enumerate(elements):
         row = []
@@ -307,184 +382,99 @@ def _check_coproduct_bound(a: InstanceAnalysis, ctx) -> list:
             c = lat.find(cop)
             row.append((cop, c))
             if not _within(lat, i, cop, c):
-                witness = {"x": _describe(x), "y": _describe(y),
-                           "problem": "X is not inside (X : Y)"}
-                break
+                yield {"x": _describe(x), "y": _describe(y),
+                       "problem": "X is not inside (X : Y)"}
             if lat.fi_mask[j] and not _within(lat, j, cop, c):
-                witness = {"x": _describe(x), "y": _describe(y),
-                           "problem": "fully invariant Y is not inside (X : Y)"}
-                break
+                yield {"x": _describe(x), "y": _describe(y),
+                       "problem": "fully invariant Y is not inside (X : Y)"}
             if lat.fi_mask[i] and not (lat.fi_mask[c] if c is not None
                                        else is_fully_invariant(cop, endo)):
-                witness = {"x": _describe(x), "y": _describe(y),
-                           "problem": "(X : Y) not fully invariant although "
-                                      "X is"}
-                break
-        if witness:
-            break
-    if witness is None:
-        above = lat.above
-        covers = [list(bits_of(minimal_bits(up, above))) for up in above]
-        for x, row in zip(elements, cops):
-            for j1, (low, c1) in enumerate(row):
-                for j2 in covers[j1]:
-                    high, c2 = row[j2]
-                    if not (lat.le(c1, c2) if c1 is not None and c2 is not None
-                            else high.contains(low)):
-                        witness = {"x": _describe(x),
-                                   "y1": _describe(elements[j1]),
-                                   "y2": _describe(elements[j2]),
-                                   "problem": "(X : -) is not monotone"}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    out.append(Verdict(f"{name}-1", FAIL, "coproduct basics fail", witness)
-               if witness else
-               Verdict(f"{name}-1", PASS,
-                       "coproducts are monotone subbicomodules containing "
-                       "their arguments"))
+                yield {"x": _describe(x), "y": _describe(y),
+                       "problem": "(X : Y) not fully invariant although X is"}
+    above = lat.above
+    covers = [list(bits_of(minimal_bits(up, above))) for up in above]
+    for x, row in zip(elements, cops):
+        for j1, (low, c1) in enumerate(row):
+            for j2 in covers[j1]:
+                high, c2 = row[j2]
+                if not (lat.le(c1, c2) if c1 is not None and c2 is not None
+                        else high.contains(low)):
+                    yield {"x": _describe(x), "y1": _describe(elements[j1]),
+                           "y2": _describe(elements[j2]),
+                           "problem": "(X : -) is not monotone"}
 
-    rng = Random(ctx.seed)
-    probes = list(elements)
-    for _ in range(3):
-        vec = tuple(a.field.random_element(rng) for _ in range(a.m.dim))
-        probes.append(Subspace.from_vectors(a.field, a.m.dim, [vec]))
-    bounds = {}
 
-    def bound(i, j):
-        found = bounds.get((i, j))
-        if found is None:
-            found = ke_product_bound(a.m, probes[i], probes[j], endo, cache)
-            bounds[(i, j)] = found
-        return found
-
-    witness = None
-    for i, x in enumerate(probes):
-        for j, y in enumerate(probes):
-            _, _, contained = bound(i, j)
+def _bound_escapes(s):
+    for i, x in enumerate(s.probes):
+        for j, y in enumerate(s.probes):
+            _, _, contained = s.bound(i, j)
             if not contained:
-                witness = {"x": _describe(x), "y": _describe(y)}
-                break
-        if witness:
-            break
-    out.append(Verdict(f"{name}-2", FAIL,
-                       "(X : Y) escapes Ke(An(X) An(Y))", witness)
-               if witness else
-               Verdict(f"{name}-2", PASS,
-                       "(X : Y) always sits inside Ke(An(X) An(Y))"))
+                yield {"x": _describe(x), "y": _describe(y)}
 
-    if not a.predicates.self_cogenerator:
-        out.append(_vacuous(f"{name}-3", ["self-cogenerator"]))
-        return out
-    witness = None
-    for i, x in enumerate(probes):
-        for j, y in enumerate(elements):
-            cop, kernel_side, _ = bound(i, j)
+
+def _bound_equality(s):
+    for i, x in enumerate(s.probes):
+        for j, y in enumerate(s.a.lattice.elements):
+            cop, kernel_side, _ = s.bound(i, j)
             if cop != kernel_side:
-                witness = {"x": _describe(x), "y": _describe(y),
-                           "coproduct_dim": cop.dim,
-                           "kernel_dim": kernel_side.dim}
-                break
-        if witness:
-            break
-    out.append(Verdict(f"{name}-3", FAIL,
-                       "equality with the kernel of the ideal product fails",
-                       witness)
-               if witness else
-               Verdict(f"{name}-3", PASS,
-                       "(X : Y) = Ke(An(X) An(Y)) for subbicomodule Y"))
-    return out
+                yield {"x": _describe(x), "y": _describe(y),
+                       "coproduct_dim": cop.dim, "kernel_dim": kernel_side.dim}
 
 
 # --- prime ideals of the endomorphism ring against the spectrum -------------
 
-def _check_prime_radical(a: InstanceAnalysis, ctx) -> list:
-    name = "prime-radical-correspondence"
-    p, spec = a.predicates, a.spectrum
-    if not p.self_cogenerator:
-        return [_vacuous(f"{name}-{i}", ["self-cogenerator"])
-                for i in (1, 2, 3, 4)]
-    ideals = a.ideal_side
-    out = []
+def _radical_setup(s):
+    spec, s.ideals = s.a.spectrum, s.a.ideal_side
+    if s.ideals.ideal_support:
+        s.cp, s.csp = _keyset(spec.cpspec), _keyset(spec.csp)
+        s.ep, s.esp = _keyset(s.ideals.ep), _keyset(s.ideals.esp)
 
-    if not ideals.ideal_support:
-        out.append(Verdict(f"{name}-1", UNSUPPORTED, _ideal_excuse(a)))
-        out.append(Verdict(f"{name}-2", UNSUPPORTED, _ideal_excuse(a)))
-    else:
-        cp, csp = _keyset(spec.cpspec), _keyset(spec.csp)
-        ep, esp = _keyset(ideals.ep), _keyset(ideals.esp)
-        if not ep <= cp:
-            bad = next(k for k in ideals.ep if k.key() not in cp)
-            out.append(Verdict(f"{name}-1", FAIL,
-                               "a prime-annihilator member is not fully "
-                               "coprime", {"k": _describe(bad)}))
-        elif not esp <= csp:
-            bad = next(k for k in ideals.esp if k.key() not in csp)
-            out.append(Verdict(f"{name}-1", FAIL,
-                               "a semiprime-annihilator member is not fully "
-                               "cosemiprime", {"k": _describe(bad)}))
-        else:
-            out.append(Verdict(f"{name}-1", PASS,
-                               "prime (semiprime) annihilators give fully "
-                               "coprime (cosemiprime) members"))
 
-        if not p.intrinsically_injective:
-            out.append(_vacuous(f"{name}-2", ["intrinsically injective"]))
-        elif ep == cp and esp == csp:
-            out.append(Verdict(f"{name}-2", PASS,
-                               "spectra and annihilator-prime classes "
-                               "coincide"))
-        else:
-            missing = next((k for k in spec.cpspec if k.key() not in ep), None)
-            if missing is None:
-                missing = next(k for k in spec.csp if k.key() not in esp)
-            out.append(Verdict(f"{name}-2", FAIL,
-                               "spectrum member without prime annihilator",
-                               {"k": _describe(missing)}))
+def _annihilators_coprime(s):
+    if not s.ep <= s.cp:
+        bad = next(k for k in s.ideals.ep if k.key() not in s.cp)
+        yield ("a prime-annihilator member is not fully coprime",
+               {"k": _describe(bad)})
+    if not s.esp <= s.csp:
+        bad = next(k for k in s.ideals.esp if k.key() not in s.csp)
+        yield ("a semiprime-annihilator member is not fully cosemiprime",
+               {"k": _describe(bad)})
 
-    if not ideals.radical_support:
-        out.append(Verdict(f"{name}-3", UNSUPPORTED, _ideal_excuse(a)))
-    else:
-        an_corad = a.coproducts.annihilator(spec.cpcorad).subspace
-        if ideals.prad == an_corad and ideals.ke_prad == spec.cpcorad:
-            out.append(Verdict(f"{name}-3", PASS,
-                               "prime radical matches An(CPcorad) and its "
-                               "kernel recovers CPcorad (ring is finite "
-                               "dimensional, hence Noetherian)"))
-        else:
-            out.append(Verdict(f"{name}-3", FAIL,
-                               "prime radical does not match the coradical",
-                               {"prad_dim": ideals.prad.dim,
-                                "an_corad_dim": an_corad.dim,
-                                "ke_prad": _describe(ideals.ke_prad),
-                                "cpcorad": _describe(spec.cpcorad)}))
 
+def _spectrum_annihilators_prime(s):
+    if s.ep != s.cp or s.esp != s.csp:
+        spec = s.a.spectrum
+        missing = next((k for k in spec.cpspec if k.key() not in s.ep), None)
+        if missing is None:
+            missing = next(k for k in spec.csp if k.key() not in s.esp)
+        yield {"k": _describe(missing)}
+
+
+def _radical_matches_coradical(s):
+    spec, ideals = s.a.spectrum, s.ideals
+    an_corad = s.a.coproducts.annihilator(spec.cpcorad).subspace
+    if ideals.prad != an_corad or ideals.ke_prad != spec.cpcorad:
+        yield {"prad_dim": ideals.prad.dim, "an_corad_dim": an_corad.dim,
+               "ke_prad": _describe(ideals.ke_prad),
+               "cpcorad": _describe(spec.cpcorad)}
+
+
+def _cosemiprime_iff_full_coradical(s):
+    a = s.a
     whole = Subspace.full(a.field, a.m.dim)
     cosemi, _ = is_fully_cosemiprime(a.m, whole, a.lattice, a.endo,
                                      a.coproducts)
-    if cosemi == (spec.cpcorad == whole):
-        out.append(Verdict(f"{name}-4", PASS,
-                           "fully cosemiprime exactly when CPcorad is "
-                           "everything"))
-    else:
-        out.append(Verdict(f"{name}-4", FAIL,
-                           "cosemiprimeness disagrees with the coradical",
-                           {"fully_cosemiprime": cosemi,
-                            "cpcorad": _describe(spec.cpcorad)}))
-    return out
+    if cosemi != (a.spectrum.cpcorad == whole):
+        yield {"fully_cosemiprime": cosemi,
+               "cpcorad": _describe(a.spectrum.cpcorad)}
 
 
 # --- spectra of fully invariant parts ----------------------------------------
 
-def _check_spectrum_restriction(a: InstanceAnalysis, ctx) -> list:
-    name = "spectrum-restriction"
-    if not a.predicates.self_injective:
-        return [_vacuous(name, ["self-injective"])]
+def _restricted_spectra(s):
+    a = s.a
     lat, spec = a.lattice, a.spectrum
     corad = lat.index_of(spec.cpcorad)
-    witness = None
     for t in bits_of(lat.fi_bits & ~1):
         l_sub = lat.elements[t]
         if l_sub.is_full():
@@ -495,101 +485,50 @@ def _check_spectrum_restriction(a: InstanceAnalysis, ctx) -> list:
         cpcorad = parent_coords(l_sub, r.spectrum.cpcorad)
         cut_corad = lat.elements[lat.meet(1 << t | 1 << corad)]
 
-        def filtered(members):
-            keep = []
-            for k in members:
-                if lat.le(lat.index_of(k), t) and is_fully_invariant(
-                        child_coords(l_sub, k), r.endo):
-                    keep.append(k)
-            return _keyset(keep)
-
-        if _keyset(cpspec) != filtered(spec.cpspec):
-            witness = {"l": _describe(l_sub), "side": "fully coprime",
-                       "standalone": len(cpspec),
-                       "cut_down": len(filtered(spec.cpspec))}
-            break
-        if _keyset(csp) != filtered(spec.csp):
-            witness = {"l": _describe(l_sub), "side": "fully cosemiprime",
-                       "standalone": len(csp),
-                       "cut_down": len(filtered(spec.csp))}
-            break
+        sides = (("fully coprime", cpspec, spec.cpspec),
+                 ("fully cosemiprime", csp, spec.csp))
+        for side, standalone, members in sides:
+            cut = _keyset(k for k in members
+                          if lat.le(lat.index_of(k), t) and is_fully_invariant(
+                              child_coords(l_sub, k), r.endo))
+            if _keyset(standalone) != cut:
+                yield {"l": _describe(l_sub), "side": side,
+                       "standalone": len(standalone), "cut_down": len(cut)}
         if cpcorad != cut_corad:
-            witness = {"l": _describe(l_sub), "side": "coradical",
-                       "standalone": _describe(cpcorad),
-                       "cut_down": _describe(cut_corad)}
-            break
-    if witness:
-        return [Verdict(name, FAIL,
-                        "standalone spectrum of a part differs from the "
-                        "cut-down parent spectrum", witness)]
-    return [Verdict(name, PASS,
-                    "spectra and coradicals of fully invariant parts restrict "
-                    "from the parent")]
+            yield {"l": _describe(l_sub), "side": "coradical",
+                   "standalone": _describe(cpcorad),
+                   "cut_down": _describe(cut_corad)}
 
 
 # --- simple members of the spectrum ------------------------------------------
 
-def _check_minimal_members(a: InstanceAnalysis, ctx) -> list:
-    name = "minimal-coprime-members"
-    p, spec = a.predicates, a.spectrum
-    out = []
+def _simples_coprime_standalone(s):
+    for simple in s.a.socle.simples_fi:
+        whole = Subspace.full(s.a.field, simple.dim)
+        if whole not in s.a.restricted(simple).spectrum.cpspec:
+            yield {"simple": _describe(simple)}
 
-    witness = None
-    for s in a.socle.simples_fi:
-        whole = Subspace.full(a.field, s.dim)
-        if whole not in a.restricted(s).spectrum.cpspec:
-            witness = {"simple": _describe(s)}
-            break
-    out.append(Verdict(f"{name}-1", FAIL,
-                       "a fully invariant simple is not fully coprime over "
-                       "itself", witness)
-               if witness else
-               Verdict(f"{name}-1", PASS,
-                       "fully invariant simples are fully coprime standalone"))
 
-    if not p.self_injective:
-        out.append(_vacuous(f"{name}-2", ["self-injective"]))
-        out.append(_vacuous(f"{name}-3", ["self-injective"]))
-        return out
-    cp = _keyset(spec.cpspec)
-    missing = next((s for s in a.socle.simples_fi if s.key() not in cp), None)
-    out.append(Verdict(f"{name}-2", FAIL,
-                       "fully invariant simple missing from the spectrum",
-                       {"simple": _describe(missing)})
-               if missing is not None else
-               Verdict(f"{name}-2", PASS,
-                       "fully invariant simples are spectrum points"))
+def _simples_in_spectrum(s):
+    cp = _keyset(s.a.spectrum.cpspec)
+    for simple in s.a.socle.simples_fi:
+        if simple.key() not in cp:
+            yield {"simple": _describe(simple)}
 
-    if not p.property_s_fi:
-        out.append(_vacuous(f"{name}-3", ["Property S on the fully invariant "
-                                          "lattice"]))
-        return out
-    witness = None
-    for l_sub in a.lattice.nonzero_fi_elements():
-        if not a.topology("fi").v_of(l_sub):
-            witness = {"l": _describe(l_sub)}
-            break
-    out.append(Verdict(f"{name}-3", FAIL,
-                       "a nonzero fully invariant part contains no spectrum "
-                       "point", witness)
-               if witness else
-               Verdict(f"{name}-3", PASS,
-                       "every nonzero fully invariant part contains a "
-                       "spectrum point"))
-    return out
+
+def _parts_contain_points(s):
+    for l_sub in s.a.lattice.nonzero_fi_elements():
+        if not s.a.topology("fi").v_of(l_sub):
+            yield {"l": _describe(l_sub)}
 
 
 # --- socle facts --------------------------------------------------------------
 
-def _check_essential_coradical(a: InstanceAnalysis, ctx) -> list:
-    name = "essential-coradical"
-    p = a.predicates
-    out = []
-
+def _cyclic_spans(s):
     # The closure is tested with `apply` and `contains_vector`, not with the
     # kernel that built it, and against the enumerated lattice.
+    a = s.a
     ops = a.m.all_ops()
-    witness = None
     for i in range(a.m.dim):
         vec = tuple(a.field.one if j == i else a.field.zero
                     for j in range(a.m.dim))
@@ -598,178 +537,122 @@ def _check_essential_coradical(a: InstanceAnalysis, ctx) -> list:
                   "stability" if not is_stable(cyc, ops) else
                   "lattice" if a.lattice.find(cyc) is None else None)
         if failed:
-            witness = {"basis_index": i, "test": failed}
-            break
-    out.append(Verdict(f"{name}-1", FAIL,
-                       "cyclic span of a basis vector is not a lattice "
-                       "subbicomodule containing it", witness)
-               if witness else
-               Verdict(f"{name}-1", PASS,
-                       "every vector generates a finite cyclic "
-                       "subbicomodule"))
+            yield {"basis_index": i, "test": failed}
 
-    lat = a.lattice
+
+def _simple_in_every_part(s):
+    p, lat = s.a.predicates, s.a.lattice
     if not p.property_s:
-        simple = sum(1 << lat.index_of(s) for s in a.socle.simples)
+        simple = sum(1 << lat.index_of(x) for x in s.a.socle.simples)
         bad = next(lat.elements[t] for t in range(1, len(lat))
                    if not simple & (lat.below[t] | 1 << t))
-        out.append(Verdict(f"{name}-2", FAIL,
-                           "a nonzero part contains no simple",
-                           {"l": _describe(bad)}))
-    elif p.quasi_duo and not p.property_s_fi:
-        simple = sum(1 << lat.index_of(s) for s in a.socle.simples_fi)
+        yield "a nonzero part contains no simple", {"l": _describe(bad)}
+    if p.quasi_duo and not p.property_s_fi:
+        simple = sum(1 << lat.index_of(x) for x in s.a.socle.simples_fi)
         bad = next(lat.elements[t] for t in bits_of(lat.fi_bits & ~1)
                    if not simple & (lat.below[t] | 1 << t))
-        out.append(Verdict(f"{name}-2", FAIL,
-                           "quasi-duo instance misses Property S on the "
-                           "fully invariant lattice", {"l": _describe(bad)}))
-    else:
-        detail = "every nonzero part contains a simple"
-        if p.quasi_duo:
-            detail += "; quasi-duo gives the fully invariant version"
-        out.append(Verdict(f"{name}-2", PASS, detail))
+        yield ("quasi-duo instance misses Property S on the fully invariant "
+               "lattice", {"l": _describe(bad)})
 
-    if p.corad_essential:
-        out.append(Verdict(f"{name}-3", PASS,
-                           "the coradical meets every nonzero part"))
-    else:
-        corad = lat.index_of(a.socle.coradical)
+
+def _simple_in_every_part_detail(s):
+    detail = "every nonzero part contains a simple"
+    if s.a.predicates.quasi_duo:
+        detail += "; quasi-duo gives the fully invariant version"
+    return detail
+
+
+def _coradical_essential(s):
+    lat = s.a.lattice
+    if not s.a.predicates.corad_essential:
+        corad = lat.index_of(s.a.socle.coradical)
         bad = next(l for t, l in enumerate(lat.elements)
                    if t and lat.meet(1 << corad | 1 << t) == 0)
-        out.append(Verdict(f"{name}-3", FAIL, "coradical is not essential",
-                           {"l": _describe(bad)}))
-    return out
+        yield {"l": _describe(bad)}
 
 
 # --- identities of varieties --------------------------------------------------
 
-def _check_variety_identities(a: InstanceAnalysis, ctx) -> list:
-    name = "variety-identities"
-    lat = a.lattice
-    top = a.topology("fi")
-    elements, v, space = lat.elements, top.varieties, top.space
-    out = []
-
+def _variety_endpoints(s):
+    lat, top = s.a.lattice, s.a.topology("fi")
     v_top, v_zero = top.v_of(lat.top()), top.v_of(lat.zero())
-    if v_top != space or v_zero:
-        out.append(Verdict(f"{name}-1", FAIL, "endpoint identities fail",
-                           {"x_of_top": sorted(space - v_top),
-                            "x_of_zero": sorted(space - v_zero)}))
-    else:
-        out.append(Verdict(f"{name}-1", PASS,
-                           "the whole space opens nothing and zero opens "
-                           "everything"))
+    if v_top != top.space or v_zero:
+        yield {"x_of_top": sorted(top.space - v_top),
+               "x_of_zero": sorted(top.space - v_zero)}
 
+
+def _variety_sums_meets(s):
     # Both sides are symmetric in (l1, l2), so pairs i <= j suffice, and the
     # first failing ordered pair already has i <= j.
-    witness = None
-    for i in range(len(elements)):
-        for j in range(i, len(elements)):
+    lat, v = s.a.lattice, s.a.topology("fi").varieties
+    for i in range(len(lat)):
+        for j in range(i, len(lat)):
             pair = 1 << i | 1 << j
             if (not (v[i] | v[j]) <= v[lat.join(pair)]
                     or v[i] & v[j] != v[lat.meet(pair)]):
-                witness = {"l1": _describe(elements[i]),
-                           "l2": _describe(elements[j])}
-                break
-        if witness:
-            break
-    out.append(Verdict(f"{name}-2", FAIL, "sum/meet inclusions fail", witness)
-               if witness else
-               Verdict(f"{name}-2", PASS,
-                       "sums shrink opens and meets union them"))
+                yield {"l1": _describe(lat.elements[i]),
+                       "l2": _describe(lat.elements[j])}
 
-    witness = None
+
+def _variety_coproducts(s):
+    lat, top = s.a.lattice, s.a.topology("fi")
+    v, space = top.varieties, top.space
     fi = list(bits_of(lat.fi_bits))
     for i in fi:
         for j in fi:
-            l1, l2 = elements[i], elements[j]
+            l1, l2 = lat.elements[i], lat.elements[j]
             v_sum = v[lat.join(1 << i | 1 << j)]
             v_union = v[i] | v[j]
-            v_cop = top.v_of(a.coproducts.coproduct(l1, l2))
+            v_cop = top.v_of(s.a.coproducts.coproduct(l1, l2))
             if not (v_sum == v_union == v_cop):
-                witness = {"l1": _describe(l1), "l2": _describe(l2),
-                           "x_sum": sorted(space - v_sum),
-                           "x_meet": sorted(space - v_union),
-                           "x_coproduct": sorted(space - v_cop)}
-                break
-        if witness:
-            break
-    out.append(Verdict(f"{name}-3", FAIL,
-                       "fully invariant sum/coproduct identity fails",
-                       witness)
-               if witness else
-               Verdict(f"{name}-3", PASS,
-                       "opens of sums and coproducts agree on the fully "
-                       "invariant lattice"))
-    return out
+                yield {"l1": _describe(l1), "l2": _describe(l2),
+                       "x_sum": sorted(space - v_sum),
+                       "x_meet": sorted(space - v_union),
+                       "x_coproduct": sorted(space - v_cop)}
 
 
 # --- the topology axioms --------------------------------------------------------
 
-def _check_topology_axioms(a: InstanceAnalysis, ctx) -> list:
-    name = "topology-axioms"
-    out = []
-    top_fi = a.topology("fi")
-    out.append(Verdict(f"{name}-1", PASS,
-                       "fully invariant varieties close under union and "
-                       "intersection")
-               if top_fi.is_topology else
-               Verdict(f"{name}-1", FAIL,
-                       "fully invariant family is not a topology",
-                       {"witness_sets": [sorted(s) for s in
-                                         (top_fi.witness or [])]}))
-    if not a.predicates.duo:
-        full = a.topology("full")
-        detail = "needs duo (full family axiom scan: %s)" % (
-            "closed" if full.is_topology else "not closed")
-        out.append(Verdict(f"{name}-2", VACUOUS, detail))
-        return out
-    full = a.topology("full")
-    out.append(Verdict(f"{name}-2", PASS,
-                       "duo instance is a top bicomodule")
-               if full.is_topology else
-               Verdict(f"{name}-2", FAIL,
-                       "duo instance with non-topological variety family",
-                       {"witness_sets": [sorted(s) for s in
-                                         (full.witness or [])]}))
-    return out
+def _not_a_topology(flavor):
+    def search(s):
+        top = s.a.topology(flavor)
+        if not top.is_topology:
+            yield {"witness_sets": [sorted(x) for x in (top.witness or [])]}
+    return search
+
+
+def _duo_or_scan(s):
+    """VACUOUS off duo, reporting the axiom scan of the full family anyway."""
+    if not s.a.predicates.duo:
+        return VACUOUS, "needs duo (full family axiom scan: %s)" % (
+            "closed" if s.a.topology("full").is_topology else "not closed")
+    return None
 
 
 # --- pointwise description of the space ----------------------------------------
 
-def _check_simple_points(a: InstanceAnalysis, ctx) -> list:
-    name = "simple-point-characterization"
-    gaps = _standing_gaps(a)
-    if gaps:
-        return [_vacuous(f"{name}-{i}", gaps) for i in (1, 2, 3, 4, 5)]
-    top, lat = a.topology("full"), a.lattice
-    simple_keys = _keyset(a.socle.simples)
-    out = []
+def _kolmogorov(s):
+    top = s.a.topology("full")
+    if not separation(top).t0:
+        yield {"open_count": len(top.open_sets())}
 
-    sep = separation(top)
-    out.append(Verdict(f"{name}-1", PASS, "the space is Kolmogorov")
-               if sep.t0 else
-               Verdict(f"{name}-1", FAIL, "two points share all opens",
-                       {"open_count": len(top.open_sets())}))
 
-    witness = None
-    opens = top.open_sets()
+def _basic_opens(s):
+    top = s.a.topology("full")
     basis = [top.space - v for v in top.varieties]
-    for o in opens:
+    for o in top.open_sets():
         union = frozenset()
         for b in basis:
             if b <= o:
                 union |= b
         if union != o:
-            witness = {"open": sorted(o), "basis_union": sorted(union)}
-            break
-    out.append(Verdict(f"{name}-2", FAIL, "opens are not unions of basic "
-                                          "opens", witness)
-               if witness else
-               Verdict(f"{name}-2", PASS, "lattice opens form a basis"))
+            yield {"open": sorted(o), "basis_union": sorted(union)}
 
-    witness = None
-    corad = lat.index_of(a.socle.coradical)
+
+def _pointwise(s):
+    top, lat = s.a.topology("full"), s.a.lattice
+    simple_keys = _keyset(s.a.socle.simples)
+    corad = lat.index_of(s.a.socle.coradical)
     for t, l_sub in enumerate(lat.elements):
         v = top.varieties[t]
         is_simple = l_sub.key() in simple_keys
@@ -779,271 +662,168 @@ def _check_simple_points(a: InstanceAnalysis, ctx) -> list:
         if is_point:
             singleton_variety = v == frozenset({idx})
             if top.point_closure(idx) != v:
-                witness = {"l": _describe(l_sub), "case": "point closure"}
-                break
+                yield {"l": _describe(l_sub), "case": "point closure"}
             if is_simple != top.is_closed(frozenset({idx})):
-                witness = {"l": _describe(l_sub), "case": "closed singleton"}
-                break
+                yield {"l": _describe(l_sub), "case": "closed singleton"}
         if is_simple != (is_point and singleton_variety):
-            witness = {"l": _describe(l_sub), "simple": is_simple,
-                       "coprime": is_point, "variety_size": len(v),
-                       "case": "simple members"}
-            break
+            yield {"l": _describe(l_sub), "simple": is_simple,
+                   "coprime": is_point, "variety_size": len(v),
+                   "case": "simple members"}
         if (len(v) == 0) != l_sub.is_zero():
-            witness = {"l": _describe(l_sub), "case": "empty variety"}
-            break
+            yield {"l": _describe(l_sub), "case": "empty variety"}
         if len(v) == top.size and not lat.le(corad, t):
-            witness = {"l": _describe(l_sub), "case": "full variety misses "
-                                                      "the coradical"}
-            break
-    out.append(Verdict(f"{name}-3", FAIL, "pointwise description fails",
-                       witness)
-               if witness else
-               Verdict(f"{name}-3", PASS,
-                       "simples are exactly the closed points and varieties "
-                       "empty or full behave as described"))
+            yield {"l": _describe(l_sub),
+                   "case": "full variety misses the coradical"}
 
-    witness = None
+
+def _embeddings_continuous(s):
+    top, lat = s.a.topology("full"), s.a.lattice
     for l_sub in lat.nonzero_fi_elements():
         if l_sub.is_full():
             continue
-        r = a.restricted(l_sub)
+        r = s.a.restricted(l_sub)
         positions = [top.position(parent_coords(l_sub, k))
                      for k in r.spectrum.cpspec]
         if None in positions:
-            witness = {"l": _describe(l_sub), "case": "points do not embed"}
-            break
+            yield {"l": _describe(l_sub), "case": "points do not embed"}
         child_top = r.topology("full")
         for n_sub, v in zip(lat.elements, top.varieties):
             pulled = frozenset(i for i, p in enumerate(positions) if p in v)
             if not child_top.is_closed(pulled):
-                witness = {"l": _describe(l_sub), "n": _describe(n_sub),
-                           "case": "preimage not closed"}
-                break
-        if witness:
-            break
-    out.append(Verdict(f"{name}-4", FAIL,
-                       "embedding of a part is not continuous", witness)
-               if witness else
-               Verdict(f"{name}-4", PASS,
-                       "embeddings of parts pull varieties back to "
-                       "varieties"))
-
-    out.append(Verdict(f"{name}-5", VACUOUS,
-                       "nothing is computed here: isomorphism transport is "
-                       "exercised by the morphism statement"))
-    return out
+                yield {"l": _describe(l_sub), "n": _describe(n_sub),
+                       "case": "preimage not closed"}
 
 
 # --- separation equivalences ----------------------------------------------------
 
-def _check_separation(a: InstanceAnalysis, ctx) -> list:
-    name = "separation-equivalences"
-    gaps = _standing_gaps(a)
-    if gaps:
-        return [_vacuous(name, gaps)]
-    sep = separation(a.topology("full"))
-    all_simple = _keyset(a.spectrum.cpspec) == _keyset(a.socle.simples)
-    flags = {"spectrum_is_socle": all_simple, "discrete": sep.discrete,
-             "t2": sep.t2, "t1": sep.t1}
-    if len(set(flags.values())) == 1:
-        return [Verdict(name, PASS,
-                        "discreteness, Hausdorff, Frechet, and a simple "
-                        "spectrum are equivalent (all %s)"
-                        % str(all_simple).lower())]
-    return [Verdict(name, FAIL, "separation equivalences break",
-                    {k: v for k, v in flags.items()})]
+def _separation_setup(s):
+    sep = separation(s.a.topology("full"))
+    s.flags = {"spectrum_is_socle": _keyset(s.a.spectrum.cpspec)
+               == _keyset(s.a.socle.simples),
+               "discrete": sep.discrete, "t2": sep.t2, "t1": sep.t1}
+
+
+def _separation_breaks(s):
+    if len(set(s.flags.values())) != 1:
+        yield dict(s.flags)
 
 
 # --- maximal primes force discreteness ------------------------------------------
 
-def _check_prime_maximal(a: InstanceAnalysis, ctx) -> list:
-    name = "prime-maximal-discreteness"
-    gaps = _standing_gaps(a)
-    p = a.predicates
-    if not p.self_cogenerator:
-        gaps.append("self-cogenerator")
-    if gaps:
-        return [_vacuous(name, gaps)]
-    spec, ideals = a.spectrum, a.ideal_side
-    if ideals.primes is None:
-        return [Verdict(name, UNSUPPORTED, _ideal_excuse(a))]
+def _primes_maximal(ideals):
     maximal_keys = {i.subspace.key() for i in maximal_ideals(ideals.two_sided)}
-    if not all(i.subspace.key() in maximal_keys for i in ideals.primes):
-        return [_vacuous(name, ["every prime ideal maximal"])]
-    if _keyset(spec.cpspec) != _keyset(a.socle.simples):
-        extra = next(k for k in spec.cpspec
-                     if k.key() not in _keyset(a.socle.simples))
-        return [Verdict(name, FAIL,
-                        "maximal primes but a non-simple spectrum member",
-                        {"k": _describe(extra)})]
+    return all(i.subspace.key() in maximal_keys for i in ideals.primes)
+
+
+def _discrete_with_coradical(s):
+    a = s.a
+    simple_keys = _keyset(a.socle.simples)
+    if _keyset(a.spectrum.cpspec) != simple_keys:
+        extra = next(k for k in a.spectrum.cpspec
+                     if k.key() not in simple_keys)
+        yield ("maximal primes but a non-simple spectrum member",
+               {"k": _describe(extra)})
     lat, top = a.lattice, a.topology("full")
     corad = lat.index_of(a.socle.coradical)
     for t, l_sub in enumerate(lat.elements):
         empty = top.varieties[t] == top.space
         if empty != lat.le(corad, t):
-            return [Verdict(name, FAIL,
-                            "empty opens do not match coradical containment",
-                            {"l": _describe(l_sub)})]
-    return [Verdict(name, PASS,
-                    "spectrum is the socle and empty opens capture the "
-                    "coradical")]
-
-
-# --- compactness (degenerate at finite scale) ------------------------------------
-
-def _check_compactness(a: InstanceAnalysis, ctx) -> list:
-    name = "finite-compactness"
-    gaps = _standing_gaps(a)
-    if gaps:
-        return [_vacuous(name, gaps)]
-    return [Verdict(name, VACUOUS,
-                    "cannot fail at finite scale: the space is finite, so "
-                    "every open cover has a finite subcover")]
+            yield ("empty opens do not match coradical containment",
+                   {"l": _describe(l_sub)})
 
 
 # --- local finiteness of simple families ------------------------------------------
 
-def _check_locally_finite(a: InstanceAnalysis, ctx) -> list:
-    name = "locally-finite-simples"
-    gaps = _standing_gaps(a)
-    if gaps:
-        return [_vacuous(name, gaps)]
-    lat = a.lattice
-    simples = [lat.index_of(s) for s in a.socle.simples]
+def _simples_setup(s):
+    s.simples = [s.a.lattice.index_of(x) for x in s.a.socle.simples]
+
+
+def _neighbourhoods(s):
+    lat, simples = s.a.lattice, s.simples
     if not simples:
-        return [Verdict(name, PASS, "no simples, nothing to separate")]
-    for l_sub in a.spectrum.cpspec:
+        return
+    for l_sub in s.a.spectrum.cpspec:
         t = lat.index_of(l_sub)
-        outside = lat.join(sum(1 << s for s in simples if not lat.le(s, t)))
+        outside = lat.join(sum(1 << x for x in simples if not lat.le(x, t)))
         if lat.le(t, outside):
-            return [Verdict(name, FAIL,
-                            "a point lies inside the sum of the simples it "
-                            "excludes", {"point": _describe(l_sub)})]
-        inside_nbhd = {s for s in simples if not lat.le(s, outside)}
-        inside_l = {s for s in simples if lat.le(s, t)}
+            yield ("a point lies inside the sum of the simples it excludes",
+                   {"point": _describe(l_sub)})
+        inside_nbhd = {x for x in simples if not lat.le(x, outside)}
+        inside_l = {x for x in simples if lat.le(x, t)}
         if inside_nbhd != inside_l:
-            return [Verdict(name, FAIL,
-                            "the canonical neighbourhood meets the wrong "
-                            "simples", {"point": _describe(l_sub)})]
-    return [Verdict(name, PASS,
-                    "each point has a neighbourhood meeting only its own "
-                    "simples (finiteness is automatic at this scale)")]
+            yield ("the canonical neighbourhood meets the wrong simples",
+                   {"point": _describe(l_sub)})
 
 
 # --- irreducibility of the whole space --------------------------------------------
 
-def _check_irreducible_coradical(a: InstanceAnalysis, ctx) -> list:
-    name = "irreducible-iff-coprime-coradical"
-    gaps = _standing_gaps(a)
-    if gaps:
-        return [_vacuous(name, gaps)]
+def _irreducible_setup(s):
+    a = s.a
     top = a.topology("full")
-    spec = a.spectrum
-    irreducible = is_irreducible_subset(top, top.space)
-    corad = spec.cpcorad
-    coprime = False
-    if not corad.is_zero():
-        coprime, _ = is_fully_coprime(a.m, corad, a.lattice, a.endo,
-                                      a.coproducts)
-    if irreducible == coprime:
-        detail = ("space irreducible and CPcorad fully coprime"
-                  if irreducible else
-                  "space reducible and CPcorad not fully coprime")
-        if not spec.cpspec:
-            detail = "empty spectrum: both sides are false"
-        return [Verdict(name, PASS, detail)]
-    return [Verdict(name, FAIL, "irreducibility disagrees with the "
-                                "coradical",
-                    {"irreducible": irreducible,
-                     "cpcorad": _describe(corad)})]
+    s.irreducible = is_irreducible_subset(top, top.space)
+    s.coprime = False
+    if not a.spectrum.cpcorad.is_zero():
+        s.coprime, _ = is_fully_coprime(a.m, a.spectrum.cpcorad, a.lattice,
+                                        a.endo, a.coproducts)
+
+
+def _irreducible_iff_coprime(s):
+    if s.irreducible != s.coprime:
+        yield {"irreducible": s.irreducible,
+               "cpcorad": _describe(s.a.spectrum.cpcorad)}
+
+
+def _irreducible_detail(s):
+    if not s.a.spectrum.cpspec:
+        return "empty spectrum: both sides are false"
+    return ("space irreducible and CPcorad fully coprime" if s.irreducible
+            else "space reducible and CPcorad not fully coprime")
 
 
 # --- subdirect irreducibility and connectivity -------------------------------------
 
-def _check_subdirect_topology(a: InstanceAnalysis, ctx) -> list:
-    name = "subdirect-irreducibility-topology"
-    gaps = _standing_gaps(a)
-    if gaps:
-        return [_vacuous(f"{name}-{i}", gaps) for i in (1, 2)]
-    top = a.topology("full")
-    p = a.predicates
-    out = []
-    nonempty = [c for c in top.closed if c]
+def _closed_sets_meet(s):
+    si = s.a.predicates.subdirectly_irreducible
+    nonempty = [c for c in s.a.topology("full").closed if c]
     pairwise = all(c1 & c2 for c1 in nonempty for c2 in nonempty)
-    if p.subdirectly_irreducible == pairwise:
-        out.append(Verdict(f"{name}-1", PASS,
-                           "subdirect irreducibility matches pairwise "
-                           "meeting of closed sets"))
-    else:
+    if si != pairwise:
         c1, c2 = next((x, y) for x in nonempty for y in nonempty
                       if not (x & y)) if not pairwise else (None, None)
-        out.append(Verdict(f"{name}-1", FAIL,
-                           "closed-set intersections disagree with "
-                           "subdirect irreducibility",
-                           {"subdirectly_irreducible":
-                            p.subdirectly_irreducible,
-                            "disjoint_closed": None if c1 is None else
-                            [sorted(c1), sorted(c2)]}))
+        yield {"subdirectly_irreducible": si,
+               "disjoint_closed": None if c1 is None else
+               [sorted(c1), sorted(c2)]}
 
+
+def _connectivity(s):
+    si = s.a.predicates.subdirectly_irreducible
+    top = s.a.topology("full")
     connected = is_connected_subset(top, top.space)
-    forward_ok = (not p.subdirectly_irreducible) or connected
-    discrete_case = _keyset(a.spectrum.cpspec) == _keyset(a.socle.simples)
-    backward_ok = (not (connected and discrete_case)) or \
-        p.subdirectly_irreducible
-    if forward_ok and backward_ok:
-        out.append(Verdict(f"{name}-2", PASS,
-                           "subdirect irreducibility forces connectivity, "
-                           "with the converse on a simple spectrum"))
-    else:
-        out.append(Verdict(f"{name}-2", FAIL,
-                           "connectivity transfer fails",
-                           {"subdirectly_irreducible":
-                            p.subdirectly_irreducible,
-                            "connected": connected,
-                            "spectrum_is_socle": discrete_case}))
-    return out
+    discrete_case = _keyset(s.a.spectrum.cpspec) == _keyset(s.a.socle.simples)
+    if (si and not connected) or (connected and discrete_case and not si):
+        yield {"subdirectly_irreducible": si, "connected": connected,
+               "spectrum_is_socle": discrete_case}
 
 
 # --- point varieties and components -------------------------------------------------
 
-def _check_point_varieties(a: InstanceAnalysis, ctx) -> list:
-    name = "point-varieties-irreducible"
-    gaps = _standing_gaps(a)
-    if gaps:
-        return [_vacuous(f"{name}-{i}", gaps) for i in (1, 2)]
-    top = a.topology("full")
-    out = []
-    witness = None
+def _point_varieties(s):
+    top = s.a.topology("full")
     for k in top.points:
         if not is_irreducible_subset(top, top.v_of(k)):
-            witness = {"point": _describe(k)}
-            break
-    out.append(Verdict(f"{name}-1", FAIL, "a point variety is reducible",
-                       witness)
-               if witness else
-               Verdict(f"{name}-1", PASS, "every point variety is "
-                                          "irreducible"))
+            yield {"point": _describe(k)}
 
-    witness = None
-    lat = a.lattice
+
+def _components(s):
+    top, lat = s.a.topology("full"), s.a.lattice
     for comp in irreducible_components(top):
         l_sub = top.phi(comp)
         if top.position(l_sub) is None:
-            witness = {"component": sorted(comp), "sum": _describe(l_sub),
-                       "problem": "component sum is not a spectrum point"}
-            break
+            yield {"component": sorted(comp), "sum": _describe(l_sub),
+                   "problem": "component sum is not a spectrum point"}
         t = lat.index_of(l_sub)
         if any(p != t and lat.le(t, p) for p in top.point_index):
-            witness = {"component": sorted(comp), "sum": _describe(l_sub),
-                       "problem": "component sum is not maximal"}
-            break
-    out.append(Verdict(f"{name}-2", FAIL, "component description fails",
-                       witness)
-               if witness else
-               Verdict(f"{name}-2", PASS,
-                       "components are varieties of maximal points"))
-    return out
+            yield {"component": sorted(comp), "sum": _describe(l_sub),
+                   "problem": "component sum is not maximal"}
 
 
 # --- comparability inside connected subsets ------------------------------------------
@@ -1062,209 +842,142 @@ def _subsets_upto(space, cap):
             stack.append((i + 1, chosen + [items[i]]))
 
 
-def _check_connected_comparable(a: InstanceAnalysis, ctx) -> list:
-    name = "connected-subsets-comparable"
-    gaps = _standing_gaps(a)
-    if gaps:
-        return [_vacuous(name, gaps)]
-    top = a.topology("full")
-    lat, index = a.lattice, top.point_index
-    for subset in _subsets_upto(top.space, ctx.subset_cap):
+def _isolated_members(s):
+    top, lat = s.a.topology("full"), s.a.lattice
+    index = top.point_index
+    for subset in _subsets_upto(top.space, s.ctx.subset_cap):
         if not is_connected_subset(top, subset):
             continue
         for i in subset:
             if not any(lat.le(index[j], index[i]) or lat.le(index[i], index[j])
                        for j in subset if j != i):
-                return [Verdict(name, FAIL,
-                                "an isolated member of a connected subset",
-                                {"subset": sorted(subset),
-                                 "member": _describe(top.points[i])})]
-    return [Verdict(name, PASS,
-                    "members of connected subsets (size <= %d) are pairwise "
-                    "linked by inclusion" % ctx.subset_cap)]
+                yield {"subset": sorted(subset),
+                       "member": _describe(top.points[i])}
 
 
 # --- closures through the sum of points -----------------------------------------------
 
-def _check_closure_formula(a: InstanceAnalysis, ctx) -> list:
-    name = "closure-formula"
-    gaps = _standing_gaps(a)
-    if gaps:
-        return [_vacuous(name, gaps)]
-    top = a.topology("full")
-    candidates = list(_subsets_upto(top.space, ctx.subset_cap))
+def _closures(s):
+    top = s.a.topology("full")
+    candidates = list(_subsets_upto(top.space, s.ctx.subset_cap))
     candidates.extend(frozenset({i}) for i in top.space)
     candidates.append(frozenset())
     candidates.extend(top.closed)
     for subset in candidates:
         expected = top.v_of(top.phi(subset))
         if top.closure(subset) != expected:
-            return [Verdict(name, FAIL,
-                            "closure differs from the variety of the sum",
-                            {"subset": sorted(subset),
-                             "closure": sorted(top.closure(subset)),
-                             "variety_of_sum": sorted(expected)})]
-    return [Verdict(name, PASS,
-                    "closures are varieties of the summed points")]
+            yield {"subset": sorted(subset),
+                   "closure": sorted(top.closure(subset)),
+                   "variety_of_sum": sorted(expected)}
 
 
 # --- closed sets against coradical-fixed parts ------------------------------------------
 
-def _check_closed_bijection(a: InstanceAnalysis, ctx) -> list:
-    name = "closed-set-bijection"
-    gaps = _standing_gaps(a)
-    if gaps:
-        return [_vacuous(f"{name}-{i}", gaps) for i in (1, 2)]
-    top = a.topology("full")
-    fixed = a.e_set()
-    out = []
+def _fixed_setup(s):
+    s.fixed = s.a.e_set()
 
-    witness = None
+
+def _closed_sets_biject(s):
+    top, fixed = s.a.topology("full"), s.fixed
     fixed_keys = _keyset(fixed)
     for c in top.closed:
         l_sub = top.phi(c)
         if l_sub.key() not in fixed_keys:
-            witness = {"closed": sorted(c), "sum": _describe(l_sub),
-                       "problem": "sum of a closed set is not "
-                                  "coradical-fixed"}
-            break
+            yield {"closed": sorted(c), "sum": _describe(l_sub),
+                   "problem": "sum of a closed set is not coradical-fixed"}
         if top.v_of(l_sub) != c:
-            witness = {"closed": sorted(c), "sum": _describe(l_sub),
-                       "problem": "variety does not recover the closed set"}
-            break
-    if witness is None:
-        for l_sub in fixed:
-            if top.phi(top.v_of(l_sub)) != l_sub:
-                witness = {"l": _describe(l_sub),
-                           "problem": "sum over the variety does not "
-                                      "recover L"}
-                break
-        if witness is None and len(fixed) != len(top.closed):
-            witness = {"closed_count": len(top.closed),
-                       "fixed_count": len(fixed),
-                       "problem": "cardinalities differ"}
-    out.append(Verdict(f"{name}-1", FAIL, "closed sets do not biject with "
-                                          "coradical-fixed parts", witness)
-               if witness else
-               Verdict(f"{name}-1", PASS,
-                       "closed sets biject with the parts equal to their own "
-                       "coprime coradical"))
+            yield {"closed": sorted(c), "sum": _describe(l_sub),
+                   "problem": "variety does not recover the closed set"}
+    for l_sub in fixed:
+        if top.phi(top.v_of(l_sub)) != l_sub:
+            yield {"l": _describe(l_sub),
+                   "problem": "sum over the variety does not recover L"}
+    if len(fixed) != len(top.closed):
+        yield {"closed_count": len(top.closed), "fixed_count": len(fixed),
+               "problem": "cardinalities differ"}
 
-    if not a.predicates.self_cogenerator:
-        out.append(_vacuous(f"{name}-2", ["self-cogenerator"]))
-        return out
-    nonzero_fixed = {l.key() for l in fixed if not l.is_zero()}
-    csp = _keyset(a.spectrum.csp)
-    if nonzero_fixed == csp:
-        out.append(Verdict(f"{name}-2", PASS,
-                           "nonzero coradical-fixed parts are exactly the "
-                           "fully cosemiprime members"))
-    else:
-        sample = next(iter(nonzero_fixed ^ csp))
-        out.append(Verdict(f"{name}-2", FAIL,
-                           "coradical-fixed parts differ from the "
-                           "cosemiprime class",
-                           {"fixed_count": len(nonzero_fixed),
-                            "cosemiprime_count": len(csp),
-                            "disagreeing_key_dim": sample[0]}))
-    return out
+
+def _fixed_parts_cosemiprime(s):
+    nonzero_fixed = {l.key() for l in s.fixed if not l.is_zero()}
+    csp = _keyset(s.a.spectrum.csp)
+    if nonzero_fixed != csp:
+        differ = nonzero_fixed ^ csp
+        member = next(l for l in s.a.lattice.elements if l.key() in differ)
+        yield {"fixed_count": len(nonzero_fixed),
+               "cosemiprime_count": len(csp),
+               "disagreeing": _describe(member)}
 
 
 # --- the centralizer morphism into the endomorphism ring --------------------------------
 
-def _check_centralizer_central(a: InstanceAnalysis, ctx) -> list:
-    name = "centralizer-image-central"
+def _centralizer_setup(s):
     try:
-        cen = centralizer(a.m)
+        s.cen = centralizer(s.a.m)
     except CoalgebraMismatch:
-        return [_vacuous(name, ["matching left and right coalgebras"])]
-    endo = a.endo
-    dual = cen.dual
+        s.cen = None
+
+
+def _central_action(s):
+    cen, m, endo = s.cen, s.a.m, s.a.endo
+    fmt = s.a.field.format_scalar
     if not cen.contains_counit():
-        return [Verdict(name, FAIL, "the counit is not centralizing",
-                        {"centralizer_dim": cen.dim})]
+        yield ("the counit is not centralizing", {"centralizer_dim": cen.dim})
     if not cen.closed_under_convolution():
-        return [Verdict(name, FAIL,
-                        "centralizer is not convolution closed",
-                        {"centralizer_dim": cen.dim})]
-    for f in cen.basis():
-        mat_f = phi_matrix(a.m, f)
+        yield ("centralizer is not convolution closed",
+               {"centralizer_dim": cen.dim})
+    basis = cen.basis()
+    mats = [phi_matrix(m, f) for f in basis]
+    for f, mat_f in zip(basis, mats):
         if not endo.contains_matrix(mat_f):
-            return [Verdict(name, FAIL,
-                            "a centralizing functional does not act "
-                            "bicolinearly", {"f": list(map(
-                                a.field.format_scalar, f))})]
-        for g in cen.basis():
-            lhs = phi_matrix(a.m, dual.multiply(f, g))
-            if lhs != phi_matrix(a.m, f) @ phi_matrix(a.m, g):
-                return [Verdict(name, FAIL,
-                                "the action does not respect convolution",
-                                {"f": list(map(a.field.format_scalar, f)),
-                                 "g": list(map(a.field.format_scalar, g))})]
+            yield ("a centralizing functional does not act bicolinearly",
+                   {"f": list(map(fmt, f))})
+        for g, mat_g in zip(basis, mats):
+            if phi_matrix(m, cen.dual.multiply(f, g)) != mat_f @ mat_g:
+                yield ("the action does not respect convolution",
+                       {"f": list(map(fmt, f)), "g": list(map(fmt, g))})
         for basis_mat in endo.basis:
             if mat_f @ basis_mat != basis_mat @ mat_f:
-                return [Verdict(name, FAIL,
-                                "the image is not central",
-                                {"f": list(map(a.field.format_scalar, f))})]
-    return [Verdict(name, PASS,
-                    "centralizer acts through central bicolinear "
-                    "endomorphisms, multiplicatively")]
+                yield "the image is not central", {"f": list(map(fmt, f))}
 
 
 # --- regular instances: centralizer equals all endomorphisms -----------------------------
 
-def _check_regular_endomorphisms(a: InstanceAnalysis, ctx) -> list:
-    name = "regular-endomorphisms-centralizer"
-    if a.m.regular_of is None:
-        return [_vacuous(name, ["a coalgebra viewed as its own bicomodule"])]
-    cen = centralizer(a.m)
-    endo = a.endo
-    counit = a.m.right.counit
+def _regular_endomorphisms(s):
+    a = s.a
+    cen, endo = centralizer(a.m), a.endo
+    field, n, counit = a.field, a.m.dim, a.m.right.counit
     if cen.dim != endo.dim:
-        return [Verdict(name, FAIL,
-                        "centralizer and endomorphism dimensions differ",
-                        {"centralizer_dim": cen.dim, "endo_dim": endo.dim})]
-    field, n = a.field, a.m.dim
+        yield ("centralizer and endomorphism dimensions differ",
+               {"centralizer_dim": cen.dim, "endo_dim": endo.dim})
     for f in cen.basis():
         mat = phi_matrix(a.m, f)
-        back = tuple(
-            _apply_counit(field, counit, mat, i) for i in range(n))
+        back = tuple(_apply_counit(field, counit, mat, i) for i in range(n))
         if back != tuple(f):
-            return [Verdict(name, FAIL,
-                            "counit composition does not invert the action",
-                            {"f": list(map(field.format_scalar, f))})]
+            yield ("counit composition does not invert the action",
+                   {"f": list(map(field.format_scalar, f))})
     for g_mat in endo.basis:
         f = tuple(_apply_counit(field, counit, g_mat, i) for i in range(n))
         if not cen.subspace.contains_vector(f):
-            return [Verdict(name, FAIL,
-                            "counit composition leaves the centralizer",
-                            {"g": [list(map(field.format_scalar, row))
-                                   for row in g_mat.data]})]
+            yield ("counit composition leaves the centralizer",
+                   _matrix_witness(field, g_mat))
         if phi_matrix(a.m, f) != g_mat:
-            return [Verdict(name, FAIL,
-                            "the action does not invert counit composition",
-                            {"g": [list(map(field.format_scalar, row))
-                                   for row in g_mat.data]})]
-    if not endo.is_commutative():
-        pair = None
-        units = coordinate_vectors(field, endo.dim)
-        for x in units:
-            for y in units:
-                if endo.multiply(x, y) != endo.multiply(y, x):
-                    pair = (x, y)
-                    break
-            if pair:
-                break
-        return [Verdict(name, FAIL,
-                        "regular endomorphism ring is not commutative",
-                        {"pair": [list(p) for p in pair]})]
+            yield ("the action does not invert counit composition",
+                   _matrix_witness(field, g_mat))
+    # Unit pairs x_i, x_j with i < j suffice: a non-commuting pair (i, j)
+    # with j < i is preceded by (j, i), and x_i commutes with itself.
+    units = coordinate_vectors(field, endo.dim)
+    for i, x in enumerate(units):
+        for y in units[i + 1:]:
+            if endo.multiply(x, y) != endo.multiply(y, x):
+                yield ("regular endomorphism ring is not commutative",
+                       {"pair": [list(x), list(y)]})
     if not a.predicates.duo:
         bad = next(l for l in a.lattice.elements if not a.lattice.is_fi(l))
-        return [Verdict(name, FAIL, "regular instance is not duo",
-                        {"l": _describe(bad)})]
-    return [Verdict(name, PASS,
-                    "counit composition inverts the centralizer action; the "
-                    "ring is commutative and the instance duo")]
+        yield "regular instance is not duo", {"l": _describe(bad)}
+
+
+def _matrix_witness(field, mat: Matrix):
+    return {"g": [list(map(field.format_scalar, row)) for row in mat.data]}
 
 
 def _apply_counit(field, counit, mat: Matrix, col: int):
@@ -1277,14 +990,168 @@ def _apply_counit(field, counit, mat: Matrix, col: int):
 
 # --- spectral maps of coalgebra morphisms --------------------------------------------------
 
-def _check_morphism_statement(a: InstanceAnalysis, ctx) -> list:
-    name = "morphism-spectral-map"
+def _comodule_forms(s, theta: CoalgebraMorphism, mode, budget, ideal_budget,
+                    seed, source=None, target=None):
+    """Analyze both coalgebras of theta in their one-sided comodule forms,
+    unless prebuilt analyses are given, into the morphism state s."""
+    from .catalog import right_comodule
+
+    def form(coalgebra):
+        return analyze(right_comodule(coalgebra), mode=mode, budget=budget,
+                       ideal_budget=ideal_budget, seed=seed)
+
+    theta.require_valid()
+    if source is None:
+        source = form(theta.source)
+    if target is None:
+        target = source if theta.target == theta.source else form(theta.target)
+    s.theta, s.source, s.target = theta, source, target
+    s.ps, s.pt = source.predicates, target.predicates
+
+
+def _morphism_gaps(s):
+    return _unmet(s, "source intrinsically injective",
+                  "source self-cogenerator", "target self-cogenerator")
+
+
+def _identity_morphism_gaps(s):
+    """The identity morphism of a coalgebra instance, gated as
+    `morphism_checks` gates any morphism."""
+    a = s.a
     if a.m.regular_of is None:
-        return [_vacuous(name, ["a coalgebra instance to build the identity "
-                                "morphism on"])]
-    theta = identity_morphism(a.m.regular_of)
-    return morphism_checks(theta, mode=a.mode, budget=a.budget,
-                           ideal_budget=a.ideal_budget, seed=a.seed)
+        return ["a coalgebra instance to build the identity morphism on"]
+    _comodule_forms(s, identity_morphism(a.m.regular_of), a.mode, a.budget,
+                    a.ideal_budget, a.seed)
+    return _morphism_gaps(s)
+
+
+def _morphism_setup(s):
+    theta, source, target = s.theta, s.source, s.target
+    s.injective = theta.is_injective()
+    s.src_points, s.tgt_points = source.spectrum.cpspec, target.spectrum.cpspec
+    s.images = [image_subspace(theta, k) for k in s.src_points]
+    s.tgt_position = {k.key(): j for j, k in enumerate(s.tgt_points)}
+    s.defined = all(img.key() in s.tgt_position for img in s.images)
+    s.corad_image = image_subspace(theta, source.spectrum.cpcorad)
+    s.route_a = s.injective and s.pt.self_injective
+    s.fi_map = None
+
+
+def _points_are_preimages(s):
+    preimage_keys = {preimage(s.theta.matrix, k).key() for k in s.tgt_points}
+    return all(k.key() in preimage_keys for k in s.src_points)
+
+
+def _fi_map(s):
+    """The induced map on fully invariant topologies, built at most once."""
+    if s.fi_map is None:
+        s.fi_map = spectral_map(s.theta, s.source.topology("fi"),
+                                s.target.topology("fi"))
+    return s.fi_map
+
+
+def _closed_images(s, index_map):
+    target = s.target.topology("fi")
+    for closed in s.source.topology("fi").closed:
+        img = frozenset(index_map[i] for i in closed)
+        if not target.is_closed(img):
+            yield {"closed": sorted(closed), "image": sorted(img)}
+
+
+def _dual_ring_route(s):
+    """Point maps need an injective map into a self-injective target, or a
+    right-duo source dual ring, which needs ideal enumeration to decide."""
+    if not s.route_a and s.ps.e_right_duo is None:
+        return (UNSUPPORTED, "needs a right-duo source dual ring, "
+                             "undecidable here: " + _ideal_excuse(s.source))
+    return None
+
+
+def _points_to_points(s):
+    if not s.defined:
+        bad = next(i for i, img in enumerate(s.images)
+                   if img.key() not in s.tgt_position)
+        yield {"point": _describe(s.src_points[bad]),
+               "image": _describe(s.images[bad])}
+    elif not s.corad_image.is_zero() and \
+            not s.target.spectrum.cpcorad.contains(s.corad_image):
+        yield {"corad_image": _describe(s.corad_image)}
+
+
+def _full_map_continuous(s):
+    report = spectral_map(s.theta, s.source.topology("full"),
+                          s.target.topology("full"))
+    if not (report.defined and report.continuous):
+        yield report.to_dict()
+
+
+def _point_map_injective(s):
+    index_map = [s.tgt_position[img.key()] for img in s.images]
+    if len(set(index_map)) != len(index_map):
+        dup = next(j for j in index_map if index_map.count(j) > 1)
+        pair = [i for i, j in enumerate(index_map) if j == dup][:2]
+        yield {"first": _describe(s.src_points[pair[0]]),
+               "second": _describe(s.src_points[pair[1]])}
+
+
+def _fi_map_open_closed(s):
+    report = _fi_map(s)
+    if not (report.defined and report.continuous):
+        yield report.to_dict()
+    elif report.index_map is not None and \
+            set(report.index_map) == set(range(len(s.tgt_points))):
+        yield from _closed_images(s, report.index_map)
+        target = s.target.topology("fi")
+        for o in s.source.topology("fi").open_sets():
+            img = frozenset(report.index_map[i] for i in o)
+            if not target.is_open(img):
+                yield {"open": sorted(o), "image": sorted(img)}
+
+
+def _isomorphism_transport(s):
+    report = _fi_map(s)
+    source, target = s.source.spectrum, s.target.spectrum
+    if not (report.defined and report.continuous):
+        yield report.to_dict()
+    elif report.index_map is None or \
+            sorted(report.index_map) != list(range(len(s.tgt_points))):
+        yield {"index_map": list(report.index_map or [])}
+    else:
+        yield from _closed_images(s, report.index_map)
+        if s.corad_image != target.cpcorad:
+            yield {"corad_image": _describe(s.corad_image),
+                   "target_corad": _describe(target.cpcorad)}
+        elif _keyset(image_subspace(s.theta, k) for k in source.csp) != \
+                _keyset(target.csp):
+            yield {"problem": "cosemiprime classes do not correspond"}
+
+
+_MORPHISM = _Family(gate=_morphism_gaps, setup=_morphism_setup, parts=(
+    _Part("morphism-spectral-map-1", _points_to_points,
+          "spectrum points map to spectrum points and the coradical image "
+          "stays inside the coradical",
+          "points do not map to points",
+          gates=(_dual_ring_route,
+                 _needs("injective into self-injective, or right-duo source "
+                        "dual ring"))),
+    _Part("morphism-spectral-map-2", _full_map_continuous,
+          "induced map on full topologies is continuous",
+          "induced map on full topologies misbehaves",
+          gates=(_needs("source duo", "target duo"),)),
+    _Part("morphism-spectral-map-3", _point_map_injective,
+          "the point map is injective", "two points share an image",
+          gates=(_needs("a well-defined point map"),
+                 _needs("every source point a preimage of a target point"))),
+    _Part("morphism-spectral-map-4", _fi_map_open_closed,
+          "continuous on the fully invariant flavor, open and closed when "
+          "surjective",
+          "restricted-flavor continuity or openness fails",
+          gates=(_needs("injective morphism", "self-injective target"),)),
+    _Part("morphism-spectral-map-5", _isomorphism_transport,
+          "isomorphisms give homeomorphisms and transport the coradical",
+          "an isomorphism fails to transport the space",
+          gates=(_needs("an isomorphism"),)),
+))
 
 
 def morphism_checks(theta: CoalgebraMorphism, mode: str = "exhaustive",
@@ -1297,167 +1164,9 @@ def morphism_checks(theta: CoalgebraMorphism, mode: str = "exhaustive",
     subbicomodules are right coideals and the fully invariant ones are the
     two-sided coideals.  `source`/`target` allow sharing prebuilt analyses.
     """
-    from .catalog import right_comodule
-    name = "morphism-spectral-map"
-    theta.require_valid()
-    if source is None:
-        source = analyze(right_comodule(theta.source), mode=mode,
-                         budget=budget, ideal_budget=ideal_budget, seed=seed)
-    if target is None:
-        if theta.target == theta.source:
-            target = source
-        else:
-            target = analyze(right_comodule(theta.target), mode=mode,
-                             budget=budget, ideal_budget=ideal_budget,
-                             seed=seed)
-    ps, pt = source.predicates, target.predicates
-    base_gaps = [g for g, v in (
-        ("source intrinsically injective", ps.intrinsically_injective),
-        ("source self-cogenerator", ps.self_cogenerator),
-        ("target self-cogenerator", pt.self_cogenerator)) if not v]
-    if base_gaps:
-        return [_vacuous(f"{name}-{i}", base_gaps) for i in (1, 2, 3, 4, 5)]
-    out = []
-    injective = theta.is_injective()
-    src_points = source.spectrum.cpspec
-    tgt_points = target.spectrum.cpspec
-    images = [image_subspace(theta, k) for k in src_points]
-    tgt_position = {k.key(): j for j, k in enumerate(tgt_points)}
-    defined = all(img.key() in tgt_position for img in images)
-
-    route_a = injective and pt.self_injective
-    route_b = ps.e_right_duo
-    if not route_a and route_b is None:
-        out.append(Verdict(f"{name}-1", UNSUPPORTED,
-                           "needs a right-duo source dual ring, undecidable "
-                           "here: " + _ideal_excuse(source)))
-    elif not route_a and not route_b:
-        out.append(_vacuous(f"{name}-1",
-                            ["injective into self-injective, or right-duo "
-                             "source dual ring"]))
-    else:
-        witness = None
-        if not defined:
-            bad = next(i for i, img in enumerate(images)
-                       if img.key() not in tgt_position)
-            witness = {"point": _describe(src_points[bad]),
-                       "image": _describe(images[bad])}
-        elif not image_subspace(theta, source.spectrum.cpcorad).is_zero() \
-                and not target.spectrum.cpcorad.contains(
-                    image_subspace(theta, source.spectrum.cpcorad)):
-            witness = {"corad_image": _describe(
-                image_subspace(theta, source.spectrum.cpcorad))}
-        out.append(Verdict(f"{name}-1", FAIL,
-                           "points do not map to points", witness)
-                   if witness else
-                   Verdict(f"{name}-1", PASS,
-                           "spectrum points map to spectrum points and the "
-                           "coradical image stays inside the coradical"))
-
-    if not (ps.duo and pt.duo):
-        gaps = [g for g, v in (("source duo", ps.duo),
-                               ("target duo", pt.duo)) if not v]
-        out.append(_vacuous(f"{name}-2", gaps))
-    else:
-        report = spectral_map(theta, source.topology("full"),
-                              target.topology("full"))
-        out.append(Verdict(f"{name}-2", PASS,
-                           "induced map on full topologies is continuous")
-                   if report.defined and report.continuous else
-                   Verdict(f"{name}-2", FAIL,
-                           "induced map on full topologies misbehaves",
-                           report.to_dict()))
-
-    preimage_keys = {preimage(theta.matrix, k).key() for k in tgt_points}
-    all_preimages = all(k.key() in preimage_keys for k in src_points)
-    if not defined:
-        out.append(_vacuous(f"{name}-3", ["a well-defined point map"]))
-    elif not all_preimages:
-        out.append(_vacuous(f"{name}-3",
-                            ["every source point a preimage of a target "
-                             "point"]))
-    else:
-        index_map = [tgt_position[img.key()] for img in images]
-        if len(set(index_map)) == len(index_map):
-            out.append(Verdict(f"{name}-3", PASS, "the point map is "
-                                                  "injective"))
-        else:
-            dup = next(j for j in index_map if index_map.count(j) > 1)
-            pair = [i for i, j in enumerate(index_map) if j == dup][:2]
-            out.append(Verdict(f"{name}-3", FAIL,
-                               "two points share an image",
-                               {"first": _describe(src_points[pair[0]]),
-                                "second": _describe(src_points[pair[1]])}))
-
-    if not (injective and pt.self_injective):
-        gaps = [g for g, v in (
-            ("injective morphism", injective),
-            ("self-injective target", pt.self_injective)) if not v]
-        out.append(_vacuous(f"{name}-4", gaps))
-    else:
-        report = spectral_map(theta, source.topology("fi"),
-                              target.topology("fi"))
-        witness = None
-        if not (report.defined and report.continuous):
-            witness = report.to_dict()
-        elif report.index_map is not None and \
-                set(report.index_map) == set(range(len(tgt_points))):
-            for closed in source.topology("fi").closed:
-                img = frozenset(report.index_map[i] for i in closed)
-                if not target.topology("fi").is_closed(img):
-                    witness = {"closed": sorted(closed),
-                               "image": sorted(img)}
-                    break
-            if witness is None:
-                for o in source.topology("fi").open_sets():
-                    img = frozenset(report.index_map[i] for i in o)
-                    if not target.topology("fi").is_open(img):
-                        witness = {"open": sorted(o), "image": sorted(img)}
-                        break
-        out.append(Verdict(f"{name}-4", FAIL,
-                           "restricted-flavor continuity or openness fails",
-                           witness)
-                   if witness else
-                   Verdict(f"{name}-4", PASS,
-                           "continuous on the fully invariant flavor, open "
-                           "and closed when surjective"))
-
-    if not theta.is_bijective():
-        out.append(_vacuous(f"{name}-5", ["an isomorphism"]))
-        return out
-    report = spectral_map(theta, source.topology("fi"),
-                          target.topology("fi"))
-    witness = None
-    if not (report.defined and report.continuous):
-        witness = report.to_dict()
-    elif report.index_map is None or \
-            sorted(report.index_map) != list(range(len(tgt_points))):
-        witness = {"index_map": list(report.index_map or [])}
-    else:
-        for closed in source.topology("fi").closed:
-            img = frozenset(report.index_map[i] for i in closed)
-            if not target.topology("fi").is_closed(img):
-                witness = {"closed": sorted(closed), "image": sorted(img)}
-                break
-        if witness is None:
-            corad_img = image_subspace(theta, source.spectrum.cpcorad)
-            if corad_img != target.spectrum.cpcorad:
-                witness = {"corad_image": _describe(corad_img),
-                           "target_corad": _describe(
-                               target.spectrum.cpcorad)}
-            elif _keyset(image_subspace(theta, k)
-                         for k in source.spectrum.csp) != \
-                    _keyset(target.spectrum.csp):
-                witness = {"problem": "cosemiprime classes do not "
-                                      "correspond"}
-    out.append(Verdict(f"{name}-5", FAIL,
-                       "an isomorphism fails to transport the space",
-                       witness)
-               if witness else
-               Verdict(f"{name}-5", PASS,
-                       "isomorphisms give homeomorphisms and transport the "
-                       "coradical"))
-    return out
+    s = SimpleNamespace()
+    _comodule_forms(s, theta, mode, budget, ideal_budget, seed, source, target)
+    return _run(_MORPHISM, s)
 
 
 # --- registry ---------------------------------------------------------------------
@@ -1468,50 +1177,257 @@ class CheckContext:
     seed: int = 0
 
 
-_REGISTRY = {
-    "annihilator-kernel-galois": _check_an_ke_galois,
-    "duo-transfer": _check_duo_transfer,
-    "coproduct-annihilator-kernel-bound": _check_coproduct_bound,
-    "prime-radical-correspondence": _check_prime_radical,
-    "spectrum-restriction": _check_spectrum_restriction,
-    "minimal-coprime-members": _check_minimal_members,
-    "essential-coradical": _check_essential_coradical,
-    "variety-identities": _check_variety_identities,
-    "topology-axioms": _check_topology_axioms,
-    "simple-point-characterization": _check_simple_points,
-    "separation-equivalences": _check_separation,
-    "prime-maximal-discreteness": _check_prime_maximal,
-    "finite-compactness": _check_compactness,
-    "locally-finite-simples": _check_locally_finite,
-    "irreducible-iff-coprime-coradical": _check_irreducible_coradical,
-    "subdirect-irreducibility-topology": _check_subdirect_topology,
-    "point-varieties-irreducible": _check_point_varieties,
-    "connected-subsets-comparable": _check_connected_comparable,
-    "closure-formula": _check_closure_formula,
-    "closed-set-bijection": _check_closed_bijection,
-    "centralizer-image-central": _check_centralizer_central,
-    "regular-endomorphisms-centralizer": _check_regular_endomorphisms,
-    "morphism-spectral-map": _check_morphism_statement,
+_FAMILIES = {
+    "annihilator-kernel-galois": _Family(setup=_galois_setup, parts=(
+        _Part("annihilator-kernel-galois-1", _galois_pair,
+              "antitone maps, right/two-sided ideal classes, and both unit "
+              "inclusions hold",
+              "Galois pair defect"),
+        _Part("annihilator-kernel-galois-2", _galois_fixed_points,
+              "Ke(An(K)) = K exactly when M/K is cogenerated",
+              "fixed points of Ke(An(-)) differ from cogenerated quotients"),
+        _Part("annihilator-kernel-galois-3", _galois_injective,
+              _sampled("An is a lattice anti-morphism and AnKe fixes right "
+                       "ideals", "ideal side"),
+              "self-injective consequences fail",
+              gates=(_needs("self-injective"),)),
+    )),
+    "duo-transfer": _Family(parts=(
+        _Part("duo-transfer-1", _duo_from_right_duo_ring,
+              "self-cogenerator with right-duo endomorphisms is duo",
+              "expected a duo instance",
+              gates=(_needs("self-cogenerator"), _ideals(_right_duo_decided),
+                     _needs("right-duo endomorphism ring"))),
+        _Part("duo-transfer-2", _right_duo_ring,
+              _sampled("duo and intrinsically injective forces a right-duo "
+                       "ring", "intrinsic injectivity"),
+              "endomorphism ring is not right-duo",
+              gates=(_needs("intrinsically injective", "duo"),
+                     _ideals(_right_duo_decided))),
+        _Part("duo-transfer-3", _duo_parts,
+              "every fully invariant part is duo on its own",
+              "a fully invariant part is not duo on its own",
+              gates=(_needs("self-injective", "duo"),)),
+    )),
+    "coproduct-annihilator-kernel-bound": _Family(setup=_bound_setup, parts=(
+        _Part("coproduct-annihilator-kernel-bound-1", _coproduct_basics,
+              "coproducts are monotone subbicomodules containing their "
+              "arguments",
+              "coproduct basics fail"),
+        _Part("coproduct-annihilator-kernel-bound-2", _bound_escapes,
+              "(X : Y) always sits inside Ke(An(X) An(Y))",
+              "(X : Y) escapes Ke(An(X) An(Y))"),
+        _Part("coproduct-annihilator-kernel-bound-3", _bound_equality,
+              "(X : Y) = Ke(An(X) An(Y)) for subbicomodule Y",
+              "equality with the kernel of the ideal product fails",
+              gates=(_needs("self-cogenerator"),)),
+    )),
+    "prime-radical-correspondence": _Family(
+        gate=lambda s: _unmet(s, "self-cogenerator"), setup=_radical_setup,
+        parts=(
+            _Part("prime-radical-correspondence-1", _annihilators_coprime,
+                  "prime (semiprime) annihilators give fully coprime "
+                  "(cosemiprime) members",
+                  gates=(_ideals(lambda s: s.ideals.ideal_support),)),
+            _Part("prime-radical-correspondence-2",
+                  _spectrum_annihilators_prime,
+                  "spectra and annihilator-prime classes coincide",
+                  "spectrum member without prime annihilator",
+                  gates=(_ideals(lambda s: s.ideals.ideal_support),
+                         _needs("intrinsically injective"))),
+            _Part("prime-radical-correspondence-3", _radical_matches_coradical,
+                  "prime radical matches An(CPcorad) and its kernel recovers "
+                  "CPcorad (ring is finite dimensional, hence Noetherian)",
+                  "prime radical does not match the coradical",
+                  gates=(_ideals(lambda s: s.ideals.radical_support),)),
+            _Part("prime-radical-correspondence-4",
+                  _cosemiprime_iff_full_coradical,
+                  "fully cosemiprime exactly when CPcorad is everything",
+                  "cosemiprimeness disagrees with the coradical"),
+        )),
+    "spectrum-restriction": _Family(parts=(
+        _Part("spectrum-restriction", _restricted_spectra,
+              "spectra and coradicals of fully invariant parts restrict from "
+              "the parent",
+              "standalone spectrum of a part differs from the cut-down parent "
+              "spectrum",
+              gates=(_needs("self-injective"),)),
+    )),
+    "minimal-coprime-members": _Family(parts=(
+        _Part("minimal-coprime-members-1", _simples_coprime_standalone,
+              "fully invariant simples are fully coprime standalone",
+              "a fully invariant simple is not fully coprime over itself"),
+        _Part("minimal-coprime-members-2", _simples_in_spectrum,
+              "fully invariant simples are spectrum points",
+              "fully invariant simple missing from the spectrum",
+              gates=(_needs("self-injective"),)),
+        _Part("minimal-coprime-members-3", _parts_contain_points,
+              "every nonzero fully invariant part contains a spectrum point",
+              "a nonzero fully invariant part contains no spectrum point",
+              gates=(_needs("self-injective"),
+                     _needs("Property S on the fully invariant lattice"))),
+    )),
+    "essential-coradical": _Family(parts=(
+        _Part("essential-coradical-1", _cyclic_spans,
+              "every vector generates a finite cyclic subbicomodule",
+              "cyclic span of a basis vector is not a lattice subbicomodule "
+              "containing it"),
+        _Part("essential-coradical-2", _simple_in_every_part,
+              _simple_in_every_part_detail),
+        _Part("essential-coradical-3", _coradical_essential,
+              "the coradical meets every nonzero part",
+              "coradical is not essential"),
+    )),
+    "variety-identities": _Family(parts=(
+        _Part("variety-identities-1", _variety_endpoints,
+              "the whole space opens nothing and zero opens everything",
+              "endpoint identities fail"),
+        _Part("variety-identities-2", _variety_sums_meets,
+              "sums shrink opens and meets union them",
+              "sum/meet inclusions fail"),
+        _Part("variety-identities-3", _variety_coproducts,
+              "opens of sums and coproducts agree on the fully invariant "
+              "lattice",
+              "fully invariant sum/coproduct identity fails"),
+    )),
+    "topology-axioms": _Family(parts=(
+        _Part("topology-axioms-1", _not_a_topology("fi"),
+              "fully invariant varieties close under union and intersection",
+              "fully invariant family is not a topology"),
+        _Part("topology-axioms-2", _not_a_topology("full"),
+              "duo instance is a top bicomodule",
+              "duo instance with non-topological variety family",
+              gates=(_duo_or_scan,)),
+    )),
+    "simple-point-characterization": _Family(
+        gate=_standing_gaps, parts=(
+            _Part("simple-point-characterization-1", _kolmogorov,
+                  "the space is Kolmogorov", "two points share all opens"),
+            _Part("simple-point-characterization-2", _basic_opens,
+                  "lattice opens form a basis",
+                  "opens are not unions of basic opens"),
+            _Part("simple-point-characterization-3", _pointwise,
+                  "simples are exactly the closed points and varieties empty "
+                  "or full behave as described",
+                  "pointwise description fails"),
+            _Part("simple-point-characterization-4", _embeddings_continuous,
+                  "embeddings of parts pull varieties back to varieties",
+                  "embedding of a part is not continuous"),
+            _Part("simple-point-characterization-5", None, gates=(
+                _cannot_fail("nothing is computed here: isomorphism "
+                             "transport is exercised by the morphism "
+                             "statement"),)),
+        )),
+    "separation-equivalences": _Family(
+        gate=_standing_gaps, setup=_separation_setup, parts=(
+            _Part("separation-equivalences", _separation_breaks,
+                  lambda s: "discreteness, Hausdorff, Frechet, and a simple "
+                            "spectrum are equivalent (all %s)"
+                            % str(s.flags["spectrum_is_socle"]).lower(),
+                  "separation equivalences break"),
+        )),
+    "prime-maximal-discreteness": _Family(
+        gate=lambda s: _standing_gaps(s) + _unmet(s, "self-cogenerator"),
+        parts=(
+            _Part("prime-maximal-discreteness", _discrete_with_coradical,
+                  "spectrum is the socle and empty opens capture the "
+                  "coradical",
+                  gates=(_ideals(lambda s: s.a.ideal_side.primes is not None),
+                         _needs("every prime ideal maximal"))),
+        )),
+    "finite-compactness": _Family(gate=_standing_gaps, parts=(
+        _Part("finite-compactness", None, gates=(
+            _cannot_fail("cannot fail at finite scale: the space is finite, "
+                         "so every open cover has a finite subcover"),)),
+    )),
+    "locally-finite-simples": _Family(
+        gate=_standing_gaps, setup=_simples_setup, parts=(
+            _Part("locally-finite-simples", _neighbourhoods,
+                  lambda s: "each point has a neighbourhood meeting only its "
+                            "own simples (finiteness is automatic at this "
+                            "scale)" if s.simples else
+                            "no simples, nothing to separate"),
+        )),
+    "irreducible-iff-coprime-coradical": _Family(
+        gate=_standing_gaps, setup=_irreducible_setup, parts=(
+            _Part("irreducible-iff-coprime-coradical",
+                  _irreducible_iff_coprime, _irreducible_detail,
+                  "irreducibility disagrees with the coradical"),
+        )),
+    "subdirect-irreducibility-topology": _Family(
+        gate=_standing_gaps, parts=(
+            _Part("subdirect-irreducibility-topology-1", _closed_sets_meet,
+                  "subdirect irreducibility matches pairwise meeting of "
+                  "closed sets",
+                  "closed-set intersections disagree with subdirect "
+                  "irreducibility"),
+            _Part("subdirect-irreducibility-topology-2", _connectivity,
+                  "subdirect irreducibility forces connectivity, with the "
+                  "converse on a simple spectrum",
+                  "connectivity transfer fails"),
+        )),
+    "point-varieties-irreducible": _Family(
+        gate=_standing_gaps, parts=(
+            _Part("point-varieties-irreducible-1", _point_varieties,
+                  "every point variety is irreducible",
+                  "a point variety is reducible"),
+            _Part("point-varieties-irreducible-2", _components,
+                  "components are varieties of maximal points",
+                  "component description fails"),
+        )),
+    "connected-subsets-comparable": _Family(
+        gate=_standing_gaps, parts=(
+            _Part("connected-subsets-comparable", _isolated_members,
+                  lambda s: "members of connected subsets (size <= %d) are "
+                            "pairwise linked by inclusion" % s.ctx.subset_cap,
+                  "an isolated member of a connected subset"),
+        )),
+    "closure-formula": _Family(
+        gate=_standing_gaps, parts=(
+            _Part("closure-formula", _closures,
+                  "closures are varieties of the summed points",
+                  "closure differs from the variety of the sum"),
+        )),
+    "closed-set-bijection": _Family(
+        gate=_standing_gaps, setup=_fixed_setup, parts=(
+            _Part("closed-set-bijection-1", _closed_sets_biject,
+                  "closed sets biject with the parts equal to their own "
+                  "coprime coradical",
+                  "closed sets do not biject with coradical-fixed parts"),
+            _Part("closed-set-bijection-2", _fixed_parts_cosemiprime,
+                  "nonzero coradical-fixed parts are exactly the fully "
+                  "cosemiprime members",
+                  "coradical-fixed parts differ from the cosemiprime class",
+                  gates=(_needs("self-cogenerator"),)),
+        )),
+    "centralizer-image-central": _Family(setup=_centralizer_setup, parts=(
+        _Part("centralizer-image-central", _central_action,
+              "centralizer acts through central bicolinear endomorphisms, "
+              "multiplicatively",
+              gates=(_needs("matching left and right coalgebras"),)),
+    )),
+    "regular-endomorphisms-centralizer": _Family(parts=(
+        _Part("regular-endomorphisms-centralizer", _regular_endomorphisms,
+              "counit composition inverts the centralizer action; the ring "
+              "is commutative and the instance duo",
+              gates=(_needs("a coalgebra viewed as its own bicomodule"),)),
+    )),
+    "morphism-spectral-map": replace(_MORPHISM, gate=_identity_morphism_gaps),
 }
 
 
 def statement_names():
-    return list(_REGISTRY)
+    return list(_FAMILIES)
 
 
 def run_checks(a: InstanceAnalysis, names=None, subset_cap: int = 6) -> list:
     """Run the selected statements (all by default) on one instance."""
     ctx = CheckContext(subset_cap=subset_cap, seed=a.seed)
     chosen = statement_names() if names is None else list(names)
-    out = []
-    for name in chosen:
-        if name not in _REGISTRY:
-            raise ValueError(f"unknown statement {name!r}; known: "
-                             + ", ".join(statement_names()))
-        verdicts = _REGISTRY[name](a, ctx)
-        if not a.lattice.certified:
-            for v in verdicts:
-                if v.status == PASS and "enumerated lattice" not in v.detail:
-                    v.detail += " (relative to the enumerated lattice)"
-        out.extend(verdicts)
-    return out
+    unknown = [name for name in chosen if name not in _FAMILIES]
+    if unknown:
+        raise ValueError(f"unknown statement {unknown[0]!r}; known: "
+                         + ", ".join(statement_names()))
+    return [v for name in chosen
+            for v in _run(_FAMILIES[name], SimpleNamespace(a=a, ctx=ctx),
+                          relative=not a.lattice.certified)]

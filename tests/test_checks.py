@@ -8,7 +8,7 @@ from coprimespec.analysis import analyze
 from coprimespec.bicomodule import regular_bicomodule
 from coprimespec.catalog import (chain_inclusion, comatrix, divided_power,
                                  grouplike, permutation_morphism,
-                                 random_instance)
+                                 random_instance, resolve_ref_to_bicomodule)
 from coprimespec.checks import (FAIL, PASS, UNSUPPORTED, VACUOUS, Verdict,
                                 morphism_checks, run_checks, statement_names)
 from coprimespec import checks
@@ -47,6 +47,63 @@ def test_statement_names_are_stable_and_ordered():
     assert "closure-formula" in names
     assert "morphism-spectral-map" in names
     assert len(names) == len(set(names)) == 23
+
+
+def _table_part_names():
+    """The part names of every family, read from the statement table."""
+    return [part.name for name in statement_names()
+            for part in checks._FAMILIES[name].parts]
+
+
+def _part_pool():
+    for seed in range(7, 27):
+        m, desc = random_instance(seed, field=F2)
+        yield desc, analyze(m)
+    yield "divided:6", analyze(resolve_ref_to_bicomodule("divided:6", F2))
+    m, desc = random_instance(0, field=F3)
+    yield desc, analyze(m)
+    yield "divided:4 over Q", analyze(regular_bicomodule(divided_power(4, QQ)),
+                                      mode="generated")
+
+
+def test_every_instance_emits_the_table_parts_in_order():
+    expected = _table_part_names()
+    assert len(expected) == len(set(expected)) == 50
+    # The pool holds a non-coalgebra instance (seed 19), on which the
+    # morphism family is gated as a whole, and a rational instance with
+    # UNSUPPORTED parts.
+    assert random_instance(19, field=F2)[0].regular_of is None
+    seen = Counter()
+    for desc, a in _part_pool():
+        verdicts = run_checks(a)
+        assert [v.statement for v in verdicts] == expected, desc
+        seen.update(v.status for v in verdicts)
+    assert seen[UNSUPPORTED] and not seen[FAIL]
+
+
+def test_morphism_family_on_a_non_coalgebra_is_five_vacuous_parts():
+    a = analyze(random_instance(19, field=F2)[0])
+    verdicts = run_checks(a, names=["morphism-spectral-map"])
+    assert [v.to_dict() for v in verdicts] == [
+        {"statement": f"morphism-spectral-map-{i}", "status": VACUOUS,
+         "detail": "needs a coalgebra instance to build the identity "
+                   "morphism on", "witness": None} for i in range(1, 6)]
+
+
+def test_closed_set_bijection_reports_the_disagreeing_member():
+    a = analyze(regular_bicomodule(divided_power(4, F2)))
+    dropped = a.spectrum.csp[0]
+    assert dropped.dim == 1
+    a.spectrum.csp = a.spectrum.csp[1:]
+    verdicts = {v.statement: v for v in
+                run_checks(a, names=["closed-set-bijection"])}
+    assert verdicts["closed-set-bijection-1"].status == PASS
+    assert verdicts["closed-set-bijection-2"].to_dict() == {
+        "statement": "closed-set-bijection-2", "status": FAIL,
+        "detail": "coradical-fixed parts differ from the cosemiprime class",
+        "witness": {"fixed_count": 1, "cosemiprime_count": 0,
+                    "disagreeing": {"dim": 1,
+                                    "basis": [["1", "0", "0", "0", "0"]]}}}
 
 
 def test_divided_power_chain_passes_every_statement():
@@ -150,6 +207,33 @@ def test_swap_automorphism_morphism_statements():
     assert profile(verdicts) == {PASS: 5}
 
 
+def test_morphism_and_centralizer_statements_build_each_map_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(checks, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(checks, name, wrapper)
+
+    for name in ("spectral_map", "phi_matrix"):
+        counted(name)
+    verdicts = morphism_checks(permutation_morphism(2, (1, 0), F2))
+    assert profile(verdicts) == {PASS: 5}
+    # Part 2 maps the full topologies; parts 4 and 5 share the fully
+    # invariant map.
+    assert calls["spectral_map"] == 2
+    a = analyze(regular_bicomodule(grouplike(2, F2)))
+    basis = checks.centralizer(a.m).basis()
+    calls.clear()
+    verdicts = run_checks(a, names=["centralizer-image-central"])
+    assert [v.status for v in verdicts] == [PASS]
+    # One action matrix per basis functional, and one per product.
+    assert calls["phi_matrix"] == len(basis) + len(basis) ** 2
+
+
 def test_verdict_serialization():
     v = Verdict("demo", FAIL, "broken", {"dim": 2})
     d = v.to_dict()
@@ -191,6 +275,8 @@ def test_essential_coradical_fails_when_a_cyclic_span_is_not_a_subbicomodule(mon
     # span(e_1) is not stable: the dual action maps e_1 onto e_0.
     monkeypatch.setattr(checks, "cyclic_subbicomodule",
                         lambda m, v: Subspace.from_vectors(m.field, m.dim, [v]))
-    verdict = part_1()
-    assert verdict.status == FAIL
-    assert verdict.witness == {"basis_index": 1, "test": "stability"}
+    assert part_1().to_dict() == {
+        "statement": "essential-coradical-1", "status": FAIL,
+        "detail": "cyclic span of a basis vector is not a lattice "
+                  "subbicomodule containing it",
+        "witness": {"basis_index": 1, "test": "stability"}}

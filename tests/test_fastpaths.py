@@ -630,14 +630,31 @@ def test_variety_of_a_subspace_outside_the_lattice_uses_contains():
     assert top.v_of(sub) == frozenset({top.position(e1)})
 
 
+def _described(*rows):
+    """The `_describe` payload of the subspace with basis rows given as
+    digit strings, such as "100"."""
+    return {"dim": len(rows), "basis": [list(row) for row in rows]}
+
+
+def _failures(a, names):
+    return [v.to_dict() for v in run_checks(a, names=names) if v.status == FAIL]
+
+
 def test_join_rigged_to_the_top_fails_the_closure_statements(monkeypatch):
     a = InstanceAnalysis(resolve_ref_to_bicomodule("grouplike:3", F2))
     names = ["closure-formula", "closed-set-bijection"]
     assert all(v.status == PASS for v in run_checks(a, names=names))
     monkeypatch.setattr(lattice_module.Lattice, "join",
                         lambda lat, mask: len(lat) - 1)
-    failed = [v for v in run_checks(a, names=names) if v.status == FAIL]
-    assert failed and all(v.witness for v in failed)
+    assert _failures(a, names) == [
+        {"statement": "closure-formula", "status": FAIL,
+         "detail": "closure differs from the variety of the sum",
+         "witness": {"subset": [1, 2], "closure": [1, 2],
+                     "variety_of_sum": [0, 1, 2]}},
+        {"statement": "closed-set-bijection-1", "status": FAIL,
+         "detail": "closed sets do not biject with coradical-fixed parts",
+         "witness": {"closed": [], "sum": _described("100", "010", "001"),
+                     "problem": "variety does not recover the closed set"}}]
 
 
 # --- mutation and count guards for the coproduct statement -------------------
@@ -847,10 +864,26 @@ def test_f2_predicates_build_no_restricted_bicomodule(monkeypatch):
     assert calls["restrict"] > 0
 
 
-@pytest.mark.parametrize("ref", ["grouplike:3", "divided:4", "comatrix:2"])
+# The probe X that the mutant fails first: every bound against Y = 0 then
+# reads Ke(An(Y)) = 0, which misses X.
+FIRST_ESCAPING_PROBE = {"grouplike:3": ("100",), "divided:4": ("10000",),
+                        "comatrix:2": ("1000", "0100", "0010", "0001")}
+
+
+@pytest.mark.parametrize("ref", list(FIRST_ESCAPING_PROBE))
 def test_an_ideal_product_returning_its_second_factor_fails_the_bound(monkeypatch, ref):
     a = InstanceAnalysis(resolve_ref_to_bicomodule(ref, F2))
     assert _bound_verdict(a, 2).status == PASS
     monkeypatch.setattr(coprime_module, "ideal_product", lambda algebra, x, y: y)
     a = InstanceAnalysis(resolve_ref_to_bicomodule(ref, F2))
     assert _bound_verdict(a, 2).status == FAIL
+    statement = "coproduct-annihilator-kernel-bound"
+    x, y = _described(*FIRST_ESCAPING_PROBE[ref]), _described()
+    assert _failures(a, [statement]) == [
+        {"statement": f"{statement}-2", "status": FAIL,
+         "detail": "(X : Y) escapes Ke(An(X) An(Y))",
+         "witness": {"x": x, "y": y}},
+        {"statement": f"{statement}-3", "status": FAIL,
+         "detail": "equality with the kernel of the ideal product fails",
+         "witness": {"x": x, "y": y, "coproduct_dim": x["dim"],
+                     "kernel_dim": 0}}]
