@@ -18,14 +18,14 @@ from .coalgebra import (Coalgebra, DualAlgebra, ValidationReport,
 from .exceptions import (AmbientMismatch, CoalgebraMismatch, InvalidBicomodule,
                          NotSubbicomodule)
 from .fields import Field
-from .linalg import Matrix, Subspace, is_stable
+from .linalg import Matrix, Subspace, f2_independent, is_stable
 
 
 class Bicomodule:
     """Finite-dimensional (left, right)-bicomodule by coaction tensors."""
 
     __slots__ = ("left", "right", "field", "dim", "rho_left", "rho_right",
-                 "regular_of", "_right_ops", "_left_ops")
+                 "regular_of", "_right_ops", "_left_ops", "_op_basis")
 
     def __init__(self, left: Coalgebra, right: Coalgebra, dim: int,
                  rho_left, rho_right, regular_of: Coalgebra | None = None):
@@ -51,6 +51,7 @@ class Bicomodule:
         self.regular_of = regular_of
         self._right_ops = None
         self._left_ops = None
+        self._op_basis = None
 
     @classmethod
     def from_triples(cls, left, right, dim, left_triples, right_triples,
@@ -185,6 +186,17 @@ class Bicomodule:
 
     def all_ops(self):
         return self.right_ops() + self.left_ops()
+
+    def op_basis(self):
+        """The operators of `all_ops()` outside the span of those before
+        them, a basis of their span; F2 only, built on first use.  Each
+        operator is packed whole, row i at bits i*dim."""
+        if self._op_basis is None:
+            ops, n = self.all_ops(), self.dim
+            flat = [sum(row << i * n for i, row in enumerate(op.packed_rows()))
+                    for op in ops]
+            self._op_basis = tuple(ops[i] for i in f2_independent(flat))
+        return self._op_basis
 
     def act_right(self, f, v):
         """f -> v for f given by dual coordinates on the right coalgebra."""

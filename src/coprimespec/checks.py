@@ -718,11 +718,15 @@ def _primes_maximal(ideals):
 def _discrete_with_coradical(s):
     a = s.a
     simple_keys = _keyset(a.socle.simples)
-    if _keyset(a.spectrum.cpspec) != simple_keys:
-        extra = next(k for k in a.spectrum.cpspec
-                     if k.key() not in simple_keys)
-        yield ("maximal primes but a non-simple spectrum member",
-               {"k": _describe(extra)})
+    point_keys = _keyset(a.spectrum.cpspec)
+    for k in a.spectrum.cpspec:
+        if k.key() not in simple_keys:
+            yield ("maximal primes but a non-simple spectrum member",
+                   {"k": _describe(k)})
+    for k in a.socle.simples:
+        if k.key() not in point_keys:
+            yield ("maximal primes but a simple outside the spectrum",
+                   {"simple": _describe(k)})
     lat, top = a.lattice, a.topology("full")
     corad = lat.index_of(a.socle.coradical)
     for t, l_sub in enumerate(lat.elements):

@@ -18,7 +18,10 @@ Both tests scan only the maximal fully invariant X, Y with K not <= X, Y,
 which is equivalent by monotonicity: Y <= Y' gives (X : Y) <= (X : Y'),
 and X <= X' gives An(X') <= An(X), hence (X : Y) <= (X' : Y).  A violating
 pair therefore stays violating when each member is raised to a maximal
-element not containing K above it.
+element not containing K above it.  Those maximal elements are read from
+the FI meet-irreducibles alone (`Lattice.fi_meet_irreducible`): two FI
+upper covers Y != Z of such an X would both contain K, and their
+intersection, fully invariant and strictly inside Y, is X.
 """
 
 from __future__ import annotations

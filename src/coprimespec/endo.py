@@ -92,6 +92,10 @@ def hom_dim(m: Bicomodule, k: Subspace) -> int:
     packed RREF basis row t of K: the bits of w at K's pivots.  w lies in K
     exactly when XOR-ing the matching basis rows out of it leaves 0.  The
     dimension is m.dim * dim K minus the rank of the commutation system.
+    The ops run over `m.op_basis()`, a basis of the span of `m.all_ops()`:
+    K is stable under a sum of operators when it is stable under each, and
+    the equations g op|_K = op g of a sum are the sums of their equations,
+    so the other operators add neither a stability failure nor rank.
     """
     field = m.field
     if field.p != 2:
@@ -102,7 +106,7 @@ def hom_dim(m: Bicomodule, k: Subspace) -> int:
         raise ValueError("cannot restrict to the zero subspace")
     basis, pivots = k.packed(), k.pivots
     pairs = []
-    for op in m.all_ops():
+    for op in m.op_basis():
         op_cols, cols = op.packed_columns(), []
         for row in basis:
             w = f2_image(op_cols, row)

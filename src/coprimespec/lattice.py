@@ -61,6 +61,10 @@ class Lattice:
     invariant elements.  The list is closed under + and intersection and
     sorted by dimension first (zero at index 0), so a sum is the lowest
     index above its terms and an intersection the highest index below them.
+    `fi_meet_irreducible`, also built on first use, masks the fully
+    invariant elements with exactly one fully invariant upper cover; every
+    fully invariant element is a meet of them, and the coprimality scans
+    read only them.
     """
 
     def __init__(self, bicomodule: Bicomodule, elements, fi_mask, mode: LatticeMode):
@@ -72,6 +76,7 @@ class Lattice:
         self._index = {sub.key(): i for i, sub in enumerate(self.elements)}
         self._above = None
         self._below = None
+        self._fi_meet_irreducible = None
 
     @property
     def above(self):
@@ -146,15 +151,33 @@ class Lattice:
     def top(self) -> Subspace:
         return Subspace.full(self.bicomodule.field, self.bicomodule.dim)
 
+    @property
+    def fi_meet_irreducible(self) -> int:
+        """Bitmask of the fully invariant elements with exactly one fully
+        invariant upper cover (the meet-irreducibles of the FI sublattice)."""
+        if self._fi_meet_irreducible is None:
+            fi, above = self.fi_bits, self.above
+            self._fi_meet_irreducible = sum(
+                1 << i for i in bits_of(fi)
+                if minimal_bits(above[i] & fi, above).bit_count() == 1)
+        return self._fi_meet_irreducible
+
     def maximal_fi_not_containing(self, k: Subspace):
-        """The maximal fully invariant elements X with K not <= X."""
+        """The maximal fully invariant elements X with K not <= X.
+
+        Only the FI meet-irreducibles are scanned, because such an X has at
+        most one FI upper cover: two covers Y != Z both contain K, since X
+        is maximal, and their intersection is fully invariant, contains X
+        and lies strictly inside Y, so it is X and K <= X.
+        """
         i = self.find(k)
         if i is None:
             containing = sum(1 << j for j, e in enumerate(self.elements)
                              if e.contains(k))
         else:
             containing = self.above[i] | 1 << i
-        candidates = maximal_bits(self.fi_bits & ~containing, self.above)
+        candidates = maximal_bits(self.fi_meet_irreducible & ~containing,
+                                  self.above)
         return [self.elements[j] for j in bits_of(candidates)]
 
 

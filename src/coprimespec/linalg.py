@@ -105,11 +105,12 @@ def f2_kernel(field: Field, n: int, rows) -> "Subspace":
         for f in range(n) if f not in pivots])
 
 
-def f2_rank(rows) -> int:
-    """The rank of packed rows: each is reduced against an echelon table
-    {lowest bit: row} and kept when nonzero."""
-    table, mask = {}, 0
-    for u in rows:
+def f2_independent(rows):
+    """Positions of the packed rows outside the span of the rows before
+    them: each is reduced against an echelon table {lowest bit: row} and
+    kept when nonzero."""
+    table, mask, kept = {}, 0, []
+    for n, u in enumerate(rows):
         m = u & mask
         while m:
             u ^= table[m & -m]
@@ -117,7 +118,13 @@ def f2_rank(rows) -> int:
         if u:
             table[u & -u] = u
             mask |= u & -u
-    return len(table)
+            kept.append(n)
+    return kept
+
+
+def f2_rank(rows) -> int:
+    """The rank of packed rows."""
+    return len(f2_independent(rows))
 
 
 class Matrix:
@@ -680,38 +687,88 @@ def _normalized_vectors(p: int, ambient: int, positions):
             yield tuple(v)
 
 
+def _join_irreducibles(field: Field, ambient: int, cyclic):
+    """The join-irreducible (JI) subspaces among the cyclic(v), v in
+    F_p^ambient, each as (w, c) with c = cyclic(w); cyclic is called once
+    per line of F_p^ambient.
+
+    c is JI exactly when the vectors of c with a smaller cyclic closure
+    span less than c, since their span J is the sum of the invariant
+    subspaces strictly inside c.  When c is JI, J is invariant and every
+    line of J has a smaller closure, so the lines of c that do not
+    generate it number (p^k - 1)/(p - 1) for k = dim J: a count of no such
+    form rules c out at once, and any other c is decided by summing the
+    distinct cyclic subspaces strictly inside it.
+    """
+    p = field.p
+    # distinct[key] is [first generator, subspace, number of generating lines].
+    distinct = {}
+    for v in _normalized_vectors(p, ambient, range(ambient)):
+        c = cyclic(v)
+        entry = distinct.setdefault(c.key(), [v, c, 0])
+        entry[2] += 1
+    line_counts = {(p ** k - 1) // (p - 1) for k in range(ambient)}
+    found = []
+    for w, c, count in distinct.values():
+        smaller = (p ** c.dim - 1) // (p - 1) - count
+        if smaller not in line_counts:
+            continue
+        if smaller and Subspace.from_vectors(field, ambient, [
+                row for _, d, _ in distinct.values()
+                if d.dim < c.dim and c.contains(d) for row in d.basis]).dim == c.dim:
+            continue
+        found.append((w, c))
+    return found
+
+
 def sum_closure(field: Field, ambient: int, cyclic):
     """Every sum of the subspaces cyclic(v), v in F_p^ambient, each once.
 
     cyclic(v) is the smallest invariant subspace containing v (for some
     fixed set of operators), so the result is every invariant subspace,
-    zero included, each listed once.  Each found S grows to S + cyclic(v)
-    for one v per nonzero coset of S up to scalars: v zero at S's pivots,
-    leading entry 1.  That loses nothing, because S + cyclic(v) depends
-    only on the line of v modulo S: for s in S, cyclic(s) <= S, so
-    cyclic(v + s) <= cyclic(v) + S and cyclic(v) <= cyclic(v + s) + S, and
-    cyclic(c v) = cyclic(v) for c != 0.  Any invariant T > S contains such
-    a v outside S, and S < S + cyclic(v) <= T, so T is reached.  cyclic is
-    called once per line of F_p^ambient.
+    zero included, each listed once.  cyclic is called once per line of
+    F_p^ambient, and the join-irreducible (JI) cyclic subspaces are marked
+    (`_join_irreducibles`), each with a generator w_c, cyclic(w_c) = c.
+
+    Each found S grows to S + c only for the JI c with w_c outside S, and
+    only once per line of w_c modulo S (w_c reduced against S's basis,
+    leading entry 1).  That loses nothing.  In a finite lattice every
+    element is the join of the JI elements below it, and a JI invariant
+    subspace is cyclic (it is the sum of the cyclic closures of its
+    vectors).  So an invariant T > S lies above some JI c not below S;
+    w_c is outside S, and S < S + c <= T, so T is reached.  And S + c
+    depends only on the line of w_c modulo S: for s in S, cyclic(s) <= S,
+    so cyclic(w + s) <= cyclic(w) + S and cyclic(w) <= cyclic(w + s) + S,
+    and cyclic(a w) = cyclic(w) for a != 0.
     """
     p = field.p
-    # gens[v] is (i, cyclic(v)), with one index i per distinct subspace, so
-    # each S is summed with each distinct cyclic subspace at most once.
-    gens, distinct = {}, {}
-    for v in _normalized_vectors(p, ambient, range(ambient)):
-        c = cyclic(v)
-        gens[v] = distinct.setdefault(c.key(), (len(distinct), c))
+    generators = _join_irreducibles(field, ambient, cyclic)
+    if p == 2:
+        generators = [(_pack(w), c) for w, c in generators]
+
+        def line_mod(s, w):
+            return f2_reduce(w, s.pivots, s.packed())
+    else:
+        def line_mod(s, w):
+            w = s.reduce_vector(w)
+            lead = next((x for x in w if x), None)
+            if lead is None:
+                return 0
+            inv = field.inv(lead)
+            return tuple(x * inv % p for x in w)
     zero = Subspace.zero(field, ambient)
     found = {zero.key(): zero}
     queue = [zero]
     while queue:
         s = queue.pop()
-        pivots = set(s.pivots)
-        free = [j for j in range(ambient) if j not in pivots]
-        grow = dict(gens[v] for v in _normalized_vectors(p, ambient, free))
-        for c in grow.values():
-            t = s.sum_with(c)
-            if t.key() not in found:
-                found[t.key()] = t
-                queue.append(t)
+        # The lines modulo S already grown by; 0 stands for w_c inside S.
+        lines = {0}
+        for w, c in generators:
+            line = line_mod(s, w)
+            if line not in lines:
+                lines.add(line)
+                t = s.sum_with(c)
+                if t.key() not in found:
+                    found[t.key()] = t
+                    queue.append(t)
     return list(found.values())

@@ -95,19 +95,27 @@ class ZariskiTopology:
 
 
 def _axiom_scan(closed, space):
-    """Checks the closed-set axioms; returns (ok, witness-or-None)."""
+    """Checks the closed-set axioms; returns (ok, witness-or-None).
+
+    Pairs (a, b) of the sorted family are scanned on int masks, and only
+    with a before b: union and intersection are symmetric, so the first
+    failing ordered pair has a before b, and a pair (a, a) never fails.
+    """
     family = set(closed)
     if frozenset() not in family:
         return False, ("missing", frozenset())
     if space not in family:
         return False, ("missing", space)
     sets = sorted(family, key=lambda s: (len(s), sorted(s)))
-    for a in sets:
-        for b in sets:
-            if a | b not in family:
-                return False, ("union", a, b)
-            if a & b not in family:
-                return False, ("intersection", a, b)
+    masks = [sum(1 << i for i in s) for s in sets]
+    members = set(masks)
+    for i, a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            b = masks[j]
+            if a | b not in members:
+                return False, ("union", sets[i], sets[j])
+            if a & b not in members:
+                return False, ("intersection", sets[i], sets[j])
     return True, None
 
 

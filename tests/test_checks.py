@@ -280,3 +280,20 @@ def test_essential_coradical_fails_when_a_cyclic_span_is_not_a_subbicomodule(mon
         "detail": "cyclic span of a basis vector is not a lattice "
                   "subbicomodule containing it",
         "witness": {"basis_index": 1, "test": "stability"}}
+
+
+def test_prime_maximal_discreteness_names_a_simple_missing_from_the_spectrum():
+    def verdict(drop):
+        a = analyze(regular_bicomodule(grouplike(3, F2)))
+        missing = a.spectrum.cpspec[:drop]
+        a.spectrum.cpspec = a.spectrum.cpspec[drop:]
+        return missing, run_checks(a, names=["prime-maximal-discreteness"])
+
+    _, verdicts = verdict(0)
+    assert [v.status for v in verdicts] == [PASS]
+    # The spectrum now misses a simple and holds no non-simple member.
+    (missing,), verdicts = verdict(1)
+    assert [v.to_dict() for v in verdicts] == [{
+        "statement": "prime-maximal-discreteness", "status": FAIL,
+        "detail": "maximal primes but a simple outside the spectrum",
+        "witness": {"simple": checks._describe(missing)}}]

@@ -887,3 +887,136 @@ def test_an_ideal_product_returning_its_second_factor_fails_the_bound(monkeypatc
          "detail": "equality with the kernel of the ideal product fails",
          "witness": {"x": x, "y": y, "coproduct_dim": x["dim"],
                      "kernel_dim": 0}}]
+
+
+# --- closures, scans and Hom systems over generators -----------------------------
+
+def _literal_join_irreducibles(invariant):
+    """The nonzero members of a subspace family, closed under +, that are
+    not the sum of the members strictly inside them."""
+    found = set()
+    for c in invariant:
+        below = [d.basis for d in invariant if d.dim < c.dim and c.contains(d)]
+        if not c.is_zero() and Subspace.from_vectors(
+                c.field, c.ambient, [row for rows in below for row in rows]) != c:
+            found.add(c.key())
+    return found
+
+
+def _check_sum_closure(field, n, cyclic, ops):
+    literal = [s for s in enumerate_subspaces(field, n) if is_stable(s, ops)]
+    assert sorted(s.key() for s in linalg.sum_closure(field, n, cyclic)) == \
+        sorted(s.key() for s in literal)
+    generators = linalg._join_irreducibles(field, n, cyclic)
+    assert {c.key() for _, c in generators} == _literal_join_irreducibles(literal)
+    assert all(cyclic(w) == c for w, c in generators)
+
+
+def _closure_instances():
+    for ref in ("grouplike:3", "divided:3", "comatrix:2"):
+        for field in (F2, F3, F5):
+            yield f"{ref}-{field.name}", lambda r=ref, f=field: resolve_ref_to_bicomodule(r, f)
+    for seed in (3, 8, 11):
+        for field in (F2, F3, F5):
+            yield f"seed-{seed}-{field.name}", lambda s=seed, f=field: random_instance(
+                s, dim_budget=DIM_BUDGET[f] - 1, field=f)[0]
+
+
+@pytest.mark.parametrize("build", [pytest.param(build, id=name)
+                                   for name, build in _closure_instances()])
+def test_sum_closure_over_join_irreducibles_matches_the_stable_subspaces(build):
+    m = build()
+    _check_sum_closure(m.field, m.dim, lambda v: cyclic_subbicomodule(m, v),
+                       m.all_ops())
+    e = EndoAlgebra.compute(m)
+    _check_sum_closure(e.field, e.dim,
+                       lambda x: endo_module.right_ideal_span(e, [x]),
+                       endo_module.multiplication_ops(e)[0])
+
+
+@pytest.mark.parametrize("field,n", [(F2, 4), (F3, 3), (F5, 2)])
+def test_every_line_is_join_irreducible_when_every_subspace_is_invariant(field, n):
+    def line(v):
+        return Subspace.from_vectors(field, n, [v])
+
+    _check_sum_closure(field, n, line, [])
+    assert len(linalg._join_irreducibles(field, n, line)) == (field.p ** n - 1) // (field.p - 1)
+
+
+def _non_member_probes(rng, lattice, count=3):
+    field, n = lattice.bicomodule.field, lattice.bicomodule.dim
+    probes = []
+    for _ in range(200):
+        if len(probes) == count:
+            break
+        vectors = [tuple(field.random_element(rng) for _ in range(n))
+                   for _ in range(rng.randrange(1, n + 1))]
+        sub = Subspace.from_vectors(field, n, vectors)
+        if not sub.is_zero() and lattice.find(sub) is None:
+            probes.append(sub)
+    return probes
+
+
+def _check_meet_irreducible_scan(lattice, seed):
+    above = lattice.above
+    probes = list(lattice.elements) + _non_member_probes(Random(seed), lattice)
+    for k in probes:
+        containing = sum(1 << j for j, e in enumerate(lattice.elements)
+                         if e.contains(k))
+        want = linalg.maximal_bits(lattice.fi_bits & ~containing, above)
+        got = sum(1 << lattice.index_of(x)
+                  for x in lattice.maximal_fi_not_containing(k))
+        assert got == want
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+@pytest.mark.parametrize("seed", range(7, 13))
+def test_meet_irreducible_scan_matches_all_fully_invariant_members(seed, field):
+    m, _ = random_instance(seed, dim_budget=DIM_BUDGET[field], field=field)
+    _check_meet_irreducible_scan(enumerate_lattice(m), seed)
+
+
+@pytest.mark.parametrize("seed", [2, 10])
+def test_meet_irreducible_scan_matches_in_generated_mode_over_q(seed):
+    m, _ = random_instance(seed, field=QQ)
+    lattice = enumerate_lattice(m, mode="generated")
+    assert not lattice.certified
+    _check_meet_irreducible_scan(lattice, seed)
+
+
+@pytest.mark.parametrize("seed", range(7, 17))
+def test_f2_hom_dim_over_an_operator_basis_matches_restriction(seed):
+    m, _ = random_instance(seed, field=F2)
+    basis = m.op_basis()
+    span = Subspace.from_vectors(F2, m.dim ** 2, [op.flatten() for op in m.all_ops()])
+    assert Subspace.from_vectors(F2, m.dim ** 2, [op.flatten() for op in basis]) == span
+    assert len(basis) == span.dim
+    for k in enumerate_lattice(m).nonzero_elements():
+        assert hom_dim(m, k) == len(intertwiners(restrict(m, k)[0], m))
+    for sub in _random_subspaces(Random(seed), m.dim, 20):
+        if not is_stable(sub, m.all_ops()):
+            with pytest.raises(NotSubbicomodule):
+                hom_dim(m, sub)
+        elif not sub.is_zero():
+            assert hom_dim(m, sub) == len(intertwiners(restrict(m, sub)[0], m))
+
+
+def test_grouplike_7_needs_few_sums(monkeypatch):
+    calls = Counter()
+    original = Subspace.sum_with
+
+    def counted(self, other):
+        calls["sum"] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Subspace, "sum_with", counted)
+    e = EndoAlgebra.compute(resolve_ref_to_bicomodule("grouplike:7", F2))
+    assert len(enumerate_lattice(e.bicomodule, endo=e)) == 128
+    assert len(enumerate_ideals(e)) == 128
+    assert calls["sum"] <= 900
+    # Every line is join-irreducible here, so each S takes one sum per line
+    # of the quotient by S, no more than one per distinct cyclic subspace.
+    for field, n, bound in ((F2, 5, 2077), (F3, 4, 1120)):
+        calls.clear()
+        linalg.sum_closure(field, n, lambda v: Subspace.from_vectors(field, n, [v]))
+        assert calls["sum"] <= bound
