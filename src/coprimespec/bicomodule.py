@@ -18,7 +18,8 @@ from .coalgebra import (Coalgebra, DualAlgebra, ValidationReport,
 from .exceptions import (AmbientMismatch, CoalgebraMismatch, InvalidBicomodule,
                          NotSubbicomodule)
 from .fields import Field
-from .linalg import Matrix, Subspace, f2_independent, is_stable
+from .linalg import (Matrix, Subspace, f2_bits_at, f2_image, f2_independent,
+                     is_stable)
 
 
 class Bicomodule:
@@ -271,7 +272,9 @@ def restrict(m: Bicomodule, sub: Subspace):
     """Subbicomodule structure on a coaction-stable subspace.
 
     Returns (bicomodule on sub in basis coordinates, embed matrix) where
-    embed maps sub coordinates back into the ambient space.
+    embed maps sub coordinates back into the ambient space.  Over F2 the
+    coordinates of op(b_t), b_t the packed basis row t, are its bits at
+    sub's pivots (`f2_bits_at`).
     """
     if not is_subbicomodule(m, sub):
         raise NotSubbicomodule("subspace is not stable under the coactions")
@@ -282,14 +285,21 @@ def restrict(m: Bicomodule, sub: Subspace):
     r_ops, l_ops = m.right_ops(), m.left_ops()
     rho_right = [[[field.zero] * m.right.dim for _ in range(s)] for _ in range(s)]
     rho_left = [[[field.zero] * s for _ in range(m.left.dim)] for _ in range(s)]
-    for t, row in enumerate(sub.basis):
+    if field.p == 2:
+        pivots = sub.pivots
+
+        def coords_of(op, t):
+            bits = f2_bits_at(f2_image(op.packed_columns(), sub.packed()[t]), pivots)
+            return [bits >> j & 1 for j in range(s)]
+    else:
+        def coords_of(op, t):
+            return sub.coords_of(op.apply(sub.basis[t]))
+    for t in range(s):
         for k, op in enumerate(r_ops):
-            coords = sub.coords_of(op.apply(row))
-            for j, x in enumerate(coords):
+            for j, x in enumerate(coords_of(op, t)):
                 rho_right[t][j][k] = x
         for j, op in enumerate(l_ops):
-            coords = sub.coords_of(op.apply(row))
-            for k, x in enumerate(coords):
+            for k, x in enumerate(coords_of(op, t)):
                 rho_left[t][j][k] = x
     restricted = Bicomodule(m.left, m.right, s, rho_left, rho_right)
     embed = sub.matrix().transpose()

@@ -48,14 +48,14 @@ from types import SimpleNamespace
 from typing import Callable
 
 from .analysis import InstanceAnalysis, analyze, child_coords, parent_coords
-from .bicomodule import centralizer, phi_matrix, quotient
+from .bicomodule import centralizer, phi_matrix
 from .coalgebra import CoalgebraMorphism, identity_morphism
 from .coprime import is_fully_coprime, is_fully_cosemiprime, ke_product_bound
-from .endo import coordinate_vectors, intertwiners, ke, maximal_ideals
+from .endo import coordinate_vectors, ke, maximal_ideals, quotient_cogenerated
 from .exceptions import CoalgebraMismatch
 from .lattice import cyclic_subbicomodule, is_fully_invariant
-from .linalg import (Matrix, Subspace, bits_of, is_stable, kernel,
-                     minimal_bits, preimage)
+from .linalg import (Matrix, Subspace, bits_of, is_stable, minimal_bits,
+                     preimage)
 from .zariski import (image_subspace, irreducible_components,
                       is_connected_subset, is_irreducible_subset, separation,
                       spectral_map)
@@ -112,17 +112,6 @@ def _within(lat, i: int, sub: Subspace, j) -> bool:
     """Whether lattice element i lies in sub, read from the containment
     table when sub is element j and by `contains` when j is None."""
     return lat.le(i, j) if j is not None else sub.contains(lat.elements[i])
-
-
-def _quotient_cogenerated(a: InstanceAnalysis, k: Subspace) -> bool:
-    """Whether M/K embeds into a product of copies of M."""
-    if k.is_full():
-        return True
-    q, _ = quotient(a.m, k)
-    maps = intertwiners(q, a.m)
-    if not maps:
-        return q.dim == 0
-    return kernel(Matrix.stack(maps)).is_zero()
 
 
 # --- statement parts as data ------------------------------------------------
@@ -290,7 +279,7 @@ def _galois_fixed_points(s):
     a = s.a
     for k, kek in zip(s.elements, s.kes):
         fixed = kek == k
-        cogen = _quotient_cogenerated(a, k)
+        cogen = quotient_cogenerated(a.m, k)
         if fixed != cogen:
             yield {"k": _describe(k), "ke_an_fixed": fixed,
                    "quotient_cogenerated": cogen}
@@ -442,12 +431,17 @@ def _annihilators_coprime(s):
 
 
 def _spectrum_annihilators_prime(s):
-    if s.ep != s.cp or s.esp != s.csp:
-        spec = s.a.spectrum
-        missing = next((k for k in spec.cpspec if k.key() not in s.ep), None)
-        if missing is None:
-            missing = next(k for k in spec.csp if k.key() not in s.esp)
-        yield {"k": _describe(missing)}
+    spec, ideals = s.a.spectrum, s.ideals
+    for members, keys in ((spec.cpspec, s.ep), (spec.csp, s.esp)):
+        for k in members:
+            if k.key() not in keys:
+                yield {"k": _describe(k)}
+    # The annihilator-prime classes can also be the larger side.
+    for members, keys in ((ideals.ep, s.cp), (ideals.esp, s.csp)):
+        for k in members:
+            if k.key() not in keys:
+                yield ("annihilator-prime class member outside the spectrum",
+                       {"k": _describe(k)})
 
 
 def _radical_matches_coradical(s):

@@ -23,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bicomodule import Bicomodule, restrict
+from .bicomodule import Bicomodule, quotient, restrict
 from .exceptions import (AmbientMismatch, BudgetExceeded, CoalgebraMismatch,
                          NotSubbicomodule, UnsupportedOverQ)
 from .linalg import (Matrix, Subspace, bits_of, check_subspace_budget,
-                     f2_image, f2_kernel, f2_rank, f2_reduce, f2_span,
-                     invariant_span, is_stable, kernel, maximal_bits,
-                     minimal_bits, strict_upsets, sum_closure)
+                     f2_bits_at, f2_image, f2_kernel, f2_null_rows, f2_rank,
+                     f2_reduce, f2_span, invariant_span, is_stable, kernel,
+                     maximal_bits, minimal_bits, strict_upsets, sum_closure)
 # Unused here; kept because perfbench/tracing.py patches it in this module.
 from .linalg import enumerate_subspaces
 
@@ -82,6 +82,24 @@ def _f2_commutation_rows(pairs, ns: int, nt: int):
     return rows
 
 
+def _f2_stable_ops(m: Bicomodule, k: Subspace):
+    """[(op, packed images of K's basis rows under op)] for op in
+    `m.op_basis()`, over F2; NotSubbicomodule when an image leaves K, which
+    XOR-ing the matching basis rows out of it tells.  A basis of the span of
+    `m.all_ops()` suffices for stability: K is stable under a sum of
+    operators when it is stable under each."""
+    if k.ambient != m.dim or k.field != m.field:
+        raise AmbientMismatch("subspace does not live in the bicomodule")
+    basis, pivots = k.packed(), k.pivots
+    found = []
+    for op in m.op_basis():
+        images = [f2_image(op.packed_columns(), row) for row in basis]
+        if any(f2_reduce(w, pivots, basis) for w in images):
+            raise NotSubbicomodule("subspace is not stable under the coactions")
+        found.append((op, images))
+    return found
+
+
 def hom_dim(m: Bicomodule, k: Subspace) -> int:
     """dim Hom(K, M) for a nonzero subbicomodule K of M, the number of
     intertwiners from `restrict(m, k)` to m; NotSubbicomodule when K is not
@@ -89,32 +107,57 @@ def hom_dim(m: Bicomodule, k: Subspace) -> int:
 
     Over F2 no restricted bicomodule is built.  Column t of the operator
     that op induces on K holds the coordinates of w = op(b_t), b_t the
-    packed RREF basis row t of K: the bits of w at K's pivots.  w lies in K
-    exactly when XOR-ing the matching basis rows out of it leaves 0.  The
+    packed RREF basis row t of K: the bits of w at K's pivots.  The
     dimension is m.dim * dim K minus the rank of the commutation system.
     The ops run over `m.op_basis()`, a basis of the span of `m.all_ops()`:
-    K is stable under a sum of operators when it is stable under each, and
-    the equations g op|_K = op g of a sum are the sums of their equations,
-    so the other operators add neither a stability failure nor rank.
+    the equations g op|_K = op g of a sum of operators are the sums of
+    their equations, so the other operators add no rank.
     """
     field = m.field
     if field.p != 2:
         return len(intertwiners(restrict(m, k)[0], m))
-    if k.ambient != m.dim or k.field != field:
-        raise AmbientMismatch("subspace does not live in the bicomodule")
+    stable = _f2_stable_ops(m, k)
     if k.is_zero():
         raise ValueError("cannot restrict to the zero subspace")
-    basis, pivots = k.packed(), k.pivots
-    pairs = []
-    for op in m.op_basis():
-        op_cols, cols = op.packed_columns(), []
-        for row in basis:
-            w = f2_image(op_cols, row)
-            if f2_reduce(w, pivots, basis):
-                raise NotSubbicomodule("subspace is not stable under the coactions")
-            cols.append(sum(1 << j for j, c in enumerate(pivots) if w >> c & 1))
-        pairs.append((cols, op.packed_rows()))
+    pairs = [([f2_bits_at(w, k.pivots) for w in images], op.packed_rows())
+             for op, images in stable]
     return m.dim * k.dim - f2_rank(_f2_commutation_rows(pairs, k.dim, m.dim))
+
+
+def quotient_cogenerated(m: Bicomodule, k: Subspace) -> bool:
+    """Whether M/K is cogenerated by M, i.e. embeds into a product of copies
+    of M: the kernels of the bicolinear maps M/K -> M meet in zero.  M/M is
+    zero and counts as cogenerated; NotSubbicomodule when K is not stable
+    under the coactions.
+
+    Over F2 no quotient bicomodule is built.  The projection is the one
+    `quotient` uses: pi(v) is v reduced by K's packed RREF rows, read at
+    K's free (non-pivot) columns.  Column t of the operator that op
+    induces on M/K is pi(op(e_f)), f the free column t.  With q = n - dim K
+    the n x q maps g of the commutation system form Hom(M/K, M); their
+    kernels meet in zero exactly when the rows of a basis of solutions have
+    rank q, since every solution's rows are sums of those rows.  As in
+    `hom_dim`, the ops run over `m.op_basis()`: induced operators and their
+    equations add up, so the other operators change nothing.
+    """
+    if k.is_full():
+        return True
+    if m.field.p != 2:
+        q, _ = quotient(m, k)
+        maps = intertwiners(q, m)
+        return bool(maps) and kernel(Matrix.stack(maps)).is_zero()
+    n, basis, pivots = m.dim, k.packed(), k.pivots
+    free = [f for f in range(n) if f not in pivots]
+    q = len(free)
+    pairs = []
+    for op, _ in _f2_stable_ops(m, k):
+        op_cols = op.packed_columns()
+        pairs.append(([f2_bits_at(f2_reduce(op_cols[f], pivots, basis), free)
+                       for f in free], op.packed_rows()))
+    block = (1 << q) - 1
+    return f2_rank([g >> a * q & block
+                    for g in f2_null_rows(n * q, _f2_commutation_rows(pairs, q, n))
+                    for a in range(n)]) == q
 
 
 class EndoAlgebra:

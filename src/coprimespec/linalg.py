@@ -9,9 +9,12 @@ makes RREF the equality oracle for the whole package.
 Over F2 the kernels run on rows packed into Python ints (bit i is entry i):
 RREF and kernels, `Matrix.apply` and `@`, membership, sums, the
 invariant-span closure and the stability test.  The `f2_*` helpers (image,
-reduction, span, kernel, rank) let `endo` and `coprime` build their linear
-systems as packed rows too: intertwiners and Hom dimensions, annihilators,
-kernels of ideals, ideal products and internal coproducts.  Each Matrix
+reduction, span, kernel, rank, bits at positions) let the other modules
+build their linear systems as packed rows too: intertwiners, Hom
+dimensions and quotient cogeneration, annihilators, kernels of ideals,
+ideal products, internal coproducts, restrictions and the coordinates of
+subspaces in a basis.  The coordinates of a member of a packed RREF row
+space in its basis are its bits at the pivots (`f2_bits_at`).  Each Matrix
 (columns and rows) and Subspace packs on first use and keeps the ints in a
 slot; tuples stay the representation at every API boundary.  The reduced
 row-echelon form of a row space is unique, so the packed and the tuple
@@ -60,21 +63,34 @@ def _f2_rref(rows):
     """(pivots, rows): the packed reduced echelon basis of the span of
     packed rows, ordered by pivot.
 
-    Each row is reduced against the table {pivot bit: row}, and its lowest
-    remaining bit, a new pivot, is then cleared from the rows in the table.
+    Forward, each row is reduced against a table {pivot bit: row} only at
+    the pivot bits it holds, and a nonzero remainder adds its lowest bit as
+    a new pivot.  Every table row is then zero at the pivots that were
+    known when it was added and has no bit below its own pivot.  Back
+    substitution runs from the highest pivot down: a row holds no pivot
+    below its own, and the rows of the higher pivots it holds are already
+    reduced (zero at every other pivot), so XOR-ing each of them in once
+    clears them all.  The reduced echelon form of a row space is unique.
     """
-    table = {}
+    table, mask = {}, 0
     for r in rows:
-        for low, row in table.items():
-            if r & low:
-                r ^= row
+        m = r & mask
+        while m:
+            r ^= table[m & -m]
+            m = r & mask
         if r:
-            low = r & -r
-            for b, row in table.items():
-                if row & low:
-                    table[b] = row ^ r
-            table[low] = r
-    keys = sorted(table)
+            table[r & -r] = r
+            mask |= r & -r
+    keys = sorted(table, reverse=True)
+    for low in keys:
+        row = table[low]
+        m = row & mask ^ low
+        while m:
+            high = m & -m
+            row ^= table[high]
+            m ^= high
+        table[low] = row
+    keys.reverse()
     return [k.bit_length() - 1 for k in keys], [table[k] for k in keys]
 
 
@@ -96,13 +112,30 @@ def f2_image(columns, bits: int) -> int:
     return u
 
 
-def f2_kernel(field: Field, n: int, rows) -> "Subspace":
-    """The null space in F2^n of packed rows.  In their reduced echelon
-    form, free column f gives e_f plus e_c for each pivot row with a 1 at f."""
+def f2_bits_at(bits: int, positions) -> int:
+    """The bits of a packed vector at the given positions, packed in their
+    order: bit j is bit positions[j].
+
+    Read at the pivots of packed reduced echelon rows, these are the
+    coordinates of a member of their span in those rows, since row j is
+    the only one with a 1 at pivot j.  Read at the other (free) columns
+    after reducing by the rows, they are the image of the vector in the
+    quotient by the span, in the basis of the free unit vectors."""
+    return sum(1 << j for j, c in enumerate(positions) if bits >> c & 1)
+
+
+def f2_null_rows(n: int, rows):
+    """A basis of the null space in F2^n of packed rows, packed.  In their
+    reduced echelon form, free column f gives e_f plus e_c for each pivot
+    row with a 1 at f."""
     pivots, rows = _f2_rref(rows)
-    return f2_span(field, n, [
-        1 << f | sum(1 << c for c, row in zip(pivots, rows) if row >> f & 1)
-        for f in range(n) if f not in pivots])
+    return [1 << f | sum(1 << c for c, row in zip(pivots, rows) if row >> f & 1)
+            for f in range(n) if f not in pivots]
+
+
+def f2_kernel(field: Field, n: int, rows) -> "Subspace":
+    """The null space in F2^n of packed rows, as a Subspace."""
+    return f2_span(field, n, f2_null_rows(n, rows))
 
 
 def f2_independent(rows):

@@ -12,6 +12,7 @@ from coprimespec.catalog import (chain_inclusion, comatrix, divided_power,
 from coprimespec.checks import (FAIL, PASS, UNSUPPORTED, VACUOUS, Verdict,
                                 morphism_checks, run_checks, statement_names)
 from coprimespec import checks
+from coprimespec.endo import IdealPoset
 from coprimespec.fields import prime_field, rationals
 from coprimespec.linalg import Subspace
 
@@ -297,3 +298,23 @@ def test_prime_maximal_discreteness_names_a_simple_missing_from_the_spectrum():
         "statement": "prime-maximal-discreteness", "status": FAIL,
         "detail": "maximal primes but a simple outside the spectrum",
         "witness": {"simple": checks._describe(missing)}}]
+
+
+@pytest.mark.parametrize("ref", ["grouplike:3", "divided:4", "divided:2"])
+def test_spectrum_annihilator_prime_classes_fail_when_the_annihilators_gain(monkeypatch, ref):
+    # Every proper two-sided ideal counts as prime: the prime-annihilator
+    # class strictly contains the spectrum, and the semiprime classes agree.
+    monkeypatch.setattr(IdealPoset, "is_prime",
+                        lambda self, ideal: ideal.is_two_sided and ideal.is_proper())
+    a = analyze(resolve_ref_to_bicomodule(ref, F2))
+    verdict = next(v for v in run_checks(a, names=["prime-radical-correspondence"])
+                   if v.statement == "prime-radical-correspondence-2")
+    spectrum, side = a.spectrum, a.ideal_side
+    cp = {k.key() for k in spectrum.cpspec}
+    extra = [k for k in side.ep if k.key() not in cp]
+    assert cp < {k.key() for k in side.ep}
+    assert {k.key() for k in spectrum.csp} == {k.key() for k in side.esp}
+    assert verdict.to_dict() == {
+        "statement": "prime-radical-correspondence-2", "status": FAIL,
+        "detail": "annihilator-prime class member outside the spectrum",
+        "witness": {"k": checks._describe(extra[0])}}

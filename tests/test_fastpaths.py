@@ -19,24 +19,26 @@ from hypothesis import strategies as st
 
 from coprimespec import (bicomodule as bicomodule_module, checks, coprime as coprime_module,
                          endo as endo_module, lattice as lattice_module, linalg)
-from coprimespec.analysis import InstanceAnalysis
+from coprimespec.analysis import InstanceAnalysis, child_coords, parent_coords
 from coprimespec.bicomodule import Bicomodule, is_subbicomodule, quotient, restrict
 from coprimespec.catalog import (random_instance, resolve_ref,
                                  resolve_ref_to_bicomodule, right_comodule)
 from coprimespec.checks import (FAIL, PASS, CheckContext, Verdict, _describe,
-                                _quotient_cogenerated, _vacuous, run_checks)
+                                _vacuous, run_checks)
 from coprimespec.coalgebra import Coalgebra
 from coprimespec.coprime import (CoproductCache, is_fully_coprime,
                                  is_fully_cosemiprime, ke_product_bound)
 from coprimespec.endo import (EndoAlgebra, IdealPoset, an, coordinate_vectors,
                               enumerate_ideals, hom_dim, ideal_product,
                               intertwiners, is_prime_ideal, is_semiprime_ideal,
-                              ke, maximal_ideals, prime_radical)
+                              ke, maximal_ideals, prime_radical,
+                              quotient_cogenerated)
 from coprimespec.exceptions import NotSubbicomodule
 from coprimespec.fields import prime_field, rationals
 from coprimespec.lattice import (cyclic_subbicomodule, enumerate_lattice,
                                  is_fully_invariant, simples, simples_fi)
-from coprimespec.linalg import Subspace, enumerate_subspaces, is_stable, preimage
+from coprimespec.linalg import (Matrix, Subspace, enumerate_subspaces, is_stable,
+                                kernel, preimage)
 from coprimespec.oracle import diff_against_engine
 from test_linalg import TUPLE_F2
 
@@ -128,6 +130,16 @@ def _check_order_table(lattice):
 
 # --- literal statement bodies -------------------------------------------------
 
+def _literal_cogenerated(m, k):
+    """Whether M/K embeds into a product of copies of M, from the quotient
+    bicomodule: the kernels of its intertwiners into M meet in zero."""
+    if k.is_full():
+        return True
+    q, _ = quotient(m, k)
+    maps = intertwiners(q, m)
+    return bool(maps) and kernel(Matrix.stack(maps)).is_zero()
+
+
 def _xset(points, l_sub):
     return frozenset(i for i, k in enumerate(points) if not l_sub.contains(k))
 
@@ -193,7 +205,7 @@ def _literal_an_ke_galois(a: InstanceAnalysis, ctx) -> list:
     witness = None
     for k in elements:
         fixed = ke(cache.annihilator(k), endo) == k
-        cogen = _quotient_cogenerated(a, k)
+        cogen = _literal_cogenerated(a.m, k)
         if fixed != cogen:
             witness = {"k": _describe(k), "ke_an_fixed": fixed,
                        "quotient_cogenerated": cogen}
@@ -760,8 +772,37 @@ def test_coproduct_bound_computes_each_probe_pair_once(monkeypatch):
 
 # --- packed F2 linear systems against the tuple arithmetic --------------------
 
+def _rebased(m, seed):
+    """m over F2 in the basis of the columns of P = I + N, N random and
+    strictly lower triangular: each operator A becomes P^-1 A P, where
+    P^-1 = I + N + ... + N^(n-1).  Most subbicomodules of the result are
+    not spanned by unit vectors, so their RREF rows have bits off their
+    pivots."""
+    rng, n = Random(seed), m.dim
+    identity = Matrix.identity(F2, n)
+    strict = Matrix(F2, n, n, [[rng.randrange(2) if j < i else 0 for j in range(n)]
+                               for i in range(n)])
+
+    def plus(a, b):
+        return Matrix(F2, n, n, [[x ^ y for x, y in zip(r, s)]
+                                 for r, s in zip(a.data, b.data)])
+
+    p, inverse, power = plus(identity, strict), identity, identity
+    for _ in range(n - 1):
+        power = power @ strict
+        inverse = plus(inverse, power)
+    right = [(inverse @ op @ p).data for op in m.right_ops()]
+    left = [(inverse @ op @ p).data for op in m.left_ops()]
+    rho_right = [[[right[k][j][i] for k in range(m.right.dim)] for j in range(n)]
+                 for i in range(n)]
+    rho_left = [[[left[j][k][i] for k in range(n)] for j in range(m.left.dim)]
+                for i in range(n)]
+    return Bicomodule(m.left, m.right, n, rho_left, rho_right).require_valid()
+
+
 # Derandomized F2 instances: the first sweep seeds, three catalog families,
-# and the right-comodule form of each coalgebra among them.
+# the right-comodule form of each coalgebra among them, and three of them in
+# a basis where the lattice elements are not spanned by unit vectors.
 def _f2_forms():
     forms = {f"seed-{s}": random_instance(s, field=F2)[0] for s in range(7, 17)}
     for ref in ("grouplike:4", "divided:4", "comatrix:2"):
@@ -769,6 +810,8 @@ def _f2_forms():
     for name, m in list(forms.items()):
         if m.regular_of is not None:
             forms[f"{name}-comodule"] = right_comodule(m.regular_of)
+    for name in ("seed-10", "grouplike:4", "divided:4"):
+        forms[f"{name}-rebased"] = _rebased(forms[name], len(name))
     return forms
 
 
@@ -1020,3 +1063,112 @@ def test_grouplike_7_needs_few_sums(monkeypatch):
         calls.clear()
         linalg.sum_closure(field, n, lambda v: Subspace.from_vectors(field, n, [v]))
         assert calls["sum"] <= bound
+
+
+# --- quotient cogeneration, restrictions and coordinates on packed rows --------
+
+COGENERATION_REFS = ("grouplike:5", "grouplike:7", "divided:6", "comatrix:2")
+
+
+def _cogeneration_forms():
+    for s in range(7, 57):
+        yield random_instance(s, field=F2)[0]
+    for ref in COGENERATION_REFS:
+        yield resolve_ref_to_bicomodule(ref, F2)
+
+
+def test_f2_quotient_cogeneration_matches_the_quotient_bicomodule():
+    def check(m):
+        elements = enumerate_lattice(m).elements
+        for k in elements:
+            assert quotient_cogenerated(m, k) == _literal_cogenerated(m, k)
+        return elements
+
+    assert sum(len(check(m)) for m in _cogeneration_forms()) == 720
+    # Each rebased form has a basis row with a bit off its pivot, where
+    # reading a vector at the free columns differs from reducing it first.
+    for name in F2_FORMS:
+        if name.endswith("-rebased"):
+            assert any(sum(row) > 1 for k in check(F2_FORMS[name]) for row in k.basis)
+
+
+@pytest.mark.parametrize("seed", [7, 10, 16])
+def test_f2_quotient_cogeneration_rejects_an_unstable_subspace(seed):
+    m, _ = random_instance(seed, field=F2)
+    unstable = [sub for sub in _random_subspaces(Random(seed), m.dim, 40)
+                if not is_stable(sub, m.all_ops())]
+    assert unstable
+    for sub in unstable:
+        with pytest.raises(NotSubbicomodule):
+            quotient_cogenerated(m, sub)
+        with pytest.raises(NotSubbicomodule):
+            quotient(m, sub)
+
+
+@pytest.mark.parametrize("name", list(F2_FORMS))
+def test_packed_restrictions_and_coordinates_match_the_tuple_path(name):
+    m = F2_FORMS[name]
+    t = _tuple_form(m)
+    lattice = enumerate_lattice(m)
+    for l_sub in lattice.nonzero_elements():
+        l_t = _tuple_sub(l_sub)
+        r, embed = restrict(m, l_sub)
+        r_t, embed_t = restrict(t, l_t)
+        assert (r.rho_left, r.rho_right) == (r_t.rho_left, r_t.rho_right)
+        assert embed.data == embed_t.data
+        for k in lattice.elements:
+            k_t = _tuple_sub(k)
+            if not l_sub.contains(k):
+                for sub, member in ((l_sub, k), (l_t, k_t)):
+                    with pytest.raises(ValueError, match="not in the subspace"):
+                        child_coords(sub, member)
+                continue
+            child, child_t = child_coords(l_sub, k), child_coords(l_t, k_t)
+            assert _rows(child) == _rows(child_t)
+            back = parent_coords(l_sub, child)
+            assert _rows(back) == _rows(parent_coords(l_t, child_t)) == _rows(k)
+    rng = Random(sum(map(ord, name)))
+    for sub in _random_subspaces(rng, m.dim, 6):
+        if sub.is_zero():
+            continue
+        child = next(_random_subspaces(rng, sub.dim, 1))
+        assert _rows(parent_coords(sub, child)) == \
+            _rows(parent_coords(_tuple_sub(sub), _tuple_sub(child)))
+
+
+def test_f2_galois_family_builds_no_quotient_bicomodule(monkeypatch):
+    calls = Counter()
+    original = bicomodule_module.quotient
+
+    def counted(*args):
+        calls["quotient"] += 1
+        return original(*args)
+
+    for module in (bicomodule_module, endo_module, checks):
+        monkeypatch.setattr(module, "quotient", counted, raising=False)
+    name = ["annihilator-kernel-galois"]
+    for ref in ("grouplike:4", "divided:4", "comatrix:2", "seed-10"):
+        verdicts = run_checks(InstanceAnalysis(F2_FORMS[ref]), names=name)
+        assert not any(v.failed for v in verdicts)
+    assert calls["quotient"] == 0
+    # Odd p still builds quotients, so the counter is on the path it guards.
+    run_checks(InstanceAnalysis(resolve_ref_to_bicomodule("divided:2", F3)), names=name)
+    assert calls["quotient"] > 0
+
+
+def _galois_2(m):
+    return next(v for v in run_checks(InstanceAnalysis(m, seed=7),
+                                      names=["annihilator-kernel-galois"])
+                if v.statement == "annihilator-kernel-galois-2")
+
+
+def test_an_empty_operator_basis_fails_the_galois_fixed_points(monkeypatch):
+    m = random_instance(7, field=F2)[0]
+    assert _galois_2(m).status == PASS
+    # No operators: every map M/K -> M commutes, so every quotient reads as
+    # cogenerated, while Ke(An(K)) != K for the line K below.
+    monkeypatch.setattr(Bicomodule, "op_basis", lambda self: ())
+    verdict = _galois_2(random_instance(7, field=F2)[0])
+    assert verdict.status == FAIL
+    assert verdict.witness == {"k": _described("100"), "ke_an_fixed": False,
+                               "quotient_cogenerated": True}

@@ -214,6 +214,20 @@ def _f2_matrices(rng, count):
         yield Matrix(F2, rows, cols, data), Matrix(TUPLE_F2, rows, cols, data)
 
 
+def _dense_f2_matrices(rng, count):
+    """Random dense F2 matrices of about 60 rows and 25 columns, the shape
+    of the commutation systems; half are sums of a few random rows, so their
+    rank falls short of the column count."""
+    for n in range(count):
+        rows, cols = rng.randrange(50, 70), rng.randrange(20, 30)
+        data = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
+        if n % 2:
+            base = data[:rng.randrange(3, 15)]
+            data = [[sum(x) % 2 for x in zip(*rng.sample(base, rng.randrange(1, 4)))]
+                    for _ in range(rows)]
+        yield Matrix(F2, rows, cols, data), Matrix(TUPLE_F2, rows, cols, data)
+
+
 def _same(packed: Subspace, tuples: Subspace):
     assert packed.basis == tuples.basis
     assert packed.pivots == tuples.pivots
@@ -230,7 +244,7 @@ def test_generic_order_two_takes_the_tuple_path():
 
 def test_packed_rref_kernel_and_apply_match_the_tuple_path():
     rng = random.Random(41)
-    for m, t in _f2_matrices(rng, 300):
+    for m, t in [*_f2_matrices(rng, 300), *_dense_f2_matrices(rng, 20)]:
         reduced, rank = rref(m)
         t_reduced, t_rank = rref(t)
         assert reduced.data == t_reduced.data and rank == t_rank
