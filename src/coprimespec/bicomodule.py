@@ -13,13 +13,13 @@ exactly when it is stable under all of them, which is the workhorse test.
 
 from __future__ import annotations
 
-from .coalgebra import (Coalgebra, DualAlgebra, ValidationReport,
-                        dense_from_triples)
+from .coalgebra import (Coalgebra, DualAlgebra, ValidationReport, at_entry,
+                        check_laws, coaction_operators, counit_law,
+                        dense_from_triples, right_coassociativity, unequal)
 from .exceptions import (AmbientMismatch, CoalgebraMismatch, InvalidBicomodule,
                          NotSubbicomodule)
-from .fields import Field
-from .linalg import (Matrix, Subspace, f2_bits_at, f2_image, f2_independent,
-                     is_stable)
+from .linalg import (Matrix, Subspace, combination, f2_bits_at, f2_image,
+                     f2_independent, is_stable)
 
 
 class Bicomodule:
@@ -75,79 +75,28 @@ class Bicomodule:
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """The coaction laws as identities of R_k = right_ops()[k] and
+        L_j = left_ops()[j]: right coassociativity and counit of R over the
+        right coalgebra; L_b L_a = sum_j delta[j][a][b] L_j, keyed (a, b)
+        with entry (c, i) the law at (i, a, b, c), and the counit of L over
+        the left coalgebra; L_a R_k = R_k L_a, keyed (a, k) with entry (b, i)
+        the law at (i, a, b, k)."""
         field, n = self.field, self.dim
-        nc, nd = self.right.dim, self.left.dim
-        r, l = self.rho_right, self.rho_left
-        dc, dd = self.right.delta, self.left.delta
-        ec, ed = self.right.counit, self.left.counit
-        fmt = field.format_scalar
-        report = ValidationReport()
-        add, mul, zero = field.add, field.mul, field.zero
-
-        for i in range(n):
-            for a in range(n):
-                for b in range(nc):
-                    for c in range(nc):
-                        lhs = zero
-                        for j in range(n):
-                            if r[i][j][c] and r[j][a][b]:
-                                lhs = add(lhs, mul(r[i][j][c], r[j][a][b]))
-                        rhs = zero
-                        for k in range(nc):
-                            if r[i][a][k] and dc[k][b][c]:
-                                rhs = add(rhs, mul(r[i][a][k], dc[k][b][c]))
-                        if lhs != rhs:
-                            report.add("right-coassociativity", (i, a, b, c),
-                                       f"{fmt(lhs)} != {fmt(rhs)}")
-        for i in range(n):
-            for j in range(n):
-                val = zero
-                for k in range(nc):
-                    if r[i][j][k] and ec[k]:
-                        val = add(val, mul(r[i][j][k], ec[k]))
-                want = field.one if i == j else zero
-                if val != want:
-                    report.add("right-counit", (i, j), f"{fmt(val)} != {fmt(want)}")
-        for i in range(n):
-            for a in range(nd):
-                for b in range(nd):
-                    for c in range(n):
-                        lhs = zero
-                        for j in range(nd):
-                            if l[i][j][c] and dd[j][a][b]:
-                                lhs = add(lhs, mul(l[i][j][c], dd[j][a][b]))
-                        rhs = zero
-                        for k in range(n):
-                            if l[i][a][k] and l[k][b][c]:
-                                rhs = add(rhs, mul(l[i][a][k], l[k][b][c]))
-                        if lhs != rhs:
-                            report.add("left-coassociativity", (i, a, b, c),
-                                       f"{fmt(lhs)} != {fmt(rhs)}")
-        for i in range(n):
-            for k in range(n):
-                val = zero
-                for j in range(nd):
-                    if l[i][j][k] and ed[j]:
-                        val = add(val, mul(l[i][j][k], ed[j]))
-                want = field.one if i == k else zero
-                if val != want:
-                    report.add("left-counit", (i, k), f"{fmt(val)} != {fmt(want)}")
-        for i in range(n):
-            for a in range(nd):
-                for b in range(n):
-                    for k in range(nc):
-                        lhs = zero
-                        for j in range(n):
-                            if r[i][j][k] and l[j][a][b]:
-                                lhs = add(lhs, mul(r[i][j][k], l[j][a][b]))
-                        rhs = zero
-                        for j in range(n):
-                            if l[i][a][j] and r[j][b][k]:
-                                rhs = add(rhs, mul(l[i][a][j], r[j][b][k]))
-                        if lhs != rhs:
-                            report.add("coaction-compatibility", (i, a, b, k),
-                                       f"{fmt(lhs)} != {fmt(rhs)}")
-        return report
+        r_ops, l_ops = self.right_ops(), self.left_ops()
+        nd, dd = self.left.dim, self.left.delta
+        return check_laws(field, [
+            ("right-coassociativity", at_entry, unequal,
+             right_coassociativity(field, r_ops, self.right.delta)),
+            ("right-counit", at_entry, unequal,
+             counit_law(field, r_ops, self.right.counit)),
+            ("left-coassociativity", lambda c, i, key: (i,) + key + (c,), unequal,
+             (((a, b), combination(field, n, [dd[j][a][b] for j in range(nd)], l_ops),
+               l_ops[b] @ l_ops[a]) for a in range(nd) for b in range(nd))),
+            ("left-counit", at_entry, unequal,
+             counit_law(field, l_ops, self.left.counit)),
+            ("coaction-compatibility", lambda b, i, key: (i, key[0], b, key[1]), unequal,
+             (((a, k), l_op @ r_op, r_op @ l_op)
+              for a, l_op in enumerate(l_ops) for k, r_op in enumerate(r_ops)))])
 
     def require_valid(self):
         for side, coalg in (("left", self.left), ("right", self.right)):
@@ -164,25 +113,14 @@ class Bicomodule:
     def right_ops(self):
         """Operator matrices of the right-coalgebra dual basis acting by f -> m."""
         if self._right_ops is None:
-            field, n = self.field, self.dim
-            ops = []
-            for k in range(self.right.dim):
-                ops.append(Matrix(field, n, n,
-                                  [[self.rho_right[i][j][k] for i in range(n)]
-                                   for j in range(n)]))
-            self._right_ops = tuple(ops)
+            self._right_ops = coaction_operators(self.field, self.dim, self.rho_right)
         return self._right_ops
 
     def left_ops(self):
         """Operator matrices of the left-coalgebra dual basis acting by m <- g."""
         if self._left_ops is None:
-            field, n = self.field, self.dim
-            ops = []
-            for j in range(self.left.dim):
-                ops.append(Matrix(field, n, n,
-                                  [[self.rho_left[i][j][k] for i in range(n)]
-                                   for k in range(n)]))
-            self._left_ops = tuple(ops)
+            self._left_ops = coaction_operators(self.field, self.dim, self.rho_left,
+                                                left=True)
         return self._left_ops
 
     def all_ops(self):
@@ -199,40 +137,6 @@ class Bicomodule:
             self._op_basis = tuple(ops[i] for i in f2_independent(flat))
         return self._op_basis
 
-    def act_right(self, f, v):
-        """f -> v for f given by dual coordinates on the right coalgebra."""
-        if len(f) != self.right.dim or len(v) != self.dim:
-            raise AmbientMismatch("bad operand lengths for the right dual action")
-        field, n = self.field, self.dim
-        out = []
-        for j in range(n):
-            acc = field.zero
-            for i, vi in enumerate(v):
-                if vi:
-                    row = self.rho_right[i][j]
-                    for k, fk in enumerate(f):
-                        if fk and row[k]:
-                            acc = field.add(acc, field.mul(vi, field.mul(row[k], fk)))
-            out.append(acc)
-        return tuple(out)
-
-    def act_left(self, g, v):
-        """v <- g for g given by dual coordinates on the left coalgebra."""
-        if len(g) != self.left.dim or len(v) != self.dim:
-            raise AmbientMismatch("bad operand lengths for the left dual action")
-        field, n = self.field, self.dim
-        out = []
-        for k in range(n):
-            acc = field.zero
-            for i, vi in enumerate(v):
-                if vi:
-                    plane = self.rho_left[i]
-                    for j, gj in enumerate(g):
-                        if gj and plane[j][k]:
-                            acc = field.add(acc, field.mul(vi, field.mul(plane[j][k], gj)))
-            out.append(acc)
-        return tuple(out)
-
     def __eq__(self, other):
         return (isinstance(other, Bicomodule) and self.left == other.left
                 and self.right == other.right and self.dim == other.dim
@@ -244,15 +148,6 @@ class Bicomodule:
     def __repr__(self):
         kind = "regular " if self.regular_of is not None else ""
         return f"Bicomodule({kind}{self.field.name}, dim={self.dim})"
-
-
-def act(m: Bicomodule, f, v, side: str):
-    """Rational action dispatch: side 'right' is f -> v, side 'left' is v <- f."""
-    if side == "right":
-        return m.act_right(f, v)
-    if side == "left":
-        return m.act_left(f, v)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def regular_bicomodule(c: Coalgebra) -> Bicomodule:
@@ -388,15 +283,4 @@ def centralizer(m: Bicomodule) -> Centralizer:
 
 def phi_matrix(m: Bicomodule, f) -> Matrix:
     """The endomorphism v -> (f -> v) of a centralizer element f."""
-    field, n = m.field, m.dim
-    r_ops = m.right_ops()
-    data = [[field.zero] * n for _ in range(n)]
-    for k, fk in enumerate(f):
-        if fk:
-            op = r_ops[k].data
-            for a in range(n):
-                row = op[a]
-                for i in range(n):
-                    if row[i]:
-                        data[a][i] = field.add(data[a][i], field.mul(fk, row[i]))
-    return Matrix(field, n, n, data)
+    return combination(m.field, m.dim, f, m.right_ops())

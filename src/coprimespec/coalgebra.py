@@ -5,9 +5,10 @@ A coalgebra is stored by structure constants on a fixed basis e_0..e_{n-1}:
     delta[i][j][k] = coefficient of e_j (x) e_k in the comultiplication of e_i
     counit[i]     = counit value on e_i
 
-Validation checks coassociativity and both counit laws entrywise and
-reports every violated law with the offending basis indices, so defective
-inputs produce witnesses rather than exceptions.
+The laws are checked as identities of the rational dual-action operators
+(`coaction_operators`; a comodule is a rational module of the dual), and
+every violated law is reported with the offending basis indices, so
+defective inputs produce witnesses rather than exceptions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .exceptions import InvalidCoalgebra, InvalidMorphism
 from .fields import Field
-from .linalg import Matrix
+from .linalg import Matrix, combination
 
 
 @dataclass(frozen=True)
@@ -33,14 +34,11 @@ class ValidationReport:
     """Collection of law violations; empty means valid."""
 
     def __init__(self, issues=()):
-        self.issues = list(issues)
+        self.issues = tuple(issues)
 
     @property
     def ok(self) -> bool:
         return not self.issues
-
-    def add(self, law, index, detail):
-        self.issues.append(ValidationIssue(law, tuple(index), detail))
 
     def __str__(self):
         if self.ok:
@@ -49,6 +47,62 @@ class ValidationReport:
 
     def __iter__(self):
         return iter(self.issues)
+
+
+def coaction_operators(field: Field, n: int, rho, left: bool = False):
+    """The operators on F^n of the dual basis of a coaction tensor rho:
+    R_k[j][i] = rho[i][j][k] for a right coaction, L_j[k][i] = rho[i][j][k]
+    for a left one.  They are the rational dual actions f -> m and m <- g."""
+    planes = rho if left else [tuple(zip(*plane)) for plane in rho]
+    return tuple(Matrix(field, n, n, zip(*(plane[x] for plane in planes)))
+                 for x in range(len(planes[0])))
+
+
+def check_laws(field: Field, laws) -> ValidationReport:
+    """The report of a list of operator identities lhs = rhs.
+
+    Each law is (name, witness, detail, cases) in report order; each case
+    is (key, lhs, rhs) with matrices of one shape.  Every entry (r, i) where
+    lhs and rhs differ is one issue at index witness(r, i, key), whose text
+    is detail(index, lhs entry, rhs entry) on the formatted entries.  Issues
+    are sorted by index within each law."""
+    fmt, issues = field.format_scalar, []
+    for law, witness, detail, cases in laws:
+        found = []
+        for key, lhs, rhs in cases:
+            if lhs.data != rhs.data:
+                for r, (lrow, rrow) in enumerate(zip(lhs.data, rhs.data)):
+                    for i, (x, y) in enumerate(zip(lrow, rrow)):
+                        if x != y:
+                            index = witness(r, i, key)
+                            found.append((index, detail(index, fmt(x), fmt(y))))
+        found.sort(key=lambda issue: issue[0])
+        issues += [ValidationIssue(law, index, text) for index, text in found]
+    return ValidationReport(issues)
+
+
+def unequal(index, x, y):
+    return f"{x} != {y}"
+
+
+def at_entry(r, i, key):
+    """The witness of entry (r, i) in the case with key: the entrywise law
+    at (i, r) + key."""
+    return (i, r) + key
+
+
+def right_coassociativity(field: Field, ops, delta):
+    """The cases of R_b R_c = sum_k delta[k][b][c] R_k, keyed (b, c)."""
+    n, count = ops[0].rows, len(ops)
+    return (((b, c), ops[b] @ ops[c],
+             combination(field, n, [delta[k][b][c] for k in range(count)], ops))
+            for b in range(count) for c in range(count))
+
+
+def counit_law(field: Field, ops, counit):
+    """The case of sum_k counit[k] X_k = I."""
+    n = ops[0].rows
+    return [((), combination(field, n, counit, ops), Matrix.identity(field, n))]
 
 
 def dense_from_triples(field: Field, shape, triples):
@@ -68,7 +122,7 @@ def dense_from_triples(field: Field, shape, triples):
 class Coalgebra:
     """Coalgebra by structure constants; validation is report-based."""
 
-    __slots__ = ("field", "dim", "delta", "counit")
+    __slots__ = ("field", "dim", "delta", "counit", "_report")
 
     def __init__(self, field: Field, dim: int, delta, counit):
         if dim < 1:
@@ -83,6 +137,7 @@ class Coalgebra:
             raise ValueError("comultiplication tensor shape mismatch")
         if len(self.counit) != dim:
             raise ValueError("counit length mismatch")
+        self._report = None
 
     @classmethod
     def from_triples(cls, field: Field, dim: int, triples, counit) -> "Coalgebra":
@@ -95,45 +150,29 @@ class Coalgebra:
                 if self.delta[i][j][k] != 0]
 
     def validate(self) -> ValidationReport:
-        field, n, d, eps = self.field, self.dim, self.delta, self.counit
-        report = ValidationReport()
-        fmt = field.format_scalar
-        for i in range(n):
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        lhs = field.zero
-                        for j in range(n):
-                            if d[i][j][c] and d[j][a][b]:
-                                lhs = field.add(lhs, field.mul(d[i][j][c], d[j][a][b]))
-                        rhs = field.zero
-                        for k in range(n):
-                            if d[i][a][k] and d[k][b][c]:
-                                rhs = field.add(rhs, field.mul(d[i][a][k], d[k][b][c]))
-                        if lhs != rhs:
-                            report.add("coassociativity", (i, a, b, c),
-                                       f"coefficient of basis (x)^3 term: {fmt(lhs)} != {fmt(rhs)}")
-        for i in range(n):
-            for c in range(n):
-                val = field.zero
-                for j in range(n):
-                    if d[i][j][c] and eps[j]:
-                        val = field.add(val, field.mul(d[i][j][c], eps[j]))
-                want = field.one if i == c else field.zero
-                if val != want:
-                    report.add("counit-left", (i, c),
-                               f"(counit (x) id) on basis {i} has coefficient {fmt(val)} at {c}, expected {fmt(want)}")
-        for i in range(n):
-            for a in range(n):
-                val = field.zero
-                for k in range(n):
-                    if d[i][a][k] and eps[k]:
-                        val = field.add(val, field.mul(d[i][a][k], eps[k]))
-                want = field.one if i == a else field.zero
-                if val != want:
-                    report.add("counit-right", (i, a),
-                               f"(id (x) counit) on basis {i} has coefficient {fmt(val)} at {a}, expected {fmt(want)}")
-        return report
+        """The laws of the regular bicomodule C, computed on first use: its
+        right coassociativity as `coassociativity`, and its left and right
+        counit laws as `counit-left` and `counit-right`."""
+        if self._report is None:
+            self._report = self._laws()
+        return self._report
+
+    def _laws(self) -> ValidationReport:
+        field, n = self.field, self.dim
+        right = coaction_operators(field, n, self.delta)
+        left = coaction_operators(field, n, self.delta, left=True)
+        return check_laws(field, [
+            ("coassociativity", at_entry,
+             lambda index, x, y: f"coefficient of basis (x)^3 term: {x} != {y}",
+             right_coassociativity(field, right, self.delta)),
+            ("counit-left", at_entry,
+             lambda index, x, y: f"(counit (x) id) on basis {index[0]} has "
+                                 f"coefficient {x} at {index[1]}, expected {y}",
+             counit_law(field, left, self.counit)),
+            ("counit-right", at_entry,
+             lambda index, x, y: f"(id (x) counit) on basis {index[0]} has "
+                                 f"coefficient {x} at {index[1]}, expected {y}",
+             counit_law(field, right, self.counit))])
 
     def require_valid(self):
         report = self.validate()
@@ -191,11 +230,6 @@ class DualAlgebra:
         return tuple(out)
 
 
-def dual_algebra(c: Coalgebra) -> DualAlgebra:
-    c.require_valid()
-    return DualAlgebra(c)
-
-
 class CoalgebraMorphism:
     """Linear map between coalgebras, stored column-wise on source basis."""
 
@@ -216,37 +250,21 @@ class CoalgebraMorphism:
         return cls(source, target, Matrix.from_rows(source.field, rows))
 
     def validate(self) -> ValidationReport:
-        field = self.source.field
-        fmt = field.format_scalar
-        n, m = self.source.dim, self.target.dim
-        t = self.matrix.data
-        d_src, d_tgt = self.source.delta, self.target.delta
-        report = ValidationReport()
-        for i in range(n):
-            for a in range(m):
-                for b in range(m):
-                    lhs = field.zero
-                    for s in range(m):
-                        if t[s][i] and d_tgt[s][a][b]:
-                            lhs = field.add(lhs, field.mul(t[s][i], d_tgt[s][a][b]))
-                    rhs = field.zero
-                    for j in range(n):
-                        for k in range(n):
-                            coeff = d_src[i][j][k]
-                            if coeff and t[a][j] and t[b][k]:
-                                rhs = field.add(rhs, field.mul(coeff, field.mul(t[a][j], t[b][k])))
-                    if lhs != rhs:
-                        report.add("comultiplication-morphism", (i, a, b),
-                                   f"{fmt(lhs)} != {fmt(rhs)}")
-        for i in range(n):
-            val = field.zero
-            for s in range(m):
-                if t[s][i] and self.target.counit[s]:
-                    val = field.add(val, field.mul(t[s][i], self.target.counit[s]))
-            if val != self.source.counit[i]:
-                report.add("counit-morphism", (i,),
-                           f"{fmt(val)} != {fmt(self.source.counit[i])}")
-        return report
+        """theta is comultiplicative when R'_b theta = theta sum_k theta[b][k]
+        R_k for each b, with R and R' the right operators of the source and
+        the target (entry (a, i) is the entrywise law at (i, a, b)), and
+        counital when counit' theta = counit (entry (0, i) is the law at i)."""
+        field, theta = self.source.field, self.matrix
+        ops = coaction_operators(field, self.source.dim, self.source.delta)
+        targets = coaction_operators(field, self.target.dim, self.target.delta)
+        counit = lambda c: Matrix(field, 1, c.dim, [c.counit])
+        return check_laws(field, [
+            ("comultiplication-morphism", at_entry, unequal,
+             (((b,), op @ theta,
+               theta @ combination(field, self.source.dim, theta.data[b], ops))
+              for b, op in enumerate(targets))),
+            ("counit-morphism", lambda r, i, key: (i,), unequal,
+             [((), counit(self.target) @ theta, counit(self.source))])])
 
     def require_valid(self):
         report = self.validate()
@@ -260,26 +278,6 @@ class CoalgebraMorphism:
 
     def is_bijective(self) -> bool:
         return self.source.dim == self.target.dim and self.is_injective()
-
-    def inverse(self) -> "CoalgebraMorphism":
-        if not self.is_bijective():
-            raise InvalidMorphism("morphism is not bijective")
-        from .linalg import rref
-        n = self.source.dim
-        field = self.source.field
-        aug = Matrix(field, n, 2 * n,
-                     [tuple(self.matrix.data[i]) + tuple(Matrix.identity(field, n).data[i])
-                      for i in range(n)])
-        reduced, rank = rref(aug)
-        inv_rows = [row[n:] for row in reduced.data]
-        return CoalgebraMorphism(self.target, self.source, Matrix(field, n, n, inv_rows))
-
-    def compose(self, other: "CoalgebraMorphism") -> "CoalgebraMorphism":
-        """self after other."""
-        if other.target is not self.source and other.target != self.source:
-            raise InvalidMorphism("composition mismatch")
-        return CoalgebraMorphism(other.source, self.target, self.matrix @ other.matrix)
-
 
 def identity_morphism(c: Coalgebra) -> CoalgebraMorphism:
     return CoalgebraMorphism(c, c, Matrix.identity(c.field, c.dim))

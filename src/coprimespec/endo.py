@@ -27,9 +27,10 @@ from .bicomodule import Bicomodule, quotient, restrict
 from .exceptions import (AmbientMismatch, BudgetExceeded, CoalgebraMismatch,
                          NotSubbicomodule, UnsupportedOverQ)
 from .linalg import (Matrix, Subspace, bits_of, check_subspace_budget,
-                     f2_bits_at, f2_image, f2_kernel, f2_null_rows, f2_rank,
-                     f2_reduce, f2_span, invariant_span, is_stable, kernel,
-                     maximal_bits, minimal_bits, strict_upsets, sum_closure)
+                     combination, f2_bits_at, f2_image, f2_kernel,
+                     f2_null_rows, f2_rank, f2_reduce, f2_span, invariant_span,
+                     is_stable, kernel, maximal_bits, minimal_bits,
+                     strict_upsets, sum_closure)
 # Unused here; kept because perfbench/tracing.py patches it in this module.
 from .linalg import enumerate_subspaces
 
@@ -184,16 +185,7 @@ class EndoAlgebra:
         return cls(m, intertwiners(m, m))
 
     def element(self, coords) -> Matrix:
-        field, n = self.field, self.bicomodule.dim
-        data = [[field.zero] * n for _ in range(n)]
-        for c, mat in zip(coords, self.basis):
-            if c:
-                for a in range(n):
-                    row = mat.data[a]
-                    for b in range(n):
-                        if row[b]:
-                            data[a][b] = field.add(data[a][b], field.mul(c, row[b]))
-        return Matrix(field, n, n, data)
+        return combination(self.field, self.bicomodule.dim, coords, self.basis)
 
     def element_rows(self, coords: int):
         """The packed rows of the element with packed coordinates (F2
@@ -233,14 +225,6 @@ class EndoAlgebra:
                         if p:
                             out[i] = field.add(out[i], field.mul(coeff, p))
         return tuple(out)
-
-    def is_commutative(self) -> bool:
-        units = coordinate_vectors(self.field, self.dim)
-        for a, ea in enumerate(units):
-            for eb in units[a + 1:]:
-                if self.multiply(ea, eb) != self.multiply(eb, ea):
-                    return False
-        return True
 
     def __repr__(self):
         return f"EndoAlgebra(dim={self.dim} over {self.field.name})"

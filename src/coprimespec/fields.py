@@ -99,9 +99,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -115,9 +112,6 @@ class Field:
             return str(a.numerator)
         return f"{a.numerator}/{a.denominator}"
 
-    def parse_scalar(self, text):
-        return self.coerce(text)
-
     def sort_key(self, a):
         if self.p is not None:
             return a
@@ -130,12 +124,6 @@ class Field:
         if self.p is not None:
             return rng.randrange(self.p)
         return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-
-    def random_nonzero(self, rng):
-        while True:
-            a = self.random_element(rng)
-            if a != 0:
-                return a
 
     def elements(self):
         """All field elements; finite fields only."""

@@ -95,10 +95,6 @@ class ParsedInstance:
         self.right = right
         self.raw_bicomodule = raw_bicomodule
 
-    @property
-    def has_bicomodule_block(self) -> bool:
-        return self.raw_bicomodule is not None
-
     def validation_reports(self):
         """Law reports keyed by block name; bicomodule laws only when coalgebras pass."""
         reports = {"left": self.left.validate()}

@@ -24,10 +24,17 @@ arithmetic throughout.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 
 from .exceptions import AmbientMismatch, BudgetExceeded
 from .fields import Field
+
+
+def _rational(x) -> Fraction:
+    """A sum of products of rationals as a Fraction: it already is one
+    unless no term was added (or the entries were ints)."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def _check_same_field(a: Field, b: Field):
@@ -241,7 +248,7 @@ class Matrix:
                 for k, a in enumerate(arow):
                     if a:
                         acc += a * odata[k][j]
-                new.append(acc % p if p is not None else f.coerce(acc))
+                new.append(acc % p if p is not None else _rational(acc))
             out.append(new)
         return Matrix(f, self.rows, ocols, out)
 
@@ -263,7 +270,7 @@ class Matrix:
             for a, v in zip(row, vec):
                 if a and v:
                     acc += a * v
-            out.append(acc % p if p is not None else f.coerce(acc))
+            out.append(acc % p if p is not None else _rational(acc))
         return tuple(out)
 
     def is_zero(self) -> bool:
@@ -283,6 +290,19 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(self.field.format_scalar(x) for x in row) for row in self.data)
         return f"Matrix({self.field.name}, {self.rows}x{self.cols}: {body})"
+
+
+def combination(field: Field, n: int, coeffs, mats) -> Matrix:
+    """The n x n matrix sum of c * M over the pairs (c, M) of coeffs and
+    mats with c nonzero; the zero matrix when there is none."""
+    data = [[field.zero] * n for _ in range(n)]
+    for c, mat in zip(coeffs, mats):
+        if c:
+            for out, row in zip(data, mat.data):
+                for b, x in enumerate(row):
+                    if x:
+                        out[b] = field.add(out[b], field.mul(c, x))
+    return Matrix(field, n, n, data)
 
 
 def _rref_rows(field: Field, rows):
@@ -317,6 +337,9 @@ def _rref_rows(field: Field, rows):
             else:
                 rows[r] = [x * inv for x in row]
         lead = rows[r]
+        # Over Q only the nonzero entries of the pivot row change a row:
+        # x - factor * 0 is x, and Fraction arithmetic is the cost here.
+        support = None if p is not None else [(j, y) for j, y in enumerate(lead) if y]
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
                 factor = rows[i][c]
@@ -324,18 +347,13 @@ def _rref_rows(field: Field, rows):
                 if p is not None:
                     rows[i] = [(x - factor * y) % p for x, y in zip(row, lead)]
                 else:
-                    rows[i] = [x - factor * y for x, y in zip(row, lead)]
+                    for j, y in support:
+                        row[j] = row[j] - factor * y
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return [tuple(row) for row in rows[:r]], tuple(pivots)
-
-
-def rref(m: Matrix):
-    """Canonical reduced row-echelon form (zero rows removed) and rank."""
-    rows, pivots = _rref_rows(m.field, m.data)
-    return Matrix(m.field, len(rows), m.cols, rows), len(pivots)
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -640,17 +658,20 @@ def enumerate_subspaces(field: Field, ambient: int, budget: int | None = None):
 
 def invariant_span(field: Field, ambient: int, vectors, ops) -> Subspace:
     """Smallest subspace containing vectors and stable under every operator
-    matrix in ops."""
+    matrix in ops.  The whole space is stable, so the search stops as soon
+    as it is reached."""
     if field.p == 2:
         return _f2_invariant_span(field, ambient, vectors, ops)
     sub = Subspace.from_vectors(field, ambient, vectors)
     queue = list(sub.basis)
-    while queue:
+    while queue and not sub.is_full():
         w = queue.pop()
         for op in ops:
             u = op.apply(w)
             if not sub.contains_vector(u):
                 sub = sub.sum_with(Subspace.from_vectors(field, ambient, [u]))
+                if sub.is_full():
+                    break
                 queue.append(u)
     return sub
 

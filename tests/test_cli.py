@@ -93,6 +93,26 @@ def test_validate_a_catalog_reference():
     assert "ok" in proc.stdout
 
 
+def test_validate_text_of_a_broken_coalgebra_is_pinned(tmp_path):
+    path = tmp_path / "shifted.json"
+    save_instance(str(path), divided_power(3, prime_field(2), start=1))
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == """left: INVALID
+  coassociativity fails at (1, 1, 0, 0): coefficient of basis (x)^3 term: 1 != 0
+  coassociativity fails at (2, 1, 0, 1): coefficient of basis (x)^3 term: 1 != 0
+  coassociativity fails at (2, 2, 0, 0): coefficient of basis (x)^3 term: 1 != 0
+  coassociativity fails at (3, 1, 0, 2): coefficient of basis (x)^3 term: 1 != 0
+  coassociativity fails at (3, 2, 0, 1): coefficient of basis (x)^3 term: 1 != 0
+  coassociativity fails at (3, 3, 0, 0): coefficient of basis (x)^3 term: 1 != 0
+  counit-left fails at (0, 0): (counit (x) id) on basis 0 has coefficient 0 at 0, expected 1
+  counit-left fails at (1, 1): (counit (x) id) on basis 1 has coefficient 0 at 1, expected 1
+  counit-left fails at (2, 2): (counit (x) id) on basis 2 has coefficient 0 at 2, expected 1
+  counit-left fails at (3, 3): (counit (x) id) on basis 3 has coefficient 0 at 3, expected 1
+  counit-right fails at (0, 0): (id (x) counit) on basis 0 has coefficient 0 at 0, expected 1
+"""
+
+
 def test_validate_structured_output():
     proc = run_cli("validate", "grouplike:2", "--report", "structured")
     assert proc.returncode == 0

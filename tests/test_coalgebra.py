@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from coprimespec.bicomodule import regular_bicomodule
 from coprimespec.catalog import (chain_inclusion, comatrix, direct_sum,
                                  divided_power, grouplike, incidence,
-                                 permutation_morphism, Poset)
+                                 permutation_morphism, Poset, random_instance,
+                                 right_comodule)
 from coprimespec.coalgebra import (Coalgebra, CoalgebraMorphism, DualAlgebra,
-                                   dual_algebra, identity_morphism)
-from coprimespec.exceptions import InvalidMorphism
+                                   identity_morphism)
+from coprimespec.exceptions import InvalidCoalgebra, InvalidMorphism
 from coprimespec.fields import prime_field, rationals
 
 F2 = prime_field(2)
@@ -62,6 +64,70 @@ def test_validation_catches_a_broken_counit():
     assert not broken.validate().ok
 
 
+# One hand-broken structure per coalgebra and morphism law, with every
+# (law, index) its report must hold: a coalgebra index is (i, a, b, c) for
+# the coefficient of e_a (x) e_b (x) e_c in the image of e_i, (i, c) for a
+# counit law; a morphism index is (i, a, b) for the coefficient of
+# e'_a (x) e'_b in the image of e_i, (i,) for its counit law.
+BROKEN_LAWS = {
+    # Delta(e1) = e0 (x) e1 + e1 (x) e0 + e1 (x) e2 is counital, since the
+    # counit vanishes on e1 and e2; (Delta (x) id) Delta(e1) has the term
+    # e1 (x) e2 (x) e2, from Delta(e1) (x) e2, and (id (x) Delta) Delta(e1)
+    # has not.
+    "coassociativity": (
+        Coalgebra.from_triples(F2, 3, [(0, 0, 0, 1), (1, 0, 1, 1), (1, 1, 0, 1),
+                                       (1, 1, 2, 1), (2, 0, 2, 1), (2, 2, 0, 1)],
+                               [1, 0, 0]),
+        {("coassociativity", (1, 1, 2, 2))}),
+    # Delta(e1) = e1 (x) e0: (counit (x) id) Delta(e1) = 0, not e1.
+    "counit-left": (
+        Coalgebra.from_triples(F2, 2, [(0, 0, 0, 1), (1, 1, 0, 1)], [1, 0]),
+        {("counit-left", (1, 1))}),
+    # Delta(e1) = e0 (x) e1: (id (x) counit) Delta(e1) = 0, not e1.
+    "counit-right": (
+        Coalgebra.from_triples(F2, 2, [(0, 0, 0, 1), (1, 0, 1, 1)], [1, 0]),
+        {("counit-right", (1, 1))}),
+    # g -> 2 g0 + 2 g1 over F3 is counital (2 + 2 = 1); Delta' theta(g) has
+    # coefficients 2, 0, 0, 2 at g_a (x) g_b and theta(g) (x) theta(g) has 1s.
+    "comultiplication-morphism": (
+        CoalgebraMorphism.from_rows(grouplike(1, F3), grouplike(2, F3), [[2], [2]]),
+        {("comultiplication-morphism", (0, a, b)) for a in range(2) for b in range(2)}),
+    # The zero map is comultiplicative but sends the counit value 1 to 0.
+    "counit-morphism": (
+        CoalgebraMorphism.from_rows(grouplike(1, F2), grouplike(1, F2), [[0]]),
+        {("counit-morphism", (0,))}),
+}
+
+
+@pytest.mark.parametrize("law", list(BROKEN_LAWS))
+def test_each_law_reports_exactly_its_hand_worked_witnesses(law):
+    structure, expected = BROKEN_LAWS[law]
+    assert {(issue.law, issue.index) for issue in structure.validate()} == expected
+
+
+def test_a_coalgebra_computes_its_laws_once(monkeypatch):
+    computed = []
+    laws = Coalgebra._laws
+
+    def counted(self):
+        computed.append(self)
+        return laws(self)
+
+    monkeypatch.setattr(Coalgebra, "_laws", counted)
+    m, _ = random_instance(7)
+    c = m.right
+    regular_bicomodule(c)
+    right_comodule(c)
+    assert sum(1 for x in computed if x is c) == 1
+
+
+def test_a_broken_coalgebra_fails_every_require_valid():
+    broken = divided_power(3, F2, start=1)
+    for _ in range(3):
+        with pytest.raises(InvalidCoalgebra, match="counit-left fails at"):
+            broken.require_valid()
+
+
 def test_shifted_divided_power_is_invalid():
     for field in (F2, QQ):
         report = divided_power(3, field, start=1).validate()
@@ -76,7 +142,7 @@ def unit_vector(field, n, i):
 
 
 def test_dual_of_grouplike_is_commutative_and_split():
-    d = dual_algebra(grouplike(3, F3))
+    d = DualAlgebra(grouplike(3, F3))
     e = d.unit_coords
     for i in range(3):
         f = unit_vector(F3, 3, i)
@@ -89,7 +155,7 @@ def test_dual_of_grouplike_is_commutative_and_split():
 
 
 def test_dual_of_comatrix_is_a_matrix_algebra():
-    d = dual_algebra(comatrix(2, F2))
+    d = DualAlgebra(comatrix(2, F2))
     n = d.dim
     units = [unit_vector(F2, n, i) for i in range(n)]
     assert any(tuple(d.multiply(f, g)) != tuple(d.multiply(g, f))
@@ -99,7 +165,7 @@ def test_dual_of_comatrix_is_a_matrix_algebra():
 def test_dual_algebra_is_associative_on_seeded_samples():
     rng = random.Random(13)
     for c in (divided_power(3, F3), comatrix(2, F3)):
-        d = dual_algebra(c)
+        d = DualAlgebra(c)
         for _ in range(25):
             f, g, h = ([F3.random_element(rng) for _ in range(c.dim)]
                        for _ in range(3))
@@ -120,10 +186,8 @@ def test_permutation_morphism_is_an_automorphism():
     theta = permutation_morphism(3, (2, 0, 1), F3)
     theta.require_valid()
     assert theta.is_bijective()
-    inv = theta.inverse()
-    both = theta.compose(inv)
     ident = identity_morphism(theta.source)
-    assert both.matrix == ident.matrix
+    assert theta.matrix @ theta.matrix.transpose() == ident.matrix
 
 
 def test_identity_morphism_round_trip():

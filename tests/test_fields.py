@@ -50,7 +50,7 @@ def test_field_axioms_on_seeded_samples():
             assert field.add(a, field.neg(a)) == field.zero
             if not field.is_zero(b):
                 assert field.mul(b, field.inv(b)) == field.one
-                assert field.mul(field.div(a, b), b) == a
+                assert field.mul(field.mul(a, field.inv(b)), b) == a
 
 
 def test_rational_arithmetic_is_exact():
@@ -79,20 +79,13 @@ def test_random_elements_are_seed_deterministic():
         assert a == b
 
 
-def test_random_nonzero_never_returns_zero():
-    rng = random.Random(7)
-    for field in (prime_field(2), prime_field(3), rationals()):
-        for _ in range(40):
-            assert not field.is_zero(field.random_nonzero(rng))
-
-
 def test_scalar_format_parse_round_trip():
     q = rationals()
     for s in (Fraction(0), Fraction(-3, 7), Fraction(5), Fraction(22, 7)):
-        assert q.parse_scalar(q.format_scalar(s)) == s
+        assert q.coerce(q.format_scalar(s)) == s
     f = prime_field(5)
     for s in f.elements():
-        assert f.parse_scalar(f.format_scalar(s)) == s
+        assert f.coerce(f.format_scalar(s)) == s
 
 
 def test_coerce_rejects_bad_values():

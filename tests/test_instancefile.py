@@ -54,7 +54,7 @@ def test_regular_bicomodule_renders_without_a_bicomodule_block():
     m = regular_bicomodule(divided_power(2, F2))
     text = render_instance(m)
     parsed = parse_instance(text)
-    assert not parsed.has_bicomodule_block
+    assert parsed.raw_bicomodule is None
     rebuilt = parsed.bicomodule()
     assert rebuilt.regular_of is not None
     assert rebuilt.rho_left == m.rho_left
@@ -69,7 +69,7 @@ def test_general_bicomodule_round_trip():
     for m in (right_comodule(comatrix(2, F2)), q):
         text = render_instance(m)
         parsed = parse_instance(text)
-        assert parsed.has_bicomodule_block
+        assert parsed.raw_bicomodule is not None
         rebuilt = parsed.bicomodule()
         assert rebuilt.rho_left == m.rho_left
         assert rebuilt.rho_right == m.rho_right

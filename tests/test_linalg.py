@@ -1,6 +1,7 @@
 """Exact linear algebra: RREF, kernels, subspaces, enumeration."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,11 +10,16 @@ from coprimespec.fields import Field, prime_field, rationals
 from coprimespec.linalg import (Matrix, Subspace, count_subspaces,
                                 enumerate_subspaces, gaussian_binomial,
                                 invariant_span, is_stable, kernel, preimage,
-                                rref, sum_closure)
+                                sum_closure)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
 QQ = rationals()
+
+
+def row_space(m):
+    """The reduced row-echelon form of m, zero rows removed, as a Subspace."""
+    return Subspace.from_vectors(m.field, m.cols, m.data)
 
 
 def random_matrix(field, rows, cols, rng):
@@ -27,19 +33,18 @@ def test_rref_shape_and_idempotence():
     for field in (F2, F3, QQ):
         for _ in range(25):
             m = random_matrix(field, rng.randrange(1, 5), rng.randrange(1, 5), rng)
-            reduced, rank = rref(m)
-            assert reduced.rows == rank
+            reduced = row_space(m)
             pivots = []
-            for r in reduced.data:
+            for r in reduced.basis:
                 lead = next(i for i, x in enumerate(r) if not field.is_zero(x))
                 assert r[lead] == field.one
                 pivots.append(lead)
-                for other in reduced.data:
+                for other in reduced.basis:
                     if other is not r:
                         assert field.is_zero(other[lead])
-            assert pivots == sorted(pivots)
-            again, again_rank = rref(reduced)
-            assert again.data == reduced.data and again_rank == rank
+            assert pivots == sorted(pivots) == list(reduced.pivots)
+            again = Subspace.from_vectors(field, m.cols, reduced.basis)
+            assert again.basis == reduced.basis
 
 
 def test_rref_is_a_canonical_form():
@@ -66,8 +71,7 @@ def test_kernel_vectors_vanish():
             k = kernel(m)
             for v in k.basis:
                 assert all(field.is_zero(x) for x in m.apply(v))
-            rank = rref(m)[1]
-            assert k.dim == m.cols - rank
+            assert k.dim == m.cols - row_space(m).dim
 
 
 def test_matrix_multiplication_agrees_with_apply():
@@ -245,9 +249,8 @@ def test_generic_order_two_takes_the_tuple_path():
 def test_packed_rref_kernel_and_apply_match_the_tuple_path():
     rng = random.Random(41)
     for m, t in [*_f2_matrices(rng, 300), *_dense_f2_matrices(rng, 20)]:
-        reduced, rank = rref(m)
-        t_reduced, t_rank = rref(t)
-        assert reduced.data == t_reduced.data and rank == t_rank
+        reduced, t_reduced = row_space(m), row_space(t)
+        assert reduced.basis == t_reduced.basis and reduced.pivots == t_reduced.pivots
         _same(kernel(m), kernel(t))
         for _ in range(3):
             v = tuple(rng.randrange(2) for _ in range(m.cols))
@@ -299,3 +302,77 @@ def test_packed_invariant_span_matches_the_tuple_path():
             assert all(span.contains_vector(v) for v in vecs)
             spans.append(span)
         _same(*spans)
+
+
+# --- the rational path against dense references ---------------------------------
+
+def _dense_rref(rows):
+    """Gauss-Jordan over Fractions touching every entry: the reference."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    r, pivots = 0, []
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = [x / rows[r][c] for x in rows[r]]
+        rows[r] = lead
+        for i in range(len(rows)):
+            if i != r:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], lead)]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+def _sparse_rational_rows(rng, count, cols):
+    """Random rows over Q with about one entry in three nonzero."""
+    return [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.3
+             else Fraction(0) for _ in range(cols)] for _ in range(count)]
+
+
+def test_rational_rref_matches_the_dense_reference():
+    rng = random.Random(53)
+    for _ in range(200):
+        cols = rng.randrange(1, 12)
+        rows = _sparse_rational_rows(rng, rng.randrange(1, 14), cols)
+        basis, pivots = _dense_rref(rows)
+        s = Subspace.from_vectors(QQ, cols, rows)
+        assert s.basis == basis and s.pivots == pivots
+        assert all(type(x) is Fraction for row in s.basis for x in row)
+        k = kernel(Matrix(QQ, len(rows), cols, rows))
+        assert k.dim == cols - len(pivots)
+
+
+def test_rational_products_are_fractions():
+    rng = random.Random(59)
+    for _ in range(50):
+        n = rng.randrange(1, 6)
+        a = Matrix(QQ, n, n, _sparse_rational_rows(rng, n, n))
+        b = Matrix(QQ, n, n, _sparse_rational_rows(rng, n, n))
+        v = tuple(_sparse_rational_rows(rng, 1, n)[0])
+        assert all(type(x) is Fraction for x in a.apply(v))
+        assert all(type(x) is Fraction for row in (a @ b).data for x in row)
+        assert (a @ b).apply(v) == a.apply(b.apply(v))
+
+
+def test_rational_invariant_span_is_the_closure():
+    """The span stops as soon as it is the whole space; the result is the
+    smallest stable subspace, as the plain fixed-point iteration finds it."""
+    rng = random.Random(61)
+    for _ in range(100):
+        n = rng.randrange(1, 7)
+        ops = [Matrix(QQ, n, n, _sparse_rational_rows(rng, n, n))
+               for _ in range(rng.randrange(0, 4))]
+        vecs = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+                for _ in range(rng.randrange(1, 3))]
+        closure = Subspace.from_vectors(QQ, n, vecs)
+        while True:
+            grown = Subspace.from_vectors(
+                QQ, n, [*closure.basis, *(op.apply(w) for op in ops for w in closure.basis)])
+            if grown == closure:
+                break
+            closure = grown
+        span = invariant_span(QQ, n, vecs, ops)
+        assert span == closure and span.pivots == closure.pivots
