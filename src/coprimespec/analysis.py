@@ -5,42 +5,11 @@ from __future__ import annotations
 from .bicomodule import Bicomodule, restrict
 from .coprime import CoproductCache, ideal_side, spectrum
 from .endo import endo_algebra, enumerate_ideals
-from .exceptions import (AmbientMismatch, BudgetExceeded, NotFullyInvariant,
-                         ZeroSubmodule)
+from .exceptions import BudgetExceeded, NotFullyInvariant, ZeroSubmodule
 from .lattice import (Lattice, check_lattice_budget, enumerate_lattice,
                       is_fully_invariant, predicates, socle_report)
-from .linalg import Subspace, bits_of, f2_bits_at, f2_image, f2_reduce, f2_span
-from .zariski import build_topology, topology_report
-
-
-def child_coords(l_sub: Subspace, k: Subspace) -> Subspace:
-    """A subspace K <= L of M in the coordinates of L's basis; ValueError
-    when K is not inside L.  Over F2 the coordinates of a packed row of K
-    are its bits at L's pivots (`f2_bits_at`)."""
-    if l_sub.field.p != 2:
-        rows = [l_sub.coords_of(v) for v in k.basis]
-        return Subspace.from_vectors(l_sub.field, l_sub.dim, rows)
-    if k.ambient != l_sub.ambient:
-        raise AmbientMismatch(f"ambient {k.ambient} != {l_sub.ambient}")
-    pivots, basis = l_sub.pivots, l_sub.packed()
-    if any(f2_reduce(w, pivots, basis) for w in k.packed()):
-        raise ValueError("vector is not in the subspace")
-    return f2_span(l_sub.field, l_sub.dim,
-                   [f2_bits_at(w, pivots) for w in k.packed()])
-
-
-def parent_coords(l_sub: Subspace, child: Subspace) -> Subspace:
-    """The inverse of `child_coords`: a subspace given in the coordinates of
-    L's basis, as a subspace of M.  Its rows are the child coordinates times
-    the basis of L, since `restrict` embeds L by the transposed basis; over
-    F2 each is the XOR of L's packed rows at the set bits of a child row."""
-    if l_sub.field.p != 2:
-        return child.apply(l_sub.matrix().transpose())
-    if child.ambient != l_sub.dim:
-        raise AmbientMismatch(f"map domain {l_sub.dim} != ambient {child.ambient}")
-    basis = l_sub.packed()
-    return f2_span(l_sub.field, l_sub.ambient,
-                   [f2_image(basis, c) for c in child.packed()])
+from .linalg import Subspace, bits_of, child_coords, parent_coords
+from .zariski import build_topology
 
 
 class InstanceAnalysis:
@@ -144,9 +113,6 @@ class InstanceAnalysis:
             found = build_topology(self.spectrum, flavor=flavor)
             self._topologies[flavor] = found
         return found
-
-    def topology_report(self, flavor: str = "fi"):
-        return topology_report(self.topology(flavor))
 
     def restricted(self, l_sub: Subspace) -> InstanceAnalysis:
         """The analysis of a fully invariant L <= M as a bicomodule of its

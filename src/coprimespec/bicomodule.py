@@ -18,8 +18,8 @@ from .coalgebra import (Coalgebra, DualAlgebra, ValidationReport, at_entry,
                         dense_from_triples, right_coassociativity, unequal)
 from .exceptions import (AmbientMismatch, CoalgebraMismatch, InvalidBicomodule,
                          NotSubbicomodule)
-from .linalg import (Matrix, Subspace, combination, f2_bits_at, f2_image,
-                     f2_independent, is_stable)
+from .linalg import (Matrix, Subspace, combination, independent_matrices,
+                     induced_columns, is_stable)
 
 
 class Bicomodule:
@@ -128,13 +128,9 @@ class Bicomodule:
 
     def op_basis(self):
         """The operators of `all_ops()` outside the span of those before
-        them, a basis of their span; F2 only, built on first use.  Each
-        operator is packed whole, row i at bits i*dim."""
+        them, a basis of their span; F2 only, built on first use."""
         if self._op_basis is None:
-            ops, n = self.all_ops(), self.dim
-            flat = [sum(row << i * n for i, row in enumerate(op.packed_rows()))
-                    for op in ops]
-            self._op_basis = tuple(ops[i] for i in f2_independent(flat))
+            self._op_basis = independent_matrices(self.all_ops())
         return self._op_basis
 
     def __eq__(self, other):
@@ -167,9 +163,7 @@ def restrict(m: Bicomodule, sub: Subspace):
     """Subbicomodule structure on a coaction-stable subspace.
 
     Returns (bicomodule on sub in basis coordinates, embed matrix) where
-    embed maps sub coordinates back into the ambient space.  Over F2 the
-    coordinates of op(b_t), b_t the packed basis row t, are its bits at
-    sub's pivots (`f2_bits_at`).
+    embed maps sub coordinates back into the ambient space.
     """
     if not is_subbicomodule(m, sub):
         raise NotSubbicomodule("subspace is not stable under the coactions")
@@ -180,21 +174,13 @@ def restrict(m: Bicomodule, sub: Subspace):
     r_ops, l_ops = m.right_ops(), m.left_ops()
     rho_right = [[[field.zero] * m.right.dim for _ in range(s)] for _ in range(s)]
     rho_left = [[[field.zero] * s for _ in range(m.left.dim)] for _ in range(s)]
-    if field.p == 2:
-        pivots = sub.pivots
-
-        def coords_of(op, t):
-            bits = f2_bits_at(f2_image(op.packed_columns(), sub.packed()[t]), pivots)
-            return [bits >> j & 1 for j in range(s)]
-    else:
-        def coords_of(op, t):
-            return sub.coords_of(op.apply(sub.basis[t]))
-    for t in range(s):
-        for k, op in enumerate(r_ops):
-            for j, x in enumerate(coords_of(op, t)):
+    for k, op in enumerate(r_ops):
+        for t, coords in enumerate(induced_columns(sub, op)):
+            for j, x in enumerate(coords):
                 rho_right[t][j][k] = x
-        for j, op in enumerate(l_ops):
-            for k, x in enumerate(coords_of(op, t)):
+    for j, op in enumerate(l_ops):
+        for t, coords in enumerate(induced_columns(sub, op)):
+            for k, x in enumerate(coords):
                 rho_left[t][j][k] = x
     restricted = Bicomodule(m.left, m.right, s, rho_left, rho_right)
     embed = sub.matrix().transpose()

@@ -47,15 +47,15 @@ from random import Random
 from types import SimpleNamespace
 from typing import Callable
 
-from .analysis import InstanceAnalysis, analyze, child_coords, parent_coords
+from .analysis import InstanceAnalysis, analyze
 from .bicomodule import centralizer, phi_matrix
 from .coalgebra import CoalgebraMorphism, identity_morphism
 from .coprime import is_fully_coprime, is_fully_cosemiprime, ke_product_bound
 from .endo import coordinate_vectors, ke, maximal_ideals, quotient_cogenerated
 from .exceptions import CoalgebraMismatch
 from .lattice import cyclic_subbicomodule, is_fully_invariant
-from .linalg import (Matrix, Subspace, bits_of, is_stable, minimal_bits,
-                     preimage)
+from .linalg import (Matrix, Subspace, bits_of, child_coords, is_stable,
+                     minimal_bits, parent_coords, preimage)
 from .zariski import (image_subspace, irreducible_components,
                       is_connected_subset, is_irreducible_subset, separation,
                       spectral_map)

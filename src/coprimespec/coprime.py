@@ -4,10 +4,9 @@ For subbicomodules X, Y of M the internal coproduct is
 
     (X : Y)  =  the set of m in M with f(m) in Y for every f in An(X),
 
-computed as one kernel: with N_Y a matrix whose kernel is Y, (X : Y) is
-the kernel of the stacked N_Y f over a basis f of An(X) (an intersection of
-kernels is the kernel of the stacked matrix), with (X : Y) = M when
-An(X) = 0 or Y = M.  A nonzero fully invariant K is fully coprime
+computed as the joint preimage of Y under a basis f of An(X)
+(`linalg.joint_preimage`), with (X : Y) = M when An(X) = 0 or Y = M.
+A nonzero fully invariant K is fully coprime
 when K <= (X : Y) forces K <= X or K <= Y over fully invariant pairs, and
 fully cosemiprime when K <= (X : X) forces K <= X.  The spectrum collects
 the fully coprime elements from the lattice and the coproduct alone; the
@@ -35,7 +34,7 @@ from .endo import (EndoAlgebra, IdealPoset, an, endo_algebra, ideal_product,
 from .endo import enumerate_ideals
 from .exceptions import NotFullyInvariant, ZeroSubmodule
 from .lattice import Lattice, is_fully_invariant
-from .linalg import Matrix, Subspace, bits_of, f2_image, f2_kernel, kernel
+from .linalg import Subspace, bits_of, combined_maps, joint_preimage
 
 
 class CoproductCache:
@@ -47,7 +46,6 @@ class CoproductCache:
         self.endo = endo
         self._an = {}
         self._maps = {}
-        self._rows = {}
         self._co = {}
         self._ke = {}
 
@@ -67,45 +65,21 @@ class CoproductCache:
         return found
 
     def _annihilator_maps(self, x: Subspace):
-        """The matrices of a basis of An(X)."""
+        """The maps of a basis of An(X), in the form `joint_preimage` reads."""
         found = self._maps.get(x.key())
         if found is None:
-            found = [self.endo.element(coords)
-                     for coords in self.annihilator(x).subspace.basis]
+            found = combined_maps(self.annihilator(x).subspace, self.endo.basis)
             self._maps[x.key()] = found
         return found
 
-    def _annihilator_rows(self, x: Subspace):
-        """The packed rows of the maps of a basis of An(X); F2 only."""
-        found = self._rows.get(x.key())
-        if found is None:
-            found = [self.endo.element_rows(coords)
-                     for coords in self.annihilator(x).subspace.packed()]
-            self._rows[x.key()] = found
-        return found
-
     def coproduct(self, x: Subspace, y: Subspace) -> Subspace:
-        """The internal coproduct (X : Y) inside M.  Over F2, row r of
-        N_Y f is the XOR of the packed rows of f at the set bits of row r
-        of N_Y."""
+        """The internal coproduct (X : Y) inside M."""
         key = (x.key(), y.key())
         found = self._co.get(key)
-        if found is not None:
-            return found
-        field = self.m.field
-        f2 = field.p == 2
-        maps = self._annihilator_rows(x) if f2 else self._annihilator_maps(x)
-        if not maps or y.is_full():
-            result = Subspace.full(field, self.m.dim)
-        elif f2:
-            n_y = y.vanishing().packed_rows()
-            result = f2_kernel(field, self.m.dim,
-                               [f2_image(f, r) for f in maps for r in n_y])
-        else:
-            n_y = y.vanishing()
-            result = kernel(Matrix.stack([n_y @ f for f in maps]))
-        self._co[key] = result
-        return result
+        if found is None:
+            found = joint_preimage(self._annihilator_maps(x), y)
+            self._co[key] = found
+        return found
 
 
 def internal_coproduct(m: Bicomodule, x: Subspace, y: Subspace,
@@ -292,7 +266,7 @@ def ideal_side(spec: SpectrumReport, right_ideals) -> IdealSide:
     two_sided = [i for i in right_ideals if i.is_two_sided]
     poset = IdealPoset(endo, two_sided)
     members = spec.lattice.nonzero_fi_elements()
-    prad = prime_radical(endo, poset)
+    prad = prime_radical(poset)
     jac = jacobson_radical(endo, right_ideals)
     return IdealSide(
         ep=tuple(k for k in members if poset.is_prime(cache.annihilator(k))),

@@ -24,13 +24,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bicomodule import Bicomodule, quotient, restrict
-from .exceptions import (AmbientMismatch, BudgetExceeded, CoalgebraMismatch,
-                         NotSubbicomodule, UnsupportedOverQ)
-from .linalg import (Matrix, Subspace, bits_of, check_subspace_budget,
-                     combination, f2_bits_at, f2_image, f2_kernel,
-                     f2_null_rows, f2_rank, f2_reduce, f2_span, invariant_span,
-                     is_stable, kernel, maximal_bits, minimal_bits,
-                     strict_upsets, sum_closure)
+from .exceptions import AmbientMismatch, CoalgebraMismatch, UnsupportedOverQ
+from .linalg import (Matrix, Subspace, annihilator, bits_of,
+                     check_subspace_budget, combined_maps, intertwining_maps,
+                     invariant_span, is_stable, joint_preimage, kernel,
+                     maximal_bits, minimal_bits, product_span, quotient_embeds,
+                     strict_upsets, sub_hom_dim, sum_closure)
 # Unused here; kept because perfbench/tracing.py patches it in this module.
 from .linalg import enumerate_subspaces
 
@@ -39,126 +38,33 @@ def intertwiners(src: Bicomodule, tgt: Bicomodule):
     """Basis of bicolinear maps src -> tgt over the same coalgebra pair."""
     if src.left != tgt.left or src.right != tgt.right:
         raise CoalgebraMismatch("intertwiners need matching coalgebras")
-    field = src.field
-    ns, nt = src.dim, tgt.dim
-    if field.p == 2:
-        sol = f2_kernel(field, nt * ns, _f2_commutation_rows(
-            [(op_s.packed_columns(), op_t.packed_rows())
-             for op_s, op_t in zip(src.all_ops(), tgt.all_ops())], ns, nt))
-    else:
-        rows = []
-        for op_s, op_t in zip(src.all_ops(), tgt.all_ops()):
-            ts, tt = op_s.data, op_t.data
-            for a in range(nt):
-                for i in range(ns):
-                    row = [field.zero] * (nt * ns)
-                    for b in range(ns):
-                        if ts[b][i]:
-                            row[a * ns + b] = field.add(row[a * ns + b], ts[b][i])
-                    for b in range(nt):
-                        if tt[a][b]:
-                            row[b * ns + i] = field.sub(row[b * ns + i], tt[a][b])
-                    rows.append(row)
-        sol = kernel(Matrix(field, len(rows), nt * ns, rows))
-    mats = []
-    for flat in sol.basis:
-        data = [flat[a * ns:(a + 1) * ns] for a in range(nt)]
-        mats.append(Matrix(field, nt, ns, data))
-    return mats
-
-
-def _f2_commutation_rows(pairs, ns: int, nt: int):
-    """The equations g @ op_s = op_t @ g over F2 as packed rows, for an
-    nt x ns unknown g flattened row by row (entry (a, b) is bit a*ns + b).
-    Each pair holds the packed columns of op_s and the packed rows of op_t.
-    The equation for entry (a, i) is column i of op_s shifted by a*ns, XOR
-    row a of op_t spread to bits b*ns and then shifted by i."""
-    rows = []
-    for cols_s, rows_t in pairs:
-        for row_t, shift in zip(rows_t, range(0, nt * ns, ns)):
-            spread = 0
-            for b in bits_of(row_t):
-                spread |= 1 << b * ns
-            rows += [col << shift ^ spread << i for i, col in enumerate(cols_s)]
-    return rows
-
-
-def _f2_stable_ops(m: Bicomodule, k: Subspace):
-    """[(op, packed images of K's basis rows under op)] for op in
-    `m.op_basis()`, over F2; NotSubbicomodule when an image leaves K, which
-    XOR-ing the matching basis rows out of it tells.  A basis of the span of
-    `m.all_ops()` suffices for stability: K is stable under a sum of
-    operators when it is stable under each."""
-    if k.ambient != m.dim or k.field != m.field:
-        raise AmbientMismatch("subspace does not live in the bicomodule")
-    basis, pivots = k.packed(), k.pivots
-    found = []
-    for op in m.op_basis():
-        images = [f2_image(op.packed_columns(), row) for row in basis]
-        if any(f2_reduce(w, pivots, basis) for w in images):
-            raise NotSubbicomodule("subspace is not stable under the coactions")
-        found.append((op, images))
-    return found
+    return intertwining_maps(src.field, list(zip(src.all_ops(), tgt.all_ops())),
+                             src.dim, tgt.dim)
 
 
 def hom_dim(m: Bicomodule, k: Subspace) -> int:
-    """dim Hom(K, M) for a nonzero subbicomodule K of M, the number of
-    intertwiners from `restrict(m, k)` to m; NotSubbicomodule when K is not
-    stable under the coactions.
-
-    Over F2 no restricted bicomodule is built.  Column t of the operator
-    that op induces on K holds the coordinates of w = op(b_t), b_t the
-    packed RREF basis row t of K: the bits of w at K's pivots.  The
-    dimension is m.dim * dim K minus the rank of the commutation system.
-    The ops run over `m.op_basis()`, a basis of the span of `m.all_ops()`:
-    the equations g op|_K = op g of a sum of operators are the sums of
-    their equations, so the other operators add no rank.
-    """
-    field = m.field
-    if field.p != 2:
+    """dim Hom(K, M) for a nonzero subbicomodule K of M; NotSubbicomodule
+    when K is not stable under the coactions.  Over F2 the operators are
+    `m.op_basis()`: the equations g op|_K = op g of a sum of operators are
+    the sums of their equations, so the others add no rank."""
+    if m.field.p != 2:
         return len(intertwiners(restrict(m, k)[0], m))
-    stable = _f2_stable_ops(m, k)
-    if k.is_zero():
-        raise ValueError("cannot restrict to the zero subspace")
-    pairs = [([f2_bits_at(w, k.pivots) for w in images], op.packed_rows())
-             for op, images in stable]
-    return m.dim * k.dim - f2_rank(_f2_commutation_rows(pairs, k.dim, m.dim))
+    return sub_hom_dim(k, m.op_basis())
 
 
 def quotient_cogenerated(m: Bicomodule, k: Subspace) -> bool:
     """Whether M/K is cogenerated by M, i.e. embeds into a product of copies
     of M: the kernels of the bicolinear maps M/K -> M meet in zero.  M/M is
     zero and counts as cogenerated; NotSubbicomodule when K is not stable
-    under the coactions.
-
-    Over F2 no quotient bicomodule is built.  The projection is the one
-    `quotient` uses: pi(v) is v reduced by K's packed RREF rows, read at
-    K's free (non-pivot) columns.  Column t of the operator that op
-    induces on M/K is pi(op(e_f)), f the free column t.  With q = n - dim K
-    the n x q maps g of the commutation system form Hom(M/K, M); their
-    kernels meet in zero exactly when the rows of a basis of solutions have
-    rank q, since every solution's rows are sums of those rows.  As in
-    `hom_dim`, the ops run over `m.op_basis()`: induced operators and their
-    equations add up, so the other operators change nothing.
-    """
+    under the coactions.  Over F2 the operators are `m.op_basis()`, as in
+    `hom_dim`."""
     if k.is_full():
         return True
     if m.field.p != 2:
         q, _ = quotient(m, k)
         maps = intertwiners(q, m)
         return bool(maps) and kernel(Matrix.stack(maps)).is_zero()
-    n, basis, pivots = m.dim, k.packed(), k.pivots
-    free = [f for f in range(n) if f not in pivots]
-    q = len(free)
-    pairs = []
-    for op, _ in _f2_stable_ops(m, k):
-        op_cols = op.packed_columns()
-        pairs.append(([f2_bits_at(f2_reduce(op_cols[f], pivots, basis), free)
-                       for f in free], op.packed_rows()))
-    block = (1 << q) - 1
-    return f2_rank([g >> a * q & block
-                    for g in f2_null_rows(n * q, _f2_commutation_rows(pairs, q, n))
-                    for a in range(n)]) == q
+    return quotient_embeds(k, m.op_basis())
 
 
 class EndoAlgebra:
@@ -183,18 +89,6 @@ class EndoAlgebra:
     @classmethod
     def compute(cls, m: Bicomodule) -> "EndoAlgebra":
         return cls(m, intertwiners(m, m))
-
-    def element(self, coords) -> Matrix:
-        return combination(self.field, self.bicomodule.dim, coords, self.basis)
-
-    def element_rows(self, coords: int):
-        """The packed rows of the element with packed coordinates (F2
-        only): the XOR of the basis matrices' packed rows at its set bits."""
-        out = [0] * self.bicomodule.dim
-        for b, mat in enumerate(self.basis):
-            if coords >> b & 1:
-                out = [x ^ r for x, r in zip(out, mat.packed_rows())]
-        return out
 
     def coords_of(self, mat: Matrix):
         """Coordinates of a bicolinear matrix in the stored basis."""
@@ -291,64 +185,24 @@ def _right_ideal(algebra, sub: Subspace) -> RightIdeal:
 
 def an(sub: Subspace, endo: EndoAlgebra) -> RightIdeal:
     """Annihilator {f : f(sub) = 0} as a right ideal of the endomorphism ring."""
-    m = endo.bicomodule
-    if sub.ambient != m.dim:
+    if sub.ambient != endo.bicomodule.dim:
         raise AmbientMismatch("subspace does not live in the bicomodule")
-    field = endo.field
-    if field.p == 2:
-        # One row per coordinate i of M and basis row v of sub; its bit j
-        # is coordinate i of e_j(v).
-        columns = [mat.packed_columns() for mat in endo.basis]
-        rows = []
-        for v in sub.packed():
-            images = [f2_image(cols, v) for cols in columns]
-            rows.extend(sum((u >> i & 1) << j for j, u in enumerate(images))
-                        for i in range(m.dim))
-        return make_ideal(endo, f2_kernel(field, endo.dim, rows))
-    rows = []
-    for v in sub.basis:
-        images = [mat.apply(v) for mat in endo.basis]
-        for i in range(m.dim):
-            rows.append([img[i] for img in images])
-    if not rows:
-        solution = Subspace.full(field, endo.dim)
-    else:
-        solution = kernel(Matrix(field, len(rows), endo.dim, rows))
-    ideal = make_ideal(endo, solution)
-    return ideal
+    return make_ideal(endo, annihilator(sub, endo.basis))
 
 
 def ke(ideal, endo: EndoAlgebra) -> Subspace:
     """Joint kernel of an ideal (or plain coordinate subspace) of endomorphisms."""
     sub = ideal.subspace if isinstance(ideal, RightIdeal) else ideal
-    m = endo.bicomodule
-    if sub.is_zero():
-        return Subspace.full(endo.field, m.dim)
-    if endo.field.p == 2:
-        return f2_kernel(endo.field, m.dim, [
-            row for coords in sub.packed() for row in endo.element_rows(coords)])
-    mats = [endo.element(coords) for coords in sub.basis]
-    return kernel(Matrix.stack(mats))
+    return joint_preimage(combined_maps(sub, endo.basis),
+                          Subspace.zero(endo.field, endo.bicomodule.dim))
 
 
 def ideal_product(algebra, a: Subspace, b: Subspace) -> Subspace:
-    """Span of pairwise products; the ideal product for two-sided operands.
-    Over F2, x * y = R_y x with R_y = sum of y_b R_b over the right
-    multiplication operators R_b, so the packed columns of R_y are the XOR
-    of those of the R_b at the set bits of y."""
-    field = algebra.field
-    if field.p == 2:
-        right = [op.packed_columns() for op in multiplication_ops(algebra)[0]]
-        vectors = []
-        for y in b.packed():
-            r_y = [0] * algebra.dim
-            for n, cols in enumerate(right):
-                if y >> n & 1:
-                    r_y = [u ^ v for u, v in zip(r_y, cols)]
-            vectors.extend(f2_image(r_y, x) for x in a.packed())
-        return f2_span(field, algebra.dim, vectors)
-    vectors = [algebra.multiply(x, y) for x in a.basis for y in b.basis]
-    return Subspace.from_vectors(algebra.field, algebra.dim, vectors)
+    """Span of pairwise products; the ideal product for two-sided operands."""
+    if algebra.field.p != 2:
+        vectors = [algebra.multiply(x, y) for x in a.basis for y in b.basis]
+        return Subspace.from_vectors(algebra.field, algebra.dim, vectors)
+    return product_span(a, b, multiplication_ops(algebra)[0])
 
 
 def enumerate_ideals(algebra, side: str = "right", budget: int = 50000):
@@ -438,28 +292,10 @@ class IdealPoset:
         return [i for i in self.ideals if self.is_prime(i)]
 
 
-def ideal_poset(algebra, two_sided) -> IdealPoset:
-    """Wraps an enumerated two-sided ideal list; an IdealPoset is kept."""
-    if isinstance(two_sided, IdealPoset):
-        return two_sided
-    return IdealPoset(algebra, two_sided)
-
-
-def is_prime_ideal(algebra, ideal: RightIdeal, two_sided) -> bool:
-    """Primality of a proper two-sided ideal against an enumerated ideal
-    list: J1*J2 <= I implies J1 <= I or J2 <= I."""
-    return ideal_poset(algebra, two_sided).is_prime(ideal)
-
-
-def is_semiprime_ideal(algebra, ideal: RightIdeal, two_sided) -> bool:
-    """J*J <= I implies J <= I over enumerated two-sided J, with I proper."""
-    return ideal_poset(algebra, two_sided).is_semiprime(ideal)
-
-
-def prime_radical(algebra, two_sided) -> Subspace:
-    """Intersection of the prime two-sided ideals."""
-    out = Subspace.full(algebra.field, algebra.dim)
-    for ideal in ideal_poset(algebra, two_sided).primes():
+def prime_radical(poset: IdealPoset) -> Subspace:
+    """Intersection of the prime two-sided ideals of an ideal poset."""
+    out = Subspace.full(poset.algebra.field, poset.algebra.dim)
+    for ideal in poset.primes():
         out = out.intersect(ideal.subspace)
     return out
 

@@ -8,15 +8,18 @@ makes RREF the equality oracle for the whole package.
 
 Over F2 the kernels run on rows packed into Python ints (bit i is entry i):
 RREF and kernels, `Matrix.apply` and `@`, membership, sums, the
-invariant-span closure and the stability test.  The `f2_*` helpers (image,
-reduction, span, kernel, rank, bits at positions) let the other modules
-build their linear systems as packed rows too: intertwiners, Hom
-dimensions and quotient cogeneration, annihilators, kernels of ideals,
-ideal products, internal coproducts, restrictions and the coordinates of
-subspaces in a basis.  The coordinates of a member of a packed RREF row
-space in its basis are its bits at the pivots (`f2_bits_at`).  Each Matrix
-(columns and rows) and Subspace packs on first use and keeps the ints in a
-slot; tuples stay the representation at every API boundary.  The reduced
+invariant-span closure and the stability test.  The packed format is
+private to this module.  Every linear system of the package is solved
+here, over Matrix and Subspace values, with its packed body beside its
+tuple body: intertwiners, annihilators, joint preimages (kernels of ideals
+and internal coproducts), the operators induced on a subspace and the
+coordinates of subspaces in a basis.  Hom dimensions, quotient
+cogeneration, ideal products and operator bases have a packed body only:
+they serve the F2 routes of `endo`, which takes another route over other
+fields.  The coordinates of a member of a packed RREF row space in its
+basis are its bits at the pivots (`f2_bits_at`).  Each Matrix (columns
+and rows) and Subspace packs on first use and keeps the ints in a slot;
+tuples stay the representation at every API boundary.  The reduced
 row-echelon form of a row space is unique, so the packed and the tuple
 arithmetic return identical bases and pivots.  Other fields use the tuple
 arithmetic throughout.
@@ -27,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from .exceptions import AmbientMismatch, BudgetExceeded
+from .exceptions import AmbientMismatch, BudgetExceeded, NotSubbicomodule
 from .fields import Field
 
 
@@ -539,25 +542,6 @@ class Subspace:
                          for row in self.basis)
         return f"Subspace({self.field.name}^{self.ambient}: [{rows}])"
 
-    # -- finite enumeration --------------------------------------------------------
-
-    def members(self):
-        """All vectors of the subspace; finite fields only."""
-        field = self.field
-        if field.p is None:
-            raise ValueError("cannot enumerate vectors over Q")
-        if self.is_zero():
-            yield (field.zero,) * self.ambient
-            return
-        p = field.p
-        for coeffs in product(range(p), repeat=self.dim):
-            v = [0] * self.ambient
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    for i, x in enumerate(row):
-                        v[i] = (v[i] + c * x) % p
-            yield tuple(v)
-
 
 def preimage(f: Matrix, y: Subspace) -> Subspace:
     """{v : f @ v in y}, a subspace of the domain of f."""
@@ -711,21 +695,257 @@ def _f2_invariant_span(field: Field, ambient: int, vectors, ops) -> Subspace:
     return f2_span(field, ambient, list(table.values()))
 
 
+def _f2_stable_images(sub: Subspace, ops):
+    """The packed images of sub's basis rows under each operator, one list
+    per operator, or None when an image leaves sub, which XOR-ing the
+    matching basis rows out of it tells."""
+    pivots, rows = sub.pivots, sub.packed()
+    found = []
+    for op in ops:
+        if rows and (op.rows, op.cols) != (sub.ambient, sub.ambient):
+            raise AmbientMismatch(f"operator {op.rows}x{op.cols} on ambient {sub.ambient}")
+        cols = op.packed_columns()
+        images = [f2_image(cols, row) for row in rows]
+        for w in images:
+            if f2_reduce(w, pivots, rows):
+                return None
+        found.append(images)
+    return found
+
+
 def is_stable(sub: Subspace, ops) -> bool:
     """Whether every basis row of sub maps into sub under every operator.
     Over F2 each image is the XOR of packed columns, reduced against the
     packed basis."""
     if sub.field.p == 2:
-        pivots, rows = sub.pivots, sub.packed()
-        for op in ops:
-            if rows and (op.rows, op.cols) != (sub.ambient, sub.ambient):
-                raise AmbientMismatch(f"operator {op.rows}x{op.cols} on ambient {sub.ambient}")
-            cols = op.packed_columns()
-            if any(f2_reduce(f2_image(cols, row), pivots, rows) for row in rows):
-                return False
-        return True
+        return _f2_stable_images(sub, ops) is not None
     return all(sub.contains_vector(op.apply(row))
                for op in ops for row in sub.basis)
+
+
+# -- the linear systems of the package -----------------------------------------
+
+def _f2_sum(terms, coords: int, n: int):
+    """The XOR of the packed lists (each of length n) in terms at the set
+    bits of coords."""
+    out = [0] * n
+    for j, term in enumerate(terms):
+        if coords >> j & 1:
+            out = [u ^ v for u, v in zip(out, term)]
+    return out
+
+
+def child_coords(l_sub: Subspace, k: Subspace) -> Subspace:
+    """A subspace K <= L in the coordinates of L's basis; ValueError
+    when K is not inside L.  Over F2 the coordinates of a packed row of K
+    are its bits at L's pivots (`f2_bits_at`)."""
+    if l_sub.field.p != 2:
+        rows = [l_sub.coords_of(v) for v in k.basis]
+        return Subspace.from_vectors(l_sub.field, l_sub.dim, rows)
+    if k.ambient != l_sub.ambient:
+        raise AmbientMismatch(f"ambient {k.ambient} != {l_sub.ambient}")
+    pivots, basis = l_sub.pivots, l_sub.packed()
+    if any(f2_reduce(w, pivots, basis) for w in k.packed()):
+        raise ValueError("vector is not in the subspace")
+    return f2_span(l_sub.field, l_sub.dim,
+                   [f2_bits_at(w, pivots) for w in k.packed()])
+
+
+def parent_coords(l_sub: Subspace, child: Subspace) -> Subspace:
+    """The inverse of `child_coords`: a subspace given in the coordinates of
+    L's basis, as a subspace of the ambient space.  Its rows are the child
+    rows times the basis of L; over F2 each is the XOR of L's packed rows
+    at the set bits of a child row."""
+    if l_sub.field.p != 2:
+        return child.apply(l_sub.matrix().transpose())
+    if child.ambient != l_sub.dim:
+        raise AmbientMismatch(f"map domain {l_sub.dim} != ambient {child.ambient}")
+    basis = l_sub.packed()
+    return f2_span(l_sub.field, l_sub.ambient,
+                   [f2_image(basis, c) for c in child.packed()])
+
+
+def induced_columns(sub: Subspace, op: Matrix):
+    """The columns of the operator that op induces on an op-stable sub, in
+    the coordinates of sub's basis: column t holds those of op(b_t), b_t
+    basis row t.  Over F2 they are the bits of the packed image at sub's
+    pivots (`f2_bits_at`)."""
+    if sub.field.p != 2:
+        return [sub.coords_of(op.apply(row)) for row in sub.basis]
+    cols, pivots, s = op.packed_columns(), sub.pivots, sub.dim
+    return [_unpack(f2_bits_at(f2_image(cols, row), pivots), s) for row in sub.packed()]
+
+
+def independent_matrices(mats):
+    """The matrices outside the span of those before them, a basis of their
+    span; over F2, each matrix packed whole, row i at bits i*cols."""
+    flat = [sum(row << i * mat.cols for i, row in enumerate(mat.packed_rows()))
+            for mat in mats]
+    return tuple(mats[i] for i in f2_independent(flat))
+
+
+def _f2_commutation_rows(pairs, ns: int, nt: int):
+    """The equations g @ op_s = op_t @ g over F2 as packed rows, for an
+    nt x ns unknown g flattened row by row (entry (a, b) is bit a*ns + b).
+    Each pair holds the packed columns of op_s and the packed rows of op_t.
+    The equation for entry (a, i) is column i of op_s shifted by a*ns, XOR
+    row a of op_t spread to bits b*ns and then shifted by i."""
+    rows = []
+    for cols_s, rows_t in pairs:
+        for row_t, shift in zip(rows_t, range(0, nt * ns, ns)):
+            spread = 0
+            for b in bits_of(row_t):
+                spread |= 1 << b * ns
+            rows += [col << shift ^ spread << i for i, col in enumerate(cols_s)]
+    return rows
+
+
+def intertwining_maps(field: Field, pairs, ns: int, nt: int):
+    """A basis of the nt x ns matrices g with g @ op_s = op_t @ g for every
+    pair (op_s, op_t) of an ns x ns and an nt x nt matrix, solved for g
+    flattened row by row."""
+    if field.p == 2:
+        sol = f2_kernel(field, nt * ns, _f2_commutation_rows(
+            [(op_s.packed_columns(), op_t.packed_rows()) for op_s, op_t in pairs],
+            ns, nt))
+    else:
+        rows = []
+        for op_s, op_t in pairs:
+            ts, tt = op_s.data, op_t.data
+            for a in range(nt):
+                for i in range(ns):
+                    row = [field.zero] * (nt * ns)
+                    for b in range(ns):
+                        if ts[b][i]:
+                            row[a * ns + b] = field.add(row[a * ns + b], ts[b][i])
+                    for b in range(nt):
+                        if tt[a][b]:
+                            row[b * ns + i] = field.sub(row[b * ns + i], tt[a][b])
+                    rows.append(row)
+        sol = kernel(Matrix(field, len(rows), nt * ns, rows))
+    mats = []
+    for flat in sol.basis:
+        data = [flat[a * ns:(a + 1) * ns] for a in range(nt)]
+        mats.append(Matrix(field, nt, ns, data))
+    return mats
+
+
+def sub_hom_dim(k: Subspace, ops) -> int:
+    """Over F2, for a nonzero K <= F2^n stable under the n x n operators
+    ops: the dimension of the maps g: K -> F2^n with g op|_K = op g for
+    every op; NotSubbicomodule when K is not stable.
+
+    Column t of the operator that op induces on K holds the coordinates of
+    w = op(b_t), b_t the packed RREF basis row t of K: the bits of w at K's
+    pivots.  The dimension is n * dim K minus the rank of the commutation
+    system."""
+    images = _f2_stable_images(k, ops)
+    if images is None:
+        raise NotSubbicomodule("subspace is not stable under the coactions")
+    if k.is_zero():
+        raise ValueError("cannot restrict to the zero subspace")
+    pairs = [([f2_bits_at(w, k.pivots) for w in ws], op.packed_rows())
+             for ws, op in zip(images, ops)]
+    return k.ambient * k.dim - f2_rank(_f2_commutation_rows(pairs, k.dim, k.ambient))
+
+
+def quotient_embeds(k: Subspace, ops) -> bool:
+    """Over F2, for K < F2^n stable under the n x n operators ops: whether
+    the kernels of the maps g: F2^n/K -> F2^n with g op_{M/K} = op g for
+    every op meet in zero; NotSubbicomodule when K is not stable.
+
+    The projection pi(v) is v reduced by K's packed RREF rows, read at K's
+    free (non-pivot) columns.  Column t of the operator that op induces on
+    the quotient is pi(op(e_f)), f the free column t.  With q = n - dim K
+    the n x q solutions of the commutation system are the maps; their
+    kernels meet in zero exactly when the rows of a basis of solutions have
+    rank q, since every solution's rows are sums of those rows."""
+    if not is_stable(k, ops):
+        raise NotSubbicomodule("subspace is not stable under the coactions")
+    n, basis, pivots = k.ambient, k.packed(), k.pivots
+    free = [f for f in range(n) if f not in pivots]
+    q = len(free)
+    pairs = []
+    for op in ops:
+        op_cols = op.packed_columns()
+        pairs.append(([f2_bits_at(f2_reduce(op_cols[f], pivots, basis), free)
+                       for f in free], op.packed_rows()))
+    block = (1 << q) - 1
+    return f2_rank([g >> a * q & block
+                    for g in f2_null_rows(n * q, _f2_commutation_rows(pairs, q, n))
+                    for a in range(n)]) == q
+
+
+def annihilator(sub: Subspace, mats) -> Subspace:
+    """The coefficient vectors c with sum of c_j mats[j] zero on sub, a
+    subspace of k^len(mats); all of it when sub is zero.  Over F2 there is
+    one equation per coordinate i and basis row v of sub; its bit j is
+    coordinate i of mats[j](v)."""
+    field, n = sub.field, sub.ambient
+    if field.p == 2:
+        columns = [mat.packed_columns() for mat in mats]
+        rows = []
+        for v in sub.packed():
+            images = [f2_image(cols, v) for cols in columns]
+            rows.extend(sum((u >> i & 1) << j for j, u in enumerate(images))
+                        for i in range(n))
+        return f2_kernel(field, len(mats), rows)
+    rows = []
+    for v in sub.basis:
+        images = [mat.apply(v) for mat in mats]
+        for i in range(n):
+            rows.append([img[i] for img in images])
+    return kernel(Matrix(field, len(rows), len(mats), rows))
+
+
+def combined_maps(coeffs: Subspace, mats):
+    """The maps sum of c_j mats[j] (square matrices) over the basis rows c
+    of coeffs, in the form `joint_preimage` reads: over F2 the packed rows
+    of each, the XOR of the matrices' packed rows at the set bits of c; a
+    Matrix each elsewhere."""
+    n = mats[0].rows
+    if coeffs.field.p == 2:
+        rows = [mat.packed_rows() for mat in mats]
+        return [_f2_sum(rows, c, n) for c in coeffs.packed()]
+    return [combination(coeffs.field, n, c, mats) for c in coeffs.basis]
+
+
+def joint_preimage(maps, y: Subspace) -> Subspace:
+    """{v : f(v) in y for every f in maps}, the maps from `combined_maps`;
+    the whole space when there is none or y is the whole space.
+
+    With N_Y a matrix whose kernel is y (`vanishing`), it is the kernel of
+    the stacked N_Y f: an intersection of kernels is the kernel of the
+    stacked matrix.  For y = 0 that is the kernel of the stacked maps.
+    Over F2, row r of N_Y f is the XOR of the packed rows of f at the set
+    bits of row r of N_Y."""
+    field, n = y.field, y.ambient
+    if not maps or y.is_full():
+        return Subspace.full(field, n)
+    if field.p == 2:
+        if y.is_zero():
+            return f2_kernel(field, n, [row for f in maps for row in f])
+        n_y = y.vanishing().packed_rows()
+        return f2_kernel(field, n, [f2_image(f, r) for f in maps for r in n_y])
+    if y.is_zero():
+        return kernel(Matrix.stack(maps))
+    n_y = y.vanishing()
+    return kernel(Matrix.stack([n_y @ f for f in maps]))
+
+
+def product_span(a: Subspace, b: Subspace, right) -> Subspace:
+    """Over F2, the span of R_y x over the basis rows x of a and y of b,
+    where R_y is the sum of y_j right[j]: with right the right
+    multiplication operators of an algebra, R_y x = x * y.  The packed
+    columns of R_y are the XOR of those of the right[j] at the set bits of
+    y."""
+    n = a.ambient
+    columns = [op.packed_columns() for op in right]
+    vectors = []
+    for y in b.packed():
+        r_y = _f2_sum(columns, y, n)
+        vectors.extend(f2_image(r_y, x) for x in a.packed())
+    return f2_span(a.field, n, vectors)
 
 
 def _normalized_vectors(p: int, ambient: int, positions):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from coprimespec.analysis import analyze, parent_coords
+from coprimespec.analysis import analyze
 from coprimespec.bicomodule import regular_bicomodule
 from coprimespec.catalog import comatrix, divided_power, grouplike
 from coprimespec.coprime import (CoproductCache, internal_coproduct,
@@ -11,7 +11,7 @@ from coprimespec.coprime import (CoproductCache, internal_coproduct,
 from coprimespec.endo import endo_algebra
 from coprimespec.fields import prime_field, rationals
 from coprimespec.lattice import cyclic_subbicomodule, enumerate_lattice
-from coprimespec.linalg import Subspace
+from coprimespec.linalg import Subspace, parent_coords
 
 F2 = prime_field(2)
 F3 = prime_field(3)

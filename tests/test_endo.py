@@ -6,13 +6,13 @@ import pytest
 
 from coprimespec.bicomodule import regular_bicomodule
 from coprimespec.catalog import comatrix, divided_power, grouplike
-from coprimespec.endo import (an, coordinate_vectors, endo_algebra,
+from coprimespec.endo import (IdealPoset, an, coordinate_vectors, endo_algebra,
                               enumerate_ideals, ideal_product,
                               jacobson_radical, ke, make_ideal,
                               maximal_ideals, prime_radical, radical_char0)
 from coprimespec.fields import prime_field, rationals
 from coprimespec.lattice import cyclic_subbicomodule
-from coprimespec.linalg import Subspace
+from coprimespec.linalg import Subspace, combination
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -50,7 +50,8 @@ def test_products_stay_inside_the_algebra():
     e = endo_algebra(regular_bicomodule(grouplike(3, F3)))
     for x in coordinate_vectors(F3, e.dim):
         for y in coordinate_vectors(F3, e.dim):
-            mx = e.element(x) @ e.element(y)
+            n = e.bicomodule.dim
+            mx = combination(F3, n, x, e.basis) @ combination(F3, n, y, e.basis)
             assert e.contains_matrix(mx)
 
 
@@ -59,7 +60,7 @@ def test_divided_power_endo_ring_is_commutative_with_deep_nilpotents():
     units = coordinate_vectors(F2, e.dim)
     assert all(e.multiply(x, y) == e.multiply(y, x) for x in units for y in units)
     ideals = enumerate_ideals(e)
-    rad = prime_radical(e, [i for i in ideals if i.is_two_sided])
+    rad = prime_radical(IdealPoset(e, [i for i in ideals if i.is_two_sided]))
 
     def nth_power(coords, n):
         out = list(coords)
@@ -91,7 +92,7 @@ def test_annihilator_really_annihilates():
     c1 = cyclic_subbicomodule(m, (0, 1, 0, 0))
     ideal = an(c1, e)
     for coords in ideal.subspace.basis:
-        mat = e.element(coords)
+        mat = combination(F3, m.dim, coords, e.basis)
         for v in c1.basis:
             assert all(F3.is_zero(x) for x in mat.apply(v))
 
@@ -112,7 +113,7 @@ def test_radicals_of_the_truncated_polynomial_ring():
     e = endo_algebra(chain_module(4, F2))
     ideals = enumerate_ideals(e)
     two_sided = [i for i in ideals if i.is_two_sided]
-    prad = prime_radical(e, two_sided)
+    prad = prime_radical(IdealPoset(e, two_sided))
     jac = jacobson_radical(e, ideals)
     assert prad.dim == 4 and jac.dim == 4
     assert prad == jac
@@ -153,7 +154,7 @@ def test_semisimple_algebra_has_zero_radical():
     e = endo_algebra(regular_bicomodule(grouplike(3, F3)))
     ideals = enumerate_ideals(e)
     two_sided = [i for i in ideals if i.is_two_sided]
-    assert prime_radical(e, two_sided).dim == 0
+    assert prime_radical(IdealPoset(e, two_sided)).dim == 0
     assert jacobson_radical(e, ideals).dim == 0
     e_q = endo_algebra(regular_bicomodule(grouplike(3, QQ)))
     assert radical_char0(e_q).dim == 0

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from coprimespec import (bicomodule as bicomodule_module, checks, coprime as coprime_module,
                          endo as endo_module, lattice as lattice_module, linalg)
-from coprimespec.analysis import InstanceAnalysis, child_coords, parent_coords
+from coprimespec.analysis import InstanceAnalysis
 from coprimespec.bicomodule import Bicomodule, is_subbicomodule, quotient, restrict
 from coprimespec.catalog import (random_instance, resolve_ref,
                                  resolve_ref_to_bicomodule, right_comodule)
@@ -30,15 +30,16 @@ from coprimespec.coprime import (CoproductCache, is_fully_coprime,
                                  is_fully_cosemiprime, ke_product_bound)
 from coprimespec.endo import (EndoAlgebra, IdealPoset, an, coordinate_vectors,
                               enumerate_ideals, hom_dim, ideal_product,
-                              intertwiners, is_prime_ideal, is_semiprime_ideal,
-                              ke, maximal_ideals, prime_radical,
+                              intertwiners, ke, maximal_ideals, prime_radical,
                               quotient_cogenerated)
 from coprimespec.exceptions import NotSubbicomodule
 from coprimespec.fields import prime_field, rationals
 from coprimespec.lattice import (cyclic_subbicomodule, enumerate_lattice,
                                  is_fully_invariant, simples, simples_fi)
-from coprimespec.linalg import (Matrix, Subspace, enumerate_subspaces, is_stable,
-                                kernel, preimage)
+from coprimespec.linalg import (Matrix, Subspace, annihilator, child_coords,
+                                combination, combined_maps, enumerate_subspaces,
+                                is_stable, joint_preimage, kernel, parent_coords,
+                                preimage)
 from coprimespec.oracle import diff_against_engine
 from test_linalg import TUPLE_F2
 
@@ -98,14 +99,11 @@ def _check_ideal_reductions(a):
     for ideal in two_sided + annihilators:
         prime = _all_pairs_prime(endo, ideal, two_sided)
         semiprime = _all_pairs_prime(endo, ideal, two_sided, semi=True)
-        assert is_prime_ideal(endo, ideal, two_sided) == prime
         assert poset.is_prime(ideal) == prime
-        assert is_semiprime_ideal(endo, ideal, two_sided) == semiprime
         assert poset.is_semiprime(ideal) == semiprime
         if prime:
             radical = radical.intersect(ideal.subspace)
-    assert prime_radical(endo, two_sided) == radical
-    assert prime_radical(endo, poset) == radical
+    assert prime_radical(poset) == radical
     proper = [i for i in two_sided if i.is_proper()]
     literal = [i for i in proper
                if not any(j.subspace.dim > i.dim and j.subspace.contains(i.subspace)
@@ -420,7 +418,8 @@ def _literal_coproduct(a, x, y):
     """(X : Y) as the intersection of one preimage per basis map of An(X)."""
     result = Subspace.full(a.field, a.m.dim)
     for coords in a.coproducts.annihilator(x).subspace.basis:
-        result = result.intersect(preimage(a.endo.element(coords), y))
+        result = result.intersect(preimage(
+            combination(a.field, a.m.dim, coords, a.endo.basis), y))
     return result
 
 
@@ -876,6 +875,8 @@ def test_packed_systems_match_the_tuple_path(name):
         assert stable == is_stable(sub_t, t.all_ops())
         assert is_stable(sub, e.basis) == is_stable(sub_t, e_t.basis)
         assert _rows(an(sub, e).subspace) == _rows(an(sub_t, e_t).subspace)
+        assert _rows(annihilator(sub, m.all_ops())) == \
+            _rows(annihilator(sub_t, t.all_ops()))
         if not stable:
             with pytest.raises(NotSubbicomodule):
                 hom_dim(m, sub)
@@ -885,6 +886,9 @@ def test_packed_systems_match_the_tuple_path(name):
         assert _rows(ideal_product(e, a_sub, b_sub)) == \
             _rows(ideal_product(e_t, _tuple_sub(a_sub), _tuple_sub(b_sub)))
         assert _rows(ke(a_sub, e)) == _rows(ke(_tuple_sub(a_sub), e_t))
+        y = next(_random_subspaces(rng, m.dim, 1))
+        assert _rows(joint_preimage(combined_maps(a_sub, e.basis), y)) == \
+            _rows(joint_preimage(combined_maps(_tuple_sub(a_sub), e_t.basis), _tuple_sub(y)))
         for side in (0, 1):
             assert is_stable(a_sub, ops[side]) == is_stable(_tuple_sub(a_sub), ops_t[side])
 

@@ -48,32 +48,99 @@ def test_the_oracle_keeps_its_own_linear_algebra():
 
 # Functions that only tests reference, each kept on purpose.
 TEST_ONLY = {
-    # The literal routes (every ideal pair) that the fast-path tests compare
-    # the minimal-ideal primality tests against.
-    "is_prime_ideal", "is_semiprime_ideal",
     # The catalog morphisms that the morphism statements are checked on.
     "chain_inclusion", "permutation_morphism",
 }
 
 
-def test_every_src_function_is_referenced_from_src():
-    # A function or method is live when some src module, __init__.py's
-    # imports included, names it apart from its own definition: a call, an
-    # attribute read, a name or an import.  Dunder methods are exempt.
-    defined, referenced = set(), set()
+def _src_trees():
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_every_src_function_is_referenced_from_src():
+    # A function is live when some src module, __init__.py's imports
+    # included, names it apart from its own definition: a call, an attribute
+    # read, a name or an import.  A method is live only through an attribute
+    # read, since a bare name of the same spelling is some other function or
+    # a local variable.  Dunder methods are exempt.
+    functions, methods, names, attributes = set(), set(), set(), set()
+    for path, tree in _src_trees():
+        in_class = set()
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined.add((path.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                in_class.update(map(id, node.body))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                (methods if id(node) in in_class else functions).add((path.name, node.name))
             elif isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
-    dead = sorted((module, name) for module, name in defined
-                  if name not in referenced and name not in TEST_ONLY)
+                names.update(alias.name for alias in node.names)
+    dead = sorted({(module, name) for module, name in functions
+                   if name not in names | attributes | TEST_ONLY}
+                  | {(module, name) for module, name in methods
+                     if name not in attributes
+                     and not (name.startswith("__") and name.endswith("__"))})
     assert dead == []
-    assert TEST_ONLY <= {name for _, name in defined} - referenced
+    assert TEST_ONLY <= {name for _, name in functions} - names - attributes
+
+
+# Imports that perfbench/tracing.py replaces in these modules to count calls;
+# the modules themselves do not use them.
+PATCH_TARGETS = {
+    ("lattice.py", "enumerate_subspaces"),
+    ("endo.py", "enumerate_subspaces"),
+    ("coprime.py", "enumerate_ideals"),
+}
+
+
+def test_every_src_import_is_used():
+    # A name imported into a src module is used when the module reads it as
+    # a name.  __init__.py re-exports what it imports, and __future__
+    # imports are compiler directives.
+    unused = set()
+    for path, tree in _src_trees():
+        if path.name == "__init__.py":
+            continue
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0]
+                                for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.update((path.name, name) for name in imported - used)
+    assert unused == PATCH_TARGETS
+
+
+# The packed F2 format: its helpers, the slots and methods that hold packed
+# ints, and the names of the packed routes.
+PACKED_NAMES = {"_pack", "_unpack", "packed", "packed_rows", "packed_columns",
+                "_f2", "element_rows"}
+
+
+def _is_packed_name(name):
+    return name in PACKED_NAMES or name.startswith(("f2_", "_f2"))
+
+
+def test_the_packed_format_stays_in_linalg():
+    found = set()
+    for path, tree in _src_trees():
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                spelled = [node.id]
+            elif isinstance(node, ast.Attribute):
+                spelled = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                spelled = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                spelled = [node.name]
+            else:
+                continue
+            found.update((path.name, name) for name in spelled if _is_packed_name(name))
+    assert found == set()
