@@ -119,28 +119,33 @@ class InstanceAnalysis:
         own, in the coordinates of L's basis (`parent_coords` maps back).
 
         L must be an element of M's lattice.  Its lattice is the part of
-        M's lattice below L; its endomorphism ring is L's own, so full
-        invariance is decided afresh.
+        M's lattice below L, and `child_coords` is an order isomorphism
+        from that part onto it, so its containment table is M's, masked to
+        the part and re-indexed through the child's sort order.  Its
+        endomorphism ring is L's own, so full invariance is decided afresh,
+        once per element, into the child's `fi_mask`.
         """
         found = self._restricted.get(l_sub.key())
         if found is None:
             if l_sub.is_zero():
                 raise ZeroSubmodule("cannot analyze the zero subbicomodule on its own")
-            if not is_fully_invariant(l_sub, self.endo):
+            lat = self.lattice
+            t = lat.index_of(l_sub)
+            if not lat.fi_mask[t]:
                 raise NotFullyInvariant(
                     "restriction requires a fully invariant subbicomodule")
             sub_m, _ = restrict(self.m, l_sub)
             found = InstanceAnalysis(sub_m, mode=self.mode, budget=self.budget,
                                      ideal_budget=self.ideal_budget,
                                      seed=self.seed)
-            t = self.lattice.index_of(l_sub)
-            elements = sorted((child_coords(l_sub, self.lattice.elements[j])
-                               for j in bits_of(self.lattice.below[t] | 1 << t)),
-                              key=lambda s: s.sort_key())
+            down = sorted(((child_coords(l_sub, lat.elements[j]), j)
+                           for j in bits_of(lat.below[t] | 1 << t)),
+                          key=lambda pair: pair[0].sort_key())
+            elements = [k for k, _ in down]
             found._lattice = Lattice(
                 sub_m, elements,
                 [is_fully_invariant(k, found.endo) for k in elements],
-                self.lattice.mode)
+                lat.mode, above=lat.induced_above([j for _, j in down]))
             self._restricted[l_sub.key()] = found
         return found
 

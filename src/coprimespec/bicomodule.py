@@ -162,24 +162,30 @@ def is_subbicomodule(m: Bicomodule, sub: Subspace) -> bool:
 def restrict(m: Bicomodule, sub: Subspace):
     """Subbicomodule structure on a coaction-stable subspace.
 
-    Returns (bicomodule on sub in basis coordinates, embed matrix) where
-    embed maps sub coordinates back into the ambient space.
+    The images of sub's basis under the operators are computed once
+    (`linalg.induced_columns`): they decide stability (NotSubbicomodule
+    otherwise) and give the induced coactions.  Returns (bicomodule on sub
+    in basis coordinates, embed matrix) where embed maps sub coordinates
+    back into the ambient space.
     """
-    if not is_subbicomodule(m, sub):
+    if sub.ambient != m.dim or sub.field != m.field:
+        raise AmbientMismatch("subspace does not live in the bicomodule")
+    r_ops, l_ops = m.right_ops(), m.left_ops()
+    columns = induced_columns(sub, r_ops + l_ops)
+    if columns is None:
         raise NotSubbicomodule("subspace is not stable under the coactions")
     if sub.is_zero():
         raise ValueError("cannot restrict to the zero subspace")
     field = m.field
     s = sub.dim
-    r_ops, l_ops = m.right_ops(), m.left_ops()
     rho_right = [[[field.zero] * m.right.dim for _ in range(s)] for _ in range(s)]
     rho_left = [[[field.zero] * s for _ in range(m.left.dim)] for _ in range(s)]
-    for k, op in enumerate(r_ops):
-        for t, coords in enumerate(induced_columns(sub, op)):
+    for k, op_columns in enumerate(columns[:len(r_ops)]):
+        for t, coords in enumerate(op_columns):
             for j, x in enumerate(coords):
                 rho_right[t][j][k] = x
-    for j, op in enumerate(l_ops):
-        for t, coords in enumerate(induced_columns(sub, op)):
+    for j, op_columns in enumerate(columns[len(r_ops):]):
+        for t, coords in enumerate(op_columns):
             for k, x in enumerate(coords):
                 rho_left[t][j][k] = x
     restricted = Bicomodule(m.left, m.right, s, rho_left, rho_right)

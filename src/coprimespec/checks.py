@@ -483,8 +483,8 @@ def _restricted_spectra(s):
                  ("fully cosemiprime", csp, spec.csp))
         for side, standalone, members in sides:
             cut = _keyset(k for k in members
-                          if lat.le(lat.index_of(k), t) and is_fully_invariant(
-                              child_coords(l_sub, k), r.endo))
+                          if lat.le(lat.index_of(k), t)
+                          and r.lattice.is_fi(child_coords(l_sub, k)))
             if _keyset(standalone) != cut:
                 yield {"l": _describe(l_sub), "side": side,
                        "standalone": len(standalone), "cut_down": len(cut)}

@@ -112,6 +112,23 @@ def _require_candidate(k: Subspace, endo: EndoAlgebra):
         raise NotFullyInvariant("coprimality is defined for fully invariant subbicomodules")
 
 
+def _coprime_witness(k: Subspace, candidates, cache: CoproductCache):
+    """A pair (X, Y) of candidates with K <= (X : Y), or None."""
+    for x in candidates:
+        for y in candidates:
+            if cache.coproduct(x, y).contains(k):
+                return x, y
+    return None
+
+
+def _cosemiprime_witness(k: Subspace, candidates, cache: CoproductCache):
+    """A candidate X with K <= (X : X), or None."""
+    for x in candidates:
+        if cache.coproduct(x, x).contains(k):
+            return x
+    return None
+
+
 def is_fully_coprime(m: Bicomodule, k: Subspace, lattice: Lattice,
                      endo: EndoAlgebra, cache: CoproductCache | None = None):
     """Returns (flag, witness); witness is a violating pair (X, Y) of
@@ -119,12 +136,8 @@ def is_fully_coprime(m: Bicomodule, k: Subspace, lattice: Lattice,
     _require_candidate(k, endo)
     if cache is None:
         cache = CoproductCache(m, endo)
-    candidates = lattice.maximal_fi_not_containing(k)
-    for x in candidates:
-        for y in candidates:
-            if cache.coproduct(x, y).contains(k):
-                return False, (x, y)
-    return True, None
+    witness = _coprime_witness(k, lattice.maximal_fi_not_containing(k), cache)
+    return witness is None, witness
 
 
 def is_fully_cosemiprime(m: Bicomodule, k: Subspace, lattice: Lattice,
@@ -133,10 +146,8 @@ def is_fully_cosemiprime(m: Bicomodule, k: Subspace, lattice: Lattice,
     _require_candidate(k, endo)
     if cache is None:
         cache = CoproductCache(m, endo)
-    for x in lattice.maximal_fi_not_containing(k):
-        if cache.coproduct(x, x).contains(k):
-            return False, x
-    return True, None
+    witness = _cosemiprime_witness(k, lattice.maximal_fi_not_containing(k), cache)
+    return witness is None, witness
 
 
 def _rows(sub: Subspace):
@@ -181,7 +192,12 @@ class SpectrumReport:
 def spectrum(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
              cache: CoproductCache | None = None) -> SpectrumReport:
     """Computes the fully coprime spectrum, its coradical and the fully
-    cosemiprime members."""
+    cosemiprime members.
+
+    The scan runs over the nonzero members of `lattice.fi_bits`, which the
+    lattice decided with `is_fully_invariant` against the same ring, so
+    the witness scans run without `_require_candidate`; each member's
+    candidates are found once and serve both tests."""
     if cache is None:
         cache = CoproductCache(m, endo)
     notes = []
@@ -193,12 +209,11 @@ def spectrum(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
     points = 0
     for i in bits_of(lattice.fi_bits & ~1):
         k = lattice.elements[i]
-        flag, _ = is_fully_coprime(m, k, lattice, endo, cache)
-        if flag:
+        candidates = lattice.maximal_fi_not_containing(k)
+        if _coprime_witness(k, candidates, cache) is None:
             cpspec.append(k)
             points |= 1 << i
-        flag, _ = is_fully_cosemiprime(m, k, lattice, endo, cache)
-        if flag:
+        if _cosemiprime_witness(k, candidates, cache) is None:
             csp.append(k)
 
     cpcorad = lattice.elements[lattice.join(points)]

@@ -55,26 +55,30 @@ def is_fully_invariant(sub: Subspace, endo: EndoAlgebra) -> bool:
 class Lattice:
     """Canonically sorted subbicomodule list with a full-invariance mask.
 
-    The order is held as one containment table, built on first use: entry
-    i of `above` is the bitmask of the elements strictly containing element
-    i, `below` its transpose, and `fi_bits` is the bitmask of the fully
-    invariant elements.  The list is closed under + and intersection and
-    sorted by dimension first (zero at index 0), so a sum is the lowest
-    index above its terms and an intersection the highest index below them.
+    The order is held as one containment table: entry i of `above` is the
+    bitmask of the elements strictly containing element i, `below` its
+    transpose, and `fi_bits` is the bitmask of the fully invariant
+    elements.  The table is built on first use by `linalg.strict_upsets`,
+    or passed in as `above` when it is known already, as for the part of
+    a lattice below one of its elements (`induced_above`).  The list is
+    closed under + and intersection and sorted by dimension first (zero at
+    index 0), so a sum is the lowest index above its terms and an
+    intersection the highest index below them.
     `fi_meet_irreducible`, also built on first use, masks the fully
     invariant elements with exactly one fully invariant upper cover; every
     fully invariant element is a meet of them, and the coprimality scans
     read only them.
     """
 
-    def __init__(self, bicomodule: Bicomodule, elements, fi_mask, mode: LatticeMode):
+    def __init__(self, bicomodule: Bicomodule, elements, fi_mask, mode: LatticeMode,
+                 above=None):
         self.bicomodule = bicomodule
         self.elements = tuple(elements)
         self.fi_mask = tuple(fi_mask)
         self.fi_bits = sum(1 << i for i, flag in enumerate(self.fi_mask) if flag)
         self.mode = mode
         self._index = {sub.key(): i for i, sub in enumerate(self.elements)}
-        self._above = None
+        self._above = above
         self._below = None
         self._fi_meet_irreducible = None
 
@@ -88,10 +92,24 @@ class Lattice:
     def below(self):
         """Entry i is the bitmask of the elements strictly inside element i."""
         if self._below is None:
-            above = self.above
-            self._below = [sum(1 << j for j in range(i) if above[j] >> i & 1)
-                           for i in range(len(above))]
+            below = [0] * len(self.elements)
+            for i, up in enumerate(self.above):
+                for j in bits_of(up):
+                    below[j] |= 1 << i
+            self._below = below
         return self._below
+
+    def induced_above(self, order):
+        """The containment table of the elements at the indices `order`,
+        re-indexed by position in `order`: entry c has bit d set exactly
+        when element order[d] strictly contains element order[c].  The
+        order of a subfamily is the restriction of the order, so this masks
+        and re-indexes the table and tests no containment."""
+        position = {j: c for c, j in enumerate(order)}
+        keep = sum(1 << j for j in order)
+        above = self.above
+        return [sum(1 << position[j] for j in bits_of(above[i] & keep))
+                for i in order]
 
     def join(self, mask: int) -> int:
         """Index of the sum of the elements in mask (0, the zero element,
@@ -342,9 +360,13 @@ def predicates(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
     `right_ideals` is the list of right ideals of `endo`, or None when they
     were not enumerated; intrinsic injectivity is then tested on a seeded
     sample of right ideals.  A `coprime.CoproductCache` passed as `cache`
-    serves the annihilators.
+    serves the annihilators and the kernels, so the Ke of a subspace that
+    is both an annihilator and a right ideal is computed once.
     """
-    annihilator = cache.annihilator if cache is not None else (lambda k: an(k, endo))
+    if cache is not None:
+        annihilator, kernel = cache.annihilator, cache.ke
+    else:
+        annihilator, kernel = (lambda k: an(k, endo)), (lambda ideal: ke(ideal, endo))
     notes = []
     if not lattice.certified:
         notes.append("relative to enumerated lattice")
@@ -358,7 +380,8 @@ def predicates(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
     self_injective = all(hom_dim(m, k) == endo.dim - annihilator(k).subspace.dim
                          for k in lattice.nonzero_elements())
 
-    self_cogenerator = all(ke(annihilator(k), endo) == k for k in lattice.elements)
+    self_cogenerator = all(kernel(annihilator(k).subspace) == k
+                           for k in lattice.elements)
 
     intrinsic_partial = right_ideals is None
     samples = right_ideals
@@ -370,7 +393,8 @@ def predicates(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
             samples.append(right_ideal_generated(endo, [vec]))
         notes.append("intrinsic injectivity tested on a finite ideal sample")
     intrinsically_injective = all(
-        annihilator(ke(ideal, endo)).subspace == ideal.subspace for ideal in samples)
+        annihilator(kernel(ideal.subspace)).subspace == ideal.subspace
+        for ideal in samples)
 
     down = lattice.below
     subdirectly_irreducible = lattice.meet(nonzero) != 0

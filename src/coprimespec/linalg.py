@@ -553,21 +553,50 @@ def preimage(f: Matrix, y: Subspace) -> Subspace:
 
 
 def strict_upsets(subspaces):
-    """Containment table of distinct subspaces: entry i is a bitmask with
-    bit j set exactly when subspaces[j] strictly contains subspaces[i].
+    """Containment table of subspaces of one space: entry i is a bitmask
+    with bit j set exactly when subspaces[j] strictly contains
+    subspaces[i].
 
-    The leading positions of the nonzero vectors of a subspace are exactly
-    its pivots, so a strict container has larger dimension and a superset
-    of the pivots; only pairs passing both tests reach `contains`.
+    Built from row signatures.  The distinct RREF basis rows of the family
+    are indexed, and the signature of a subspace is the mask of its own
+    rows.  For each T, `inside[r]` gains T when row r lies in T: T's own
+    rows do, and any other row is tested only when its leading position is
+    one of T's pivots, since those are the leading positions of the nonzero
+    vectors of T.  S lies in T exactly when every row of S does, so S < T
+    exactly when dim T > dim S and the signature of S lies inside T's row
+    mask; the intersection of `inside` over the rows of S gives all such T
+    at once.
     """
-    pivot_bits = [sum(1 << c for c in s.pivots) for s in subspaces]
+    f2 = bool(subspaces) and subspaces[0].field.p == 2
+    index, by_lead, signatures = {}, {}, []
+    for s in subspaces:
+        signature = 0
+        for c, row in zip(s.pivots, s.packed() if f2 else s.basis):
+            bit = index.get(row)
+            if bit is None:
+                bit = index[row] = len(index)
+                by_lead.setdefault(c, []).append((bit, row))
+            signature |= 1 << bit
+        signatures.append(signature)
+    inside = [0] * len(index)
+    for j, (t, signature) in enumerate(zip(subspaces, signatures)):
+        pivots, rows = t.pivots, t.packed() if f2 else None
+        for c in pivots:
+            for bit, row in by_lead.get(c, ()):
+                if signature >> bit & 1 or (not f2_reduce(row, pivots, rows) if f2
+                                            else t.contains_vector(row)):
+                    inside[bit] |= 1 << j
+    dims = [s.dim for s in subspaces]
+    larger = [0] * (max(dims, default=0) + 1)
+    for j, d in enumerate(dims):
+        for e in range(d):
+            larger[e] |= 1 << j
     above = []
-    for s, bits in zip(subspaces, pivot_bits):
-        mask = 0
-        for j, (t, t_bits) in enumerate(zip(subspaces, pivot_bits)):
-            if t.dim > s.dim and not bits & ~t_bits and t.contains(s):
-                mask |= 1 << j
-        above.append(mask)
+    for d, signature in zip(dims, signatures):
+        common = larger[d]
+        for bit in bits_of(signature):
+            common &= inside[bit]
+        above.append(common)
     return above
 
 
@@ -765,15 +794,28 @@ def parent_coords(l_sub: Subspace, child: Subspace) -> Subspace:
                    [f2_image(basis, c) for c in child.packed()])
 
 
-def induced_columns(sub: Subspace, op: Matrix):
-    """The columns of the operator that op induces on an op-stable sub, in
-    the coordinates of sub's basis: column t holds those of op(b_t), b_t
-    basis row t.  Over F2 they are the bits of the packed image at sub's
-    pivots (`f2_bits_at`)."""
+def induced_columns(sub: Subspace, ops):
+    """The operators that ops induce on sub, or None when sub is not stable
+    under all of them.  Each is given by its columns in the coordinates of
+    sub's basis: column t holds those of op(b_t), b_t basis row t.  Each
+    operator is applied to each basis row once, and the image serves both
+    the stability test and the coordinates: the coordinates of a member
+    are its entries at sub's pivots, read over F2 from the packed image
+    (`f2_bits_at`)."""
     if sub.field.p != 2:
-        return [sub.coords_of(op.apply(row)) for row in sub.basis]
-    cols, pivots, s = op.packed_columns(), sub.pivots, sub.dim
-    return [_unpack(f2_bits_at(f2_image(cols, row), pivots), s) for row in sub.packed()]
+        found = []
+        for op in ops:
+            images = [op.apply(row) for row in sub.basis]
+            if not all(sub.contains_vector(w) for w in images):
+                return None
+            found.append([tuple(w[c] for c in sub.pivots) for w in images])
+        return found
+    images = _f2_stable_images(sub, ops)
+    if images is None:
+        return None
+    pivots, s = sub.pivots, sub.dim
+    return [[_unpack(f2_bits_at(w, pivots), s) for w in op_images]
+            for op_images in images]
 
 
 def independent_matrices(mats):

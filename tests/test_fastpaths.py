@@ -122,6 +122,8 @@ def _check_order_table(lattice):
         literal = sum(1 << j for j, y in enumerate(elements)
                       if y != x and y.contains(x))
         assert lattice.above[i] == literal
+        assert lattice.below[i] == sum(1 << j for j, y in enumerate(elements)
+                                       if y != x and x.contains(y))
     assert simples(lattice) == _literal_minimal(lattice.nonzero_elements())
     assert simples_fi(lattice) == _literal_minimal(lattice.nonzero_fi_elements())
 
@@ -1176,3 +1178,204 @@ def test_an_empty_operator_basis_fails_the_galois_fixed_points(monkeypatch):
     assert verdict.status == FAIL
     assert verdict.witness == {"k": _described("100"), "ke_an_fixed": False,
                                "quotient_cogenerated": True}
+
+
+# --- one containment table per instance ----------------------------------------
+
+def _literal_upsets(subspaces):
+    return [sum(1 << j for j, t in enumerate(subspaces)
+                if t.dim > s.dim and t.contains(s)) for s in subspaces]
+
+
+def _random_family(rng, field, n, count):
+    """Distinct random subspaces of field^n with some of their sums and
+    intersections (so that rows are shared), not closed under either."""
+    family = {}
+    for _ in range(count):
+        vectors = [tuple(field.random_element(rng) for _ in range(n))
+                   for _ in range(rng.randrange(n + 1))]
+        sub = Subspace.from_vectors(field, n, vectors)
+        family.setdefault(sub.key(), sub)
+    members = list(family.values())
+    for _ in range(count // 2):
+        x, y = rng.choice(members), rng.choice(members)
+        for sub in (x.sum_with(y), x.intersect(y)):
+            family.setdefault(sub.key(), sub)
+    members = list(family.values())
+    rng.shuffle(members)
+    return members
+
+
+def _membership_pairs(subspaces):
+    """(prefiltered, all): the (row, T) pairs of a distinct basis row of the
+    family outside T's own rows, those whose leading position is a pivot of
+    T, and all of them."""
+    leads = {}
+    for s in subspaces:
+        leads.update(zip(s.basis, s.pivots))
+    prefiltered = everything = 0
+    for t in subspaces:
+        for row, c in leads.items():
+            if row not in t.basis:
+                everything += 1
+                prefiltered += c in t.pivots
+    return prefiltered, everything
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_row_signature_table_matches_the_definition(monkeypatch, field):
+    """`strict_upsets` against t.dim > s.dim and t.contains(s), with at most
+    one membership test per (row, T) pair that the leading-position
+    prefilter passes."""
+    calls = Counter()
+    if field == F2:
+        original = linalg.f2_reduce
+
+        def counted(*args):
+            calls["member"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(linalg, "f2_reduce", counted)
+    else:
+        original = Subspace.contains_vector
+
+        def counted(sub, v):
+            calls["member"] += 1
+            return original(sub, v)
+
+        monkeypatch.setattr(Subspace, "contains_vector", counted)
+    rng = Random(field.p or 0)
+    for n in (3, 4, 5):
+        for _ in range(4):
+            family = _random_family(rng, field, n, 14)
+            calls.clear()
+            table = linalg.strict_upsets(family)
+            tested = calls["member"]
+            assert table == _literal_upsets(family)
+            prefiltered, everything = _membership_pairs(family)
+            assert tested <= prefiltered < everything
+    assert linalg.strict_upsets([]) == []
+
+
+@pytest.mark.parametrize("seed", [7, 8, 10, 16])
+def test_sweep_tables_match_the_definition_and_below_is_the_transpose(seed):
+    a = InstanceAnalysis(random_instance(seed, field=F2)[0], seed=7)
+    for part in _parts(a):
+        lat = part.lattice
+        assert lat.above == _literal_upsets(lat.elements)
+        for i in range(len(lat)):
+            assert lat.below[i] == sum(1 << j for j in range(len(lat))
+                                       if lat.above[j] >> i & 1)
+
+
+def _counted_tables(monkeypatch):
+    calls = []
+    original = lattice_module.strict_upsets
+
+    def counted(subspaces):
+        calls.append(len(subspaces))
+        return original(subspaces)
+
+    monkeypatch.setattr(lattice_module, "strict_upsets", counted)
+    return calls
+
+
+CHILD_STATEMENTS = ["spectrum-restriction", "duo-transfer"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: InstanceAnalysis(random_instance(8, field=F2)[0], seed=7),
+    lambda: InstanceAnalysis(resolve_ref_to_bicomodule("grouplike:4", F2))],
+    ids=["seed-8", "grouplike:4"])
+def test_child_analyses_read_the_parent_table(monkeypatch, build):
+    calls = _counted_tables(monkeypatch)
+    a = build()
+    assert not _failures(a, CHILD_STATEMENTS)
+    assert calls == [len(a.lattice)]
+    children = [a.restricted(l) for l in a.lattice.nonzero_fi_elements()
+                if not l.is_full()]
+    assert children and calls == [len(a.lattice)]
+    for child in children:
+        assert child.lattice.above == _literal_upsets(child.lattice.elements)
+        assert child.lattice.fi_mask == tuple(
+            is_fully_invariant(k, child.endo) for k in child.lattice.elements)
+
+
+def test_a_shifted_child_reindex_fails_spectrum_restriction(monkeypatch):
+    a = InstanceAnalysis(resolve_ref_to_bicomodule("grouplike:3", F2))
+    assert not _failures(a, ["spectrum-restriction"])
+    original = lattice_module.Lattice.induced_above
+    monkeypatch.setattr(lattice_module.Lattice, "induced_above",
+                        lambda lat, order: original(lat, order[1:] + order[:1]))
+    a = InstanceAnalysis(resolve_ref_to_bicomodule("grouplike:3", F2))
+    assert _failures(a, ["spectrum-restriction"]) == [
+        {"statement": "spectrum-restriction", "status": FAIL,
+         "detail": "standalone spectrum of a part differs from the cut-down "
+                   "parent spectrum",
+         "witness": {"l": _described("100"), "side": "coradical",
+                     "standalone": _described(), "cut_down": _described("100")}}]
+
+
+def test_predicates_compute_each_kernel_once(monkeypatch):
+    keys = []
+    original = endo_module.ke
+
+    def counted(ideal, endo):
+        keys.append(getattr(ideal, "subspace", ideal).key())
+        return original(ideal, endo)
+
+    for module in (coprime_module, lattice_module):
+        monkeypatch.setattr(module, "ke", counted)
+    a = InstanceAnalysis(resolve_ref_to_bicomodule("grouplike:4", F2))
+    report = a.predicates
+    assert report.self_cogenerator and report.intrinsically_injective
+    # The 16 annihilators are the 16 right ideals of the group algebra dual.
+    assert len(keys) == len(set(keys)) == 16
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_restrict_applies_each_operator_once_per_row(monkeypatch, field):
+    m, _ = random_instance(10, dim_budget=DIM_BUDGET.get(field, 4), field=field)
+    ops = m.all_ops()
+    mode = "exhaustive" if field.is_finite else "generated"
+    stable = [k for k in enumerate_lattice(m, mode=mode).elements if not k.is_zero()]
+    rng = Random(10)
+    unstable = []
+    while len(unstable) < 5:
+        vectors = [tuple(field.random_element(rng) for _ in range(m.dim))
+                   for _ in range(rng.randrange(1, m.dim))]
+        sub = Subspace.from_vectors(field, m.dim, vectors)
+        if not is_subbicomodule(m, sub):
+            unstable.append(sub)
+    calls = Counter()
+    if field == F2:
+        original = linalg.f2_image
+
+        def counted(columns, bits):
+            calls["apply"] += 1
+            return original(columns, bits)
+
+        monkeypatch.setattr(linalg, "f2_image", counted)
+    else:
+        original = Matrix.apply
+
+        def counted(op, vec):
+            calls["apply"] += 1
+            return original(op, vec)
+
+        monkeypatch.setattr(Matrix, "apply", counted)
+    for k in stable:
+        calls.clear()
+        r, _ = restrict(m, k)
+        assert calls["apply"] == len(ops) * k.dim
+        r_ops, l_ops = m.right_ops(), m.left_ops()
+        for t, row in enumerate(k.basis):
+            for c, op in enumerate(r_ops):
+                coords = k.coords_of(op.apply(row))
+                assert [r.rho_right[t][j][c] for j in range(k.dim)] == list(coords)
+            for c, op in enumerate(l_ops):
+                coords = k.coords_of(op.apply(row))
+                assert list(r.rho_left[t][c]) == list(coords)
+    for sub in unstable:
+        with pytest.raises(NotSubbicomodule):
+            restrict(m, sub)
