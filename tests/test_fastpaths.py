@@ -1268,7 +1268,13 @@ def test_sweep_tables_match_the_definition_and_below_is_the_transpose(seed):
                                        if lat.above[j] >> i & 1)
 
 
-def _counted_tables(monkeypatch):
+@pytest.mark.parametrize("build", [
+    lambda: InstanceAnalysis(random_instance(8, field=F2)[0], seed=7),
+    lambda: InstanceAnalysis(resolve_ref_to_bicomodule("grouplike:4", F2))],
+    ids=["seed-8", "grouplike:4"])
+def test_child_analyses_read_the_parent_table(monkeypatch, build):
+    """`lattice.strict_upsets` runs once for the instance and never for the
+    children that spectrum-restriction and duo-transfer build."""
     calls = []
     original = lattice_module.strict_upsets
 
@@ -1277,20 +1283,8 @@ def _counted_tables(monkeypatch):
         return original(subspaces)
 
     monkeypatch.setattr(lattice_module, "strict_upsets", counted)
-    return calls
-
-
-CHILD_STATEMENTS = ["spectrum-restriction", "duo-transfer"]
-
-
-@pytest.mark.parametrize("build", [
-    lambda: InstanceAnalysis(random_instance(8, field=F2)[0], seed=7),
-    lambda: InstanceAnalysis(resolve_ref_to_bicomodule("grouplike:4", F2))],
-    ids=["seed-8", "grouplike:4"])
-def test_child_analyses_read_the_parent_table(monkeypatch, build):
-    calls = _counted_tables(monkeypatch)
     a = build()
-    assert not _failures(a, CHILD_STATEMENTS)
+    assert not _failures(a, ["spectrum-restriction", "duo-transfer"])
     assert calls == [len(a.lattice)]
     children = [a.restricted(l) for l in a.lattice.nonzero_fi_elements()
                 if not l.is_full()]
