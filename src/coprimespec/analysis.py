@@ -8,7 +8,7 @@ from .endo import endo_algebra, enumerate_ideals
 from .exceptions import BudgetExceeded, NotFullyInvariant, ZeroSubmodule
 from .lattice import (Lattice, check_lattice_budget, enumerate_lattice,
                       is_fully_invariant, predicates, socle_report)
-from .linalg import Subspace, bits_of, child_coords, parent_coords
+from .linalg import Subspace, bits_of, child_coords
 from .zariski import build_topology
 
 
@@ -38,6 +38,7 @@ class InstanceAnalysis:
         self._predicates = None
         self._topologies = {}
         self._restricted = {}
+        self.lift = None
 
     @property
     def field(self):
@@ -116,21 +117,22 @@ class InstanceAnalysis:
 
     def restricted(self, l_sub: Subspace) -> InstanceAnalysis:
         """The analysis of a fully invariant L <= M as a bicomodule of its
-        own, in the coordinates of L's basis (`parent_coords` maps back).
+        own, in the coordinates of L's basis.
 
         L must be an element of M's lattice.  Its lattice is the part of
         M's lattice below L, and `child_coords` is an order isomorphism
         from that part onto it, so its containment table is M's, masked to
-        the part and re-indexed through the child's sort order.  Its
-        endomorphism ring is L's own, so full invariance is decided afresh,
-        once per element, into the child's `fi_mask`.
+        the part and re-indexed through the child's sort order, and its
+        `lift` maps each child index to the parent index of the same
+        element.  Its endomorphism ring is L's own, so full invariance is
+        decided afresh, once per element, into the child's `fi_mask`.
         """
-        found = self._restricted.get(l_sub.key())
+        if l_sub.is_zero():
+            raise ZeroSubmodule("cannot analyze the zero subbicomodule on its own")
+        lat = self.lattice
+        t = lat.index_of(l_sub)
+        found = self._restricted.get(t)
         if found is None:
-            if l_sub.is_zero():
-                raise ZeroSubmodule("cannot analyze the zero subbicomodule on its own")
-            lat = self.lattice
-            t = lat.index_of(l_sub)
             if not lat.fi_mask[t]:
                 raise NotFullyInvariant(
                     "restriction requires a fully invariant subbicomodule")
@@ -142,26 +144,30 @@ class InstanceAnalysis:
                            for j in bits_of(lat.below[t] | 1 << t)),
                           key=lambda pair: pair[0].sort_key())
             elements = [k for k, _ in down]
+            found.lift = tuple(j for _, j in down)
             found._lattice = Lattice(
                 sub_m, elements,
                 [is_fully_invariant(k, found.endo) for k in elements],
-                lat.mode, above=lat.induced_above([j for _, j in down]))
-            self._restricted[l_sub.key()] = found
+                lat.mode, above=lat.induced_above(found.lift))
+            self._restricted[t] = found
         return found
 
-    def corad_standalone(self, l_sub: Subspace) -> Subspace:
-        """The coprime coradical of L analyzed as a bicomodule of its own."""
-        if l_sub.is_zero():
-            return Subspace.zero(self.field, self.m.dim)
-        if l_sub.is_full():
-            # The RREF basis of M is the identity: restrict(M, M) is M.
-            return self.spectrum.cpcorad
-        return parent_coords(l_sub, self.restricted(l_sub).spectrum.cpcorad)
+    def corad_standalone(self, t: int) -> int:
+        """The index of the coprime coradical of lattice element t analyzed
+        as a bicomodule of its own."""
+        if t == 0:
+            return 0
+        if t == len(self.lattice) - 1:
+            # t is M, whose RREF basis is the identity: restrict(M, M) is M.
+            return self.spectrum.cpcorad_index
+        child = self.restricted(self.lattice.elements[t])
+        return child.lift[child.spectrum.cpcorad_index]
 
-    def e_set(self):
-        """Fully invariant L with standalone coprime coradical equal to L."""
-        return [l for l in self.lattice.fi_elements()
-                if self.corad_standalone(l) == l]
+    def e_set(self) -> int:
+        """Bitmask of the fully invariant L whose standalone coprime
+        coradical is L."""
+        return sum(1 << t for t in bits_of(self.lattice.fi_bits)
+                   if self.corad_standalone(t) == t)
 
 
 def analyze(m: Bicomodule, mode: str = "exhaustive", budget: int = 200000,

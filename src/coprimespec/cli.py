@@ -147,15 +147,15 @@ def cmd_topology(args) -> int:
     top = a.topology(flavor)
     rep = topology_report(top)
     sep = rep.separation
-    fixed = a.e_set()
+    fixed = a.e_set().bit_count()
     payload = rep.to_dict()
     payload["points"] = [[["%s" % a.field.format_scalar(x) for x in row]
                           for row in k.basis]
                          for k in a.spectrum.cpspec]
     payload["closed_sets"] = [sorted(c) for c in top.closed]
     payload["generic_points"] = generic_points(top, top.space)
-    payload["coradical_fixed_parts"] = len(fixed)
-    payload["closed_bijection"] = len(fixed) == len(top.closed)
+    payload["coradical_fixed_parts"] = fixed
+    payload["closed_bijection"] = fixed == len(top.closed)
     lines = [f"flavor {rep.flavor}: {rep.point_count} point(s), "
              f"{rep.closed_count} closed set(s), "
              + ("a topology" if rep.is_topology else "NOT a topology"),
@@ -164,7 +164,7 @@ def cmd_topology(args) -> int:
              f"irreducible={rep.irreducible} connected={rep.connected}",
              "components: " + (", ".join(str(sorted(c))
                                          for c in rep.components) or "none"),
-             f"coradical-fixed parts: {len(fixed)} "
+             f"coradical-fixed parts: {fixed} "
              f"(closed sets: {len(top.closed)}; "
              + ("bijective" if payload["closed_bijection"]
                 else "counts differ") + ")"]

@@ -155,20 +155,34 @@ def _rows(sub: Subspace):
     return [[fmt(a) for a in row] for row in sub.basis]
 
 
+@dataclass
 class SpectrumReport:
     """The fully coprime spectrum of a bicomodule relative to a
-    subbicomodule lattice: its members, their sum and the fully
-    cosemiprime members."""
+    subbicomodule lattice, as bitmasks over the lattice index: its members
+    (`cpspec_bits`), the index of their sum (`cpcorad_index`) and the fully
+    cosemiprime members (`csp_bits`).  `cpspec`, `cpcorad` and `csp` are
+    the subspaces the masks name."""
 
-    def __init__(self, m, lattice, endo, cache, cpspec, cpcorad, csp, notes):
-        self.m = m
-        self.lattice = lattice
-        self.endo = endo
-        self.cache = cache
-        self.cpspec = tuple(cpspec)
-        self.cpcorad = cpcorad
-        self.csp = tuple(csp)
-        self.notes = tuple(notes)
+    m: Bicomodule
+    lattice: Lattice
+    endo: EndoAlgebra
+    cache: CoproductCache
+    cpspec_bits: int
+    cpcorad_index: int
+    csp_bits: int
+    notes: tuple
+
+    @property
+    def cpspec(self) -> tuple:
+        return self.lattice.subset(self.cpspec_bits)
+
+    @property
+    def cpcorad(self) -> Subspace:
+        return self.lattice.elements[self.cpcorad_index]
+
+    @property
+    def csp(self) -> tuple:
+        return self.lattice.subset(self.csp_bits)
 
     @property
     def certified(self) -> bool:
@@ -204,31 +218,29 @@ def spectrum(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
     if not lattice.certified:
         notes.append("lattice is a generated family; memberships are lower bounds")
 
-    cpspec = []
-    csp = []
-    points = 0
+    points = cosemiprime = 0
     for i in bits_of(lattice.fi_bits & ~1):
         k = lattice.elements[i]
         candidates = lattice.maximal_fi_not_containing(k)
         if _coprime_witness(k, candidates, cache) is None:
-            cpspec.append(k)
             points |= 1 << i
         if _cosemiprime_witness(k, candidates, cache) is None:
-            csp.append(k)
-
-    cpcorad = lattice.elements[lattice.join(points)]
-    return SpectrumReport(m, lattice, endo, cache, cpspec, cpcorad, csp, notes)
+            cosemiprime |= 1 << i
+    return SpectrumReport(m, lattice, endo, cache, points,
+                          lattice.join(points), cosemiprime, tuple(notes))
 
 
 @dataclass(frozen=True)
 class IdealSide:
     """Annihilator-side prime data beside a spectrum: the members with a
-    prime (semiprime) annihilator, the prime and Jacobson radicals of the
-    endomorphism ring and their kernels, the two-sided and prime ideals.
-    A field is None when it was not computed; `notes` says why."""
+    prime (semiprime) annihilator, as bitmasks over the index of `lattice`,
+    the prime and Jacobson radicals of the endomorphism ring and their
+    kernels, the two-sided and prime ideals.  A field is None when it was
+    not computed; `notes` says why."""
 
-    ep: tuple | None = None
-    esp: tuple | None = None
+    lattice: Lattice | None = None
+    ep_bits: int | None = None
+    esp_bits: int | None = None
     prad: Subspace | None = None
     jac: Subspace | None = None
     ke_prad: Subspace | None = None
@@ -238,9 +250,17 @@ class IdealSide:
     notes: tuple = ()
 
     @property
+    def ep(self) -> tuple | None:
+        return None if self.ep_bits is None else self.lattice.subset(self.ep_bits)
+
+    @property
+    def esp(self) -> tuple | None:
+        return None if self.esp_bits is None else self.lattice.subset(self.esp_bits)
+
+    @property
     def ideal_support(self) -> bool:
         """True when the prime and semiprime member classes were enumerated."""
-        return self.ep is not None
+        return self.ep_bits is not None
 
     @property
     def radical_support(self) -> bool:
@@ -280,11 +300,14 @@ def ideal_side(spec: SpectrumReport, right_ideals) -> IdealSide:
                                 "prime and radical data omitted",))
     two_sided = [i for i in right_ideals if i.is_two_sided]
     poset = IdealPoset(endo, two_sided)
-    members = spec.lattice.nonzero_fi_elements()
+    lattice = spec.lattice
+    members = [(1 << i, cache.annihilator(lattice.elements[i]))
+               for i in bits_of(lattice.fi_bits & ~1)]
     prad = prime_radical(poset)
     jac = jacobson_radical(endo, right_ideals)
     return IdealSide(
-        ep=tuple(k for k in members if poset.is_prime(cache.annihilator(k))),
-        esp=tuple(k for k in members if poset.is_semiprime(cache.annihilator(k))),
+        lattice=lattice,
+        ep_bits=sum(bit for bit, ann in members if poset.is_prime(ann)),
+        esp_bits=sum(bit for bit, ann in members if poset.is_semiprime(ann)),
         prad=prad, jac=jac, ke_prad=ke(prad, endo), ke_jac=ke(jac, endo),
         two_sided=two_sided, primes=poset.primes())

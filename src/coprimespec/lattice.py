@@ -67,7 +67,8 @@ class Lattice:
     `fi_meet_irreducible`, also built on first use, masks the fully
     invariant elements with exactly one fully invariant upper cover; every
     fully invariant element is a meet of them, and the coprimality scans
-    read only them.
+    read only them.  The index is the identity of an element: reports
+    hold bitmasks over it, and `subset` reads a mask as its elements.
     """
 
     def __init__(self, bicomodule: Bicomodule, elements, fi_mask, mode: LatticeMode,
@@ -81,6 +82,7 @@ class Lattice:
         self._above = above
         self._below = None
         self._fi_meet_irreducible = None
+        self._socle = None
 
     @property
     def above(self):
@@ -151,23 +153,9 @@ class Lattice:
         """Whether element i is contained in element j."""
         return i == j or bool(self.above[i] >> j & 1)
 
-    def is_fi(self, sub: Subspace) -> bool:
-        return self.fi_mask[self.index_of(sub)]
-
-    def fi_elements(self):
-        return [e for e, m in zip(self.elements, self.fi_mask) if m]
-
-    def nonzero_elements(self):
-        return [e for e in self.elements if not e.is_zero()]
-
-    def nonzero_fi_elements(self):
-        return [e for e in self.fi_elements() if not e.is_zero()]
-
-    def zero(self) -> Subspace:
-        return Subspace.zero(self.bicomodule.field, self.bicomodule.dim)
-
-    def top(self) -> Subspace:
-        return Subspace.full(self.bicomodule.field, self.bicomodule.dim)
+    def subset(self, mask: int) -> tuple:
+        """The elements whose bits are set in mask, in index order."""
+        return tuple(self.elements[i] for i in bits_of(mask))
 
     @property
     def fi_meet_irreducible(self) -> int:
@@ -197,6 +185,17 @@ class Lattice:
         candidates = maximal_bits(self.fi_meet_irreducible & ~containing,
                                   self.above)
         return [self.elements[j] for j in bits_of(candidates)]
+
+    @property
+    def socle(self) -> SocleReport:
+        """The minimal nonzero elements, the minimal nonzero fully invariant
+        ones, and the index of the sum of the former."""
+        if self._socle is None:
+            simple = minimal_bits((1 << len(self.elements)) - 2, self.above)
+            self._socle = SocleReport(
+                self, simple, minimal_bits(self.fi_bits & ~1, self.above),
+                self.join(simple))
+        return self._socle
 
 
 def _all_ops_scalar(m: Bicomodule) -> bool:
@@ -275,40 +274,33 @@ def enumerate_lattice(m: Bicomodule, mode: str = "exhaustive", budget: int = 200
 
 @dataclass
 class SocleReport:
-    simples: list
-    simples_fi: list
-    coradical: Subspace
-    certified: bool
+    """The simple elements of a lattice (`simple_bits`), the simple fully
+    invariant ones (`simple_fi_bits`) and the coradical, their sum
+    (`coradical_index`); the subspaces are read from the masks."""
 
+    lattice: Lattice
+    simple_bits: int
+    simple_fi_bits: int
+    coradical_index: int
 
-def _simple_bits(lattice: Lattice, mask: int) -> int:
-    """The minimal members of mask other than the zero element."""
-    return minimal_bits(mask & ~1, lattice.above)
+    @property
+    def simples(self) -> tuple:
+        return self.lattice.subset(self.simple_bits)
 
+    @property
+    def simples_fi(self) -> tuple:
+        return self.lattice.subset(self.simple_fi_bits)
 
-def simples(lattice: Lattice):
-    """Minimal nonzero lattice elements."""
-    return [lattice.elements[i]
-            for i in bits_of(_simple_bits(lattice, (1 << len(lattice)) - 1))]
-
-
-def simples_fi(lattice: Lattice):
-    """Minimal nonzero fully invariant elements (within the invariant sublattice)."""
-    return [lattice.elements[i]
-            for i in bits_of(_simple_bits(lattice, lattice.fi_bits))]
-
-
-def coradical(lattice: Lattice) -> Subspace:
-    simple = _simple_bits(lattice, (1 << len(lattice)) - 1)
-    return lattice.elements[lattice.join(simple)]
+    @property
+    def coradical(self) -> Subspace:
+        return self.lattice.elements[self.coradical_index]
 
 
 def socle_report(lattice: Lattice) -> SocleReport:
     if not lattice.certified:
         warnings.warn("socle computed relative to a generated lattice",
                       UncertifiedLattice, stacklevel=2)
-    return SocleReport(simples(lattice), simples_fi(lattice), coradical(lattice),
-                       lattice.certified)
+    return lattice.socle
 
 
 @dataclass
@@ -372,13 +364,13 @@ def predicates(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
         notes.append("relative to enumerated lattice")
 
     nonzero = (1 << len(lattice)) - 2
-    simple = _simple_bits(lattice, nonzero)
-    fi_simple = _simple_bits(lattice, lattice.fi_bits)
+    socle = lattice.socle
+    simple, fi_simple = socle.simple_bits, socle.simple_fi_bits
     duo = all(lattice.fi_mask)
     quasi_duo = not simple & ~lattice.fi_bits
 
     self_injective = all(hom_dim(m, k) == endo.dim - annihilator(k).subspace.dim
-                         for k in lattice.nonzero_elements())
+                         for k in lattice.elements[1:])
 
     self_cogenerator = all(kernel(annihilator(k).subspace) == k
                            for k in lattice.elements)
@@ -398,8 +390,8 @@ def predicates(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
 
     down = lattice.below
     subdirectly_irreducible = lattice.meet(nonzero) != 0
-    corad = lattice.join(simple)
-    semisimple = lattice.elements[corad].is_full()
+    corad = socle.coradical_index
+    semisimple = socle.coradical.is_full()
     property_s = all(simple & (down[i] | 1 << i) for i in bits_of(nonzero))
     property_s_fi = all(fi_simple & (down[i] | 1 << i)
                         for i in bits_of(lattice.fi_bits & nonzero))

@@ -780,20 +780,6 @@ def child_coords(l_sub: Subspace, k: Subspace) -> Subspace:
                    [f2_bits_at(w, pivots) for w in k.packed()])
 
 
-def parent_coords(l_sub: Subspace, child: Subspace) -> Subspace:
-    """The inverse of `child_coords`: a subspace given in the coordinates of
-    L's basis, as a subspace of the ambient space.  Its rows are the child
-    rows times the basis of L; over F2 each is the XOR of L's packed rows
-    at the set bits of a child row."""
-    if l_sub.field.p != 2:
-        return child.apply(l_sub.matrix().transpose())
-    if child.ambient != l_sub.dim:
-        raise AmbientMismatch(f"map domain {l_sub.dim} != ambient {child.ambient}")
-    basis = l_sub.packed()
-    return f2_span(l_sub.field, l_sub.ambient,
-                   [f2_image(basis, c) for c in child.packed()])
-
-
 def induced_columns(sub: Subspace, ops):
     """The operators that ops induce on sub, or None when sub is not stable
     under all of them.  Each is given by its columns in the coordinates of

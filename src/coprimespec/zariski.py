@@ -25,17 +25,19 @@ def _canon(sets):
 class ZariskiTopology:
     """Finite topological space whose points are fully coprime subbicomodules.
 
-    The varieties of all lattice elements are read once from the containment
-    table: entry t of `varieties` is the set of positions of the points
-    inside lattice element t.
+    The points are the lattice indices in `point_index`, and `positions`
+    maps each of them to its position.  The varieties of all lattice
+    elements are read once from the containment table: entry t of
+    `varieties` is the set of positions of the points inside lattice
+    element t.
     """
 
     def __init__(self, report: SpectrumReport, flavor: str):
         self.lattice = lattice = report.lattice
         self.flavor = flavor
         self.points = report.cpspec
-        self.point_index = tuple(lattice.index_of(k) for k in self.points)
-        self._position = {t: i for i, t in enumerate(self.point_index)}
+        self.point_index = tuple(bits_of(report.cpspec_bits))
+        self.positions = {t: i for i, t in enumerate(self.point_index)}
         inside = [0] * len(lattice)
         for i, t in enumerate(self.point_index):
             for j in bits_of(lattice.above[t] | 1 << t):
@@ -75,12 +77,11 @@ class ZariskiTopology:
     def position(self, sub: Subspace) -> int | None:
         """Position of sub among the points, or None when it is not a point."""
         t = self.lattice.find(sub)
-        return None if t is None else self._position.get(t)
+        return None if t is None else self.positions.get(t)
 
-    def phi(self, subset) -> Subspace:
-        """Sum of the points at a set of positions."""
-        mask = sum(1 << self.point_index[i] for i in subset)
-        return self.lattice.elements[self.lattice.join(mask)]
+    def phi(self, subset) -> int:
+        """Lattice index of the sum of the points at a set of positions."""
+        return self.lattice.join(sum(1 << self.point_index[i] for i in subset))
 
     def closure(self, subset) -> frozenset:
         subset = frozenset(subset)

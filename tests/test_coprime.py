@@ -11,7 +11,7 @@ from coprimespec.coprime import (CoproductCache, internal_coproduct,
 from coprimespec.endo import endo_algebra
 from coprimespec.fields import prime_field, rationals
 from coprimespec.lattice import cyclic_subbicomodule, enumerate_lattice
-from coprimespec.linalg import Subspace, parent_coords
+from coprimespec.linalg import Subspace
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -160,13 +160,15 @@ def test_spectrum_report_serialization_gates_on_support():
 
 def test_restricted_spectrum_matches_the_variety():
     a = analyze(regular_bicomodule(grouplike(3, F3)))
-    sub = sorted(a.lattice.fi_elements(), key=lambda s: s.dim)[2]
+    sub = sorted(a.lattice.subset(a.lattice.fi_bits), key=lambda s: s.dim)[2]
     assert sub.dim == 1
     part = a.restricted(sub).spectrum
     inside = {k.key() for k in a.spectrum.cpspec if sub.contains(k)}
-    assert {parent_coords(sub, k).key() for k in part.cpspec} == inside
-    assert parent_coords(sub, part.cpcorad) == sub
-    assert a.corad_standalone(sub) == sub
+    lift = sub.matrix().transpose()
+    assert {k.apply(lift).key() for k in part.cpspec} == inside
+    assert part.cpcorad.apply(lift) == sub
+    t = a.lattice.index_of(sub)
+    assert a.corad_standalone(t) == t
 
 
 def test_coprime_candidates_must_be_nonzero():

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from coprimespec import (bicomodule as bicomodule_module, checks, coprime as coprime_module,
-                         endo as endo_module, lattice as lattice_module, linalg)
+from coprimespec import (analysis as analysis_module, bicomodule as bicomodule_module,
+                         checks, coprime as coprime_module, endo as endo_module,
+                         lattice as lattice_module, linalg)
 from coprimespec.analysis import InstanceAnalysis
 from coprimespec.bicomodule import Bicomodule, is_subbicomodule, quotient, restrict
 from coprimespec.catalog import (random_instance, resolve_ref,
@@ -35,11 +36,10 @@ from coprimespec.endo import (EndoAlgebra, IdealPoset, an, coordinate_vectors,
 from coprimespec.exceptions import NotSubbicomodule
 from coprimespec.fields import prime_field, rationals
 from coprimespec.lattice import (cyclic_subbicomodule, enumerate_lattice,
-                                 is_fully_invariant, simples, simples_fi)
+                                 is_fully_invariant)
 from coprimespec.linalg import (Matrix, Subspace, annihilator, child_coords,
                                 combination, combined_maps, enumerate_subspaces,
-                                is_stable, joint_preimage, kernel, parent_coords,
-                                preimage)
+                                is_stable, joint_preimage, kernel, preimage)
 from coprimespec.oracle import diff_against_engine
 from test_linalg import TUPLE_F2
 
@@ -53,7 +53,7 @@ DIM_BUDGET = {F2: 5, F3: 4, F5: 4}
 
 
 def _all_pairs_coprime(a, k, cache):
-    fi = a.lattice.fi_elements()
+    fi = a.lattice.subset(a.lattice.fi_bits)
     return not any(not x.contains(k) and not y.contains(k)
                    and cache.coproduct(x, y).contains(k)
                    for x in fi for y in fi)
@@ -61,12 +61,12 @@ def _all_pairs_coprime(a, k, cache):
 
 def _all_pairs_cosemiprime(a, k, cache):
     return not any(not x.contains(k) and cache.coproduct(x, x).contains(k)
-                   for x in a.lattice.fi_elements())
+                   for x in a.lattice.subset(a.lattice.fi_bits))
 
 
 def _check_coprime_reductions(a):
     cache = CoproductCache(a.m, a.endo)
-    for k in a.lattice.nonzero_fi_elements():
+    for k in a.lattice.subset(a.lattice.fi_bits & ~1):
         flag, pair = is_fully_coprime(a.m, k, a.lattice, a.endo)
         assert flag == _all_pairs_coprime(a, k, cache)
         if not flag:
@@ -94,7 +94,7 @@ def _check_ideal_reductions(a):
     endo, two_sided = a.endo, [i for i in a.right_ideals if i.is_two_sided]
     poset = IdealPoset(endo, two_sided)
     annihilators = [a.coproducts.annihilator(k)
-                    for k in a.lattice.nonzero_fi_elements()]
+                    for k in a.lattice.subset(a.lattice.fi_bits & ~1)]
     radical = Subspace.full(endo.field, endo.dim)
     for ideal in two_sided + annihilators:
         prime = _all_pairs_prime(endo, ideal, two_sided)
@@ -124,8 +124,9 @@ def _check_order_table(lattice):
         assert lattice.above[i] == literal
         assert lattice.below[i] == sum(1 << j for j, y in enumerate(elements)
                                        if y != x and x.contains(y))
-    assert simples(lattice) == _literal_minimal(lattice.nonzero_elements())
-    assert simples_fi(lattice) == _literal_minimal(lattice.nonzero_fi_elements())
+    assert list(lattice.socle.simples) == _literal_minimal(lattice.elements[1:])
+    assert list(lattice.socle.simples_fi) == \
+        _literal_minimal(lattice.subset(lattice.fi_bits & ~1))
 
 
 # --- literal statement bodies -------------------------------------------------
@@ -151,14 +152,14 @@ def _literal_an_ke_galois(a: InstanceAnalysis, ctx) -> list:
     out = []
 
     witness = None
-    for x in elements:
+    for x, fi in zip(elements, lat.fi_mask):
         ann = cache.annihilator(x)
         kex = ke(ann, endo)
         if not ann.is_right:
             witness = {"subbicomodule": _describe(x),
                        "problem": "annihilator is not a right ideal"}
             break
-        if lat.is_fi(x) and not ann.is_two_sided:
+        if fi and not ann.is_two_sided:
             witness = {"subbicomodule": _describe(x),
                        "problem": "annihilator of a fully invariant member "
                                   "is not two-sided"}
@@ -260,18 +261,18 @@ def _literal_coproduct_bound(a: InstanceAnalysis, ctx) -> list:
     out = []
 
     witness = None
-    for x in elements:
-        for y in elements:
+    for x, x_fi in zip(elements, lat.fi_mask):
+        for y, y_fi in zip(elements, lat.fi_mask):
             cop = cache.coproduct(x, y)
             if not cop.contains(x):
                 witness = {"x": _describe(x), "y": _describe(y),
                            "problem": "X is not inside (X : Y)"}
                 break
-            if lat.is_fi(y) and not cop.contains(y):
+            if y_fi and not cop.contains(y):
                 witness = {"x": _describe(x), "y": _describe(y),
                            "problem": "fully invariant Y is not inside (X : Y)"}
                 break
-            if lat.is_fi(x) and not is_fully_invariant(cop, endo):
+            if x_fi and not is_fully_invariant(cop, endo):
                 witness = {"x": _describe(x), "y": _describe(y),
                            "problem": "(X : Y) not fully invariant although "
                                       "X is"}
@@ -348,11 +349,11 @@ def _literal_variety_identities(a: InstanceAnalysis, ctx) -> list:
     space = frozenset(range(len(points)))
     out = []
 
-    if _xset(points, lat.top()) != frozenset() or \
-            _xset(points, lat.zero()) != space:
+    whole, zero = Subspace.full(a.field, a.m.dim), Subspace.zero(a.field, a.m.dim)
+    if _xset(points, whole) != frozenset() or _xset(points, zero) != space:
         out.append(Verdict(f"{name}-1", FAIL, "endpoint identities fail",
-                           {"x_of_top": sorted(_xset(points, lat.top())),
-                            "x_of_zero": sorted(_xset(points, lat.zero()))}))
+                           {"x_of_top": sorted(_xset(points, whole)),
+                            "x_of_zero": sorted(_xset(points, zero))}))
     else:
         out.append(Verdict(f"{name}-1", PASS,
                            "the whole space opens nothing and zero opens "
@@ -375,7 +376,7 @@ def _literal_variety_identities(a: InstanceAnalysis, ctx) -> list:
                        "sums shrink opens and meets union them"))
 
     witness = None
-    fi = lat.fi_elements()
+    fi = lat.subset(lat.fi_bits)
     for l1 in fi:
         for l2 in fi:
             x_sum = _xset(points, l1.sum_with(l2))
@@ -593,15 +594,16 @@ def test_spectrum_of_grouplike_5_computes_few_coproducts():
 
 def _parts(a):
     """a and the analyses of its proper nonzero fully invariant parts."""
-    return [a] + [a.restricted(l) for l in a.lattice.nonzero_fi_elements()
+    lat = a.lattice
+    return [a] + [a.restricted(l) for l in lat.subset(lat.fi_bits & ~1)
                   if not l.is_full()]
 
 
 def _check_table_against_definitions(a):
     for part in _parts(a):
         lat = part.lattice
-        assert lat.join(0) == lat.find(lat.zero())
-        assert lat.meet(0) == lat.find(lat.top())
+        assert lat.join(0) == lat.find(Subspace.zero(part.field, part.m.dim))
+        assert lat.meet(0) == lat.find(Subspace.full(part.field, part.m.dim))
         for i, x in enumerate(lat.elements):
             for j, y in enumerate(lat.elements):
                 pair = 1 << i | 1 << j
@@ -714,7 +716,7 @@ def test_non_monotone_coproduct_fails_with_a_cover_pair():
     a = _rigged_analysis("grouplike:3", rig)
     lat = a.lattice
     plane = next(e for e in lat.elements if e.dim == 2)
-    assert not _covers(lat, lat.zero(), plane)
+    assert not _covers(lat, lat.elements[0], plane)
     verdict = _bound_verdict(a, 1)
     assert verdict.status == FAIL
     assert verdict.witness["problem"] == "(X : -) is not monotone"
@@ -860,7 +862,7 @@ def test_packed_systems_match_the_tuple_path(name):
         assert _rows(ideal.subspace) == _rows(ideal_t.subspace)
         assert (ideal.is_right, ideal.is_two_sided) == (ideal_t.is_right, ideal_t.is_two_sided)
         assert _rows(ke(ideal, e)) == _rows(ke(ideal_t, e_t))
-    fi = lattice.fi_elements()
+    fi = lattice.subset(lattice.fi_bits)
     for x in fi:
         for y in fi:
             x_t, y_t = _tuple_sub(x), _tuple_sub(y)
@@ -1040,7 +1042,7 @@ def test_f2_hom_dim_over_an_operator_basis_matches_restriction(seed):
     span = Subspace.from_vectors(F2, m.dim ** 2, [op.flatten() for op in m.all_ops()])
     assert Subspace.from_vectors(F2, m.dim ** 2, [op.flatten() for op in basis]) == span
     assert len(basis) == span.dim
-    for k in enumerate_lattice(m).nonzero_elements():
+    for k in enumerate_lattice(m).elements[1:]:
         assert hom_dim(m, k) == len(intertwiners(restrict(m, k)[0], m))
     for sub in _random_subspaces(Random(seed), m.dim, 20):
         if not is_stable(sub, m.all_ops()):
@@ -1116,7 +1118,7 @@ def test_packed_restrictions_and_coordinates_match_the_tuple_path(name):
     m = F2_FORMS[name]
     t = _tuple_form(m)
     lattice = enumerate_lattice(m)
-    for l_sub in lattice.nonzero_elements():
+    for l_sub in lattice.elements[1:]:
         l_t = _tuple_sub(l_sub)
         r, embed = restrict(m, l_sub)
         r_t, embed_t = restrict(t, l_t)
@@ -1131,15 +1133,7 @@ def test_packed_restrictions_and_coordinates_match_the_tuple_path(name):
                 continue
             child, child_t = child_coords(l_sub, k), child_coords(l_t, k_t)
             assert _rows(child) == _rows(child_t)
-            back = parent_coords(l_sub, child)
-            assert _rows(back) == _rows(parent_coords(l_t, child_t)) == _rows(k)
-    rng = Random(sum(map(ord, name)))
-    for sub in _random_subspaces(rng, m.dim, 6):
-        if sub.is_zero():
-            continue
-        child = next(_random_subspaces(rng, sub.dim, 1))
-        assert _rows(parent_coords(sub, child)) == \
-            _rows(parent_coords(_tuple_sub(sub), _tuple_sub(child)))
+            assert _rows(child.apply(l_sub.matrix().transpose())) == _rows(k)
 
 
 def test_f2_galois_family_builds_no_quotient_bicomodule(monkeypatch):
@@ -1286,13 +1280,59 @@ def test_child_analyses_read_the_parent_table(monkeypatch, build):
     a = build()
     assert not _failures(a, ["spectrum-restriction", "duo-transfer"])
     assert calls == [len(a.lattice)]
-    children = [a.restricted(l) for l in a.lattice.nonzero_fi_elements()
-                if not l.is_full()]
+    lat = a.lattice
+    parts = [l for l in lat.subset(lat.fi_bits & ~1) if not l.is_full()]
+    children = [a.restricted(l) for l in parts]
     assert children and calls == [len(a.lattice)]
-    for child in children:
+    for l_sub, child in zip(parts, children):
         assert child.lattice.above == _literal_upsets(child.lattice.elements)
         assert child.lattice.fi_mask == tuple(
             is_fully_invariant(k, child.endo) for k in child.lattice.elements)
+        assert [child_coords(l_sub, lat.elements[j]) for j in child.lift] == \
+            list(child.lattice.elements)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: InstanceAnalysis(random_instance(8, field=F2)[0], seed=7),
+    lambda: InstanceAnalysis(resolve_ref_to_bicomodule("grouplike:4", F2))],
+    ids=["seed-8", "grouplike:4"])
+def test_child_results_lift_by_index(monkeypatch, build):
+    """Child spectra reach the parent through `lift`: coordinates are
+    computed only while `restricted` builds a child, once per element of
+    the part below L."""
+    calls = Counter()
+    original = linalg.child_coords
+
+    def counted(l_sub, k):
+        calls["child_coords"] += 1
+        return original(l_sub, k)
+
+    for module in (linalg, analysis_module, checks):
+        if hasattr(module, "child_coords"):
+            monkeypatch.setattr(module, "child_coords", counted)
+    a = build()
+    assert not _failures(a, ["spectrum-restriction",
+                             "simple-point-characterization"])
+    ran = calls["child_coords"]
+    children = _parts(a)[1:]
+    assert children and calls["child_coords"] == ran
+    assert ran == sum(len(child.lattice) for child in children)
+
+
+def test_a_swapped_lift_fails_spectrum_restriction():
+    a = InstanceAnalysis(resolve_ref_to_bicomodule("grouplike:3", F2))
+    assert not _failures(a, ["spectrum-restriction"])
+    child = a.restricted(a.lattice.elements[1])
+    assert child.lift == (0, 1)
+    # The zero and L trade places: the point lifts to 0, so the sets
+    # differ although their sizes agree.
+    child.lift = (1, 0)
+    assert _failures(a, ["spectrum-restriction"]) == [
+        {"statement": "spectrum-restriction", "status": FAIL,
+         "detail": "standalone spectrum of a part differs from the cut-down "
+                   "parent spectrum",
+         "witness": {"l": _described("100"), "side": "fully coprime",
+                     "standalone": 1, "cut_down": 1}}]
 
 
 def test_a_shifted_child_reindex_fails_spectrum_restriction(monkeypatch):

@@ -10,9 +10,8 @@ from coprimespec.catalog import (comatrix, divided_power, grouplike,
 from coprimespec.endo import EndoAlgebra, endo_algebra
 from coprimespec.exceptions import BudgetExceeded, ExhaustiveUnavailableOverQ
 from coprimespec.fields import prime_field, rationals
-from coprimespec.lattice import (coradical, enumerate_lattice,
-                                 is_fully_invariant, predicates, simples,
-                                 simples_fi, socle_report)
+from coprimespec.lattice import (enumerate_lattice, is_fully_invariant,
+                                 predicates, socle_report)
 from coprimespec.linalg import Subspace
 
 F2 = prime_field(2)
@@ -36,14 +35,14 @@ def test_grouplike_lattice_is_the_boolean_lattice_of_point_sets():
     m = regular_bicomodule(grouplike(3, F3))
     lat = enumerate_lattice(m)
     assert len(lat.elements) == 8
-    assert len(list(lat.nonzero_elements())) == 7
+    assert len(lat.elements[1:]) == 7
 
 
 def test_comatrix_lattice_is_simple():
     m = regular_bicomodule(comatrix(2, F2))
     lat = enumerate_lattice(m)
     assert len(lat.elements) == 2
-    assert lat.zero().is_zero() and lat.top().is_full()
+    assert lat.elements[0].is_zero() and lat.elements[-1].is_full()
 
 
 def test_every_lattice_member_is_a_chain_member_for_divided_powers():
@@ -52,7 +51,7 @@ def test_every_lattice_member_is_a_chain_member_for_divided_powers():
     endo = endo_algebra(m)
     for s in lat.elements:
         assert is_fully_invariant(s, endo)
-    assert len(list(lat.fi_elements())) == len(lat.elements)
+    assert len(lat.subset(lat.fi_bits)) == len(lat.elements)
 
 
 def test_generated_mode_agrees_with_exhaustive_on_desk_instances():
@@ -80,7 +79,7 @@ def test_socle_and_coradical_of_the_chain():
     assert report.simples[0].dim == 1
     assert report.coradical.dim == 1
     assert report.coradical.contains_vector((1, 0, 0, 0, 0))
-    assert coradical(lat) == report.coradical
+    assert lat.elements[lat.join(report.simple_bits)] == report.coradical
 
 
 def test_socle_of_grouplike_is_everything():
@@ -90,8 +89,8 @@ def test_socle_of_grouplike_is_everything():
     assert len(report.simples) == 3
     assert all(s.dim == 1 for s in report.simples)
     assert report.coradical.is_full()
-    assert len(simples(lat)) == 3
-    assert len(simples_fi(lat)) == 3
+    assert report.simple_bits.bit_count() == 3
+    assert len(report.simples_fi) == 3
 
 
 def test_predicates_on_the_divided_power_chain():
@@ -136,7 +135,7 @@ def test_random_instances_have_valid_certified_lattices():
         lat = enumerate_lattice(m)
         assert lat.certified
         endo = endo_algebra(m)
-        for s in lat.fi_elements():
+        for s in lat.subset(lat.fi_bits):
             assert is_fully_invariant(s, endo)
 
 

@@ -59,7 +59,7 @@ def test_varieties_generate_the_closed_sets():
     a = analyze(regular_bicomodule(grouplike(3, F2)))
     top = a.topology("fi")
     spec = a.spectrum
-    for l in a.lattice.fi_elements():
+    for l in a.lattice.subset(a.lattice.fi_bits):
         v = top.v_of(l)
         assert top.is_closed(v)
         expected = frozenset(i for i, k in enumerate(spec.cpspec)
