@@ -146,8 +146,7 @@ class InstanceAnalysis:
             elements = [k for k, _ in down]
             found.lift = tuple(j for _, j in down)
             found._lattice = Lattice(
-                sub_m, elements,
-                [is_fully_invariant(k, found.endo) for k in elements],
+                elements, [is_fully_invariant(k, found.endo) for k in elements],
                 lat.mode, above=lat.induced_above(found.lift))
             self._restricted[t] = found
         return found

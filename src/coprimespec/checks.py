@@ -51,10 +51,11 @@ from .analysis import InstanceAnalysis, analyze
 from .bicomodule import centralizer, phi_matrix
 from .coalgebra import CoalgebraMorphism, identity_morphism
 from .coprime import is_fully_coprime, is_fully_cosemiprime, ke_product_bound
-from .endo import coordinate_vectors, ke, maximal_ideals, quotient_cogenerated
+from .endo import coordinate_vectors, ke, quotient_cogenerated
 from .exceptions import CoalgebraMismatch
 from .lattice import cyclic_subbicomodule, is_fully_invariant
-from .linalg import Matrix, Subspace, bits_of, is_stable, minimal_bits, preimage
+from .linalg import (Matrix, Subspace, bits_of, is_stable, maximal_bits,
+                     minimal_bits, preimage)
 from .zariski import (image_subspace, irreducible_components,
                       is_connected_subset, is_irreducible_subset, separation,
                       spectral_map)
@@ -700,8 +701,10 @@ def _separation_breaks(s):
 # --- maximal primes force discreteness ------------------------------------------
 
 def _primes_maximal(ideals):
-    maximal_keys = {i.subspace.key() for i in maximal_ideals(ideals.two_sided)}
-    return all(i.subspace.key() in maximal_keys for i in ideals.primes)
+    """Whether every prime ideal is a maximal proper two-sided ideal."""
+    family = ideals.family
+    proper = family.fi_bits & ~(1 << len(family) - 1)
+    return not ideals.prime_bits & ~maximal_bits(proper, family.above)
 
 
 def _discrete_with_coradical(s):
@@ -1320,7 +1323,7 @@ _FAMILIES = {
             _Part("prime-maximal-discreteness", _discrete_with_coradical,
                   "spectrum is the socle and empty opens capture the "
                   "coradical",
-                  gates=(_ideals(lambda s: s.a.ideal_side.primes is not None),
+                  gates=(_ideals(lambda s: s.a.ideal_side.prime_bits is not None),
                          _needs("every prime ideal maximal"))),
         )),
     "finite-compactness": _Family(gate=_standing_gaps, parts=(

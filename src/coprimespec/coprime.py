@@ -28,12 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bicomodule import Bicomodule
-from .endo import (EndoAlgebra, IdealPoset, an, endo_algebra, ideal_product,
-                   jacobson_radical, ke, prime_radical, radical_char0)
+from .endo import (EndoAlgebra, an, endo_algebra, ideal_product,
+                   jacobson_radical, ke, prime_masks, prime_radical,
+                   radical_char0)
 # Unused here; kept because perfbench/tracing.py patches it in this module.
 from .endo import enumerate_ideals
 from .exceptions import NotFullyInvariant, ZeroSubmodule
-from .lattice import Lattice, is_fully_invariant
+from .lattice import Lattice, LatticeMode, is_fully_invariant
 from .linalg import Subspace, bits_of, combined_maps, joint_preimage
 
 
@@ -232,11 +233,15 @@ def spectrum(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
 
 @dataclass(frozen=True)
 class IdealSide:
-    """Annihilator-side prime data beside a spectrum: the members with a
-    prime (semiprime) annihilator, as bitmasks over the index of `lattice`,
-    the prime and Jacobson radicals of the endomorphism ring and their
-    kernels, the two-sided and prime ideals.  A field is None when it was
-    not computed; `notes` says why."""
+    """Annihilator-side prime data beside a spectrum.
+
+    `family` is the `Lattice` of the right ideals of the endomorphism ring;
+    its `fi_bits` masks the two-sided ideals and `prime_bits` the prime
+    ones, over its index.  `ep_bits` (`esp_bits`) masks the members of
+    `lattice` with a prime (semiprime) annihilator, over the index of
+    `lattice`.  `prad` and `jac` are the prime and Jacobson radicals of
+    the ring, and `ke_prad` and `ke_jac` their kernels.  A field is None
+    when it was not computed; `notes` says why."""
 
     lattice: Lattice | None = None
     ep_bits: int | None = None
@@ -245,8 +250,8 @@ class IdealSide:
     jac: Subspace | None = None
     ke_prad: Subspace | None = None
     ke_jac: Subspace | None = None
-    two_sided: list | None = None
-    primes: list | None = None
+    family: Lattice | None = None
+    prime_bits: int | None = None
     notes: tuple = ()
 
     @property
@@ -298,16 +303,19 @@ def ideal_side(spec: SpectrumReport, right_ideals) -> IdealSide:
     if right_ideals is None:
         return IdealSide(notes=("right-ideal enumeration exceeded the budget; "
                                 "prime and radical data omitted",))
-    two_sided = [i for i in right_ideals if i.is_two_sided]
-    poset = IdealPoset(endo, two_sided)
+    # Every right ideal is listed, and sums and intersections of right
+    # ideals are right ideals, so the list is closed as a `Lattice` needs.
+    family = Lattice([i.subspace for i in right_ideals],
+                     [i.is_two_sided for i in right_ideals], LatticeMode.EXHAUSTIVE)
+    primes, semiprimes = prime_masks(endo, family)
     lattice = spec.lattice
-    members = [(1 << i, cache.annihilator(lattice.elements[i]))
-               for i in bits_of(lattice.fi_bits & ~1)]
-    prad = prime_radical(poset)
-    jac = jacobson_radical(endo, right_ideals)
-    return IdealSide(
-        lattice=lattice,
-        ep_bits=sum(bit for bit, ann in members if poset.is_prime(ann)),
-        esp_bits=sum(bit for bit, ann in members if poset.is_semiprime(ann)),
-        prad=prad, jac=jac, ke_prad=ke(prad, endo), ke_jac=ke(jac, endo),
-        two_sided=two_sided, primes=poset.primes())
+    ep = esp = 0
+    for i in bits_of(lattice.fi_bits & ~1):
+        # An annihilator is a right ideal, so it is a member of the family.
+        j = family.index_of(cache.annihilator(lattice.elements[i]).subspace)
+        ep |= (primes >> j & 1) << i
+        esp |= (semiprimes >> j & 1) << i
+    prad, jac = prime_radical(family, primes), jacobson_radical(family)
+    return IdealSide(lattice=lattice, ep_bits=ep, esp_bits=esp, prad=prad,
+                     jac=jac, ke_prad=ke(prad, endo), ke_jac=ke(jac, endo),
+                     family=family, prime_bits=primes)

@@ -11,11 +11,17 @@ Ideal enumeration/primality is written against a tiny algebra protocol
 `multiplication_ops` fills) so the same machinery serves both the
 endomorphism ring and a convolution dual algebra.
 
-Primality and semiprimality of a two-sided ideal I are tested only on the
-minimal enumerated two-sided J with J not <= I, which is equivalent by
-monotonicity: J1 <= J1' gives J1*J2 <= J1'*J2, and likewise in the second
-factor, so a pair J1, J2 outside I with J1*J2 <= I stays such a pair when
-each factor is lowered to a minimal ideal outside I below it.
+The right ideals are read as one family indexed like a subbicomodule
+lattice (a `lattice.Lattice` over the enumerated list): its fully
+invariant members are the two-sided ideals, since End(E_E) is E acting by
+left multiplication, and `prime_masks` and the radicals read its
+containment table.  Primality and semiprimality of a two-sided ideal I are
+tested only on the minimal two-sided J with J not <= I, which is
+equivalent by monotonicity: J1 <= J1' gives J1*J2 <= J1'*J2, and likewise
+in the second factor, so a pair J1, J2 outside I with J1*J2 <= I stays
+such a pair when each factor is lowered to a minimal ideal outside I below
+it.  A product of two-sided ideals is a two-sided ideal, so it is a member
+of the family and J1*J2 <= I is a lookup in the table.
 """
 
 from __future__ import annotations
@@ -28,8 +34,7 @@ from .linalg import (Matrix, Subspace, annihilator, bits_of,
                      check_subspace_budget, combined_maps, interleave,
                      intertwining_maps, invariant_span, is_stable,
                      joint_preimage, kernel, maximal_bits, minimal_bits,
-                     product_span, quotient_embeds, strict_upsets, sub_hom_dim,
-                     sum_closure)
+                     product_span, quotient_embeds, sub_hom_dim, sum_closure)
 # Unused here; kept because perfbench/tracing.py patches it in this module.
 from .linalg import enumerate_subspaces
 
@@ -178,9 +183,6 @@ class RightIdeal:
     def dim(self):
         return self.subspace.dim
 
-    def is_proper(self):
-        return not self.subspace.contains_vector(self.algebra.unit_coords)
-
 
 def multiplication_ops(algebra):
     """(right, left) multiplication operators on coordinates, built once per
@@ -251,91 +253,47 @@ def enumerate_ideals(algebra, side: str = "right", budget: int = 50000):
     return found
 
 
-class IdealPoset:
-    """An enumerated list of two-sided ideals with its containment table.
+def prime_masks(algebra, family):
+    """The prime and the semiprime ideals of `algebra`, as a pair of
+    bitmasks over a family of its right ideals.
 
-    Entry i of `above` is the bitmask of the listed ideals strictly
-    containing ideal i.  Each product J1*J2 of listed ideals and each
-    primality verdict is computed at most once per poset.
+    `family` is a `lattice.Lattice` over every right ideal of `algebra`,
+    whose fully invariant members are the two-sided ones; its top is the
+    algebra, the one member that is not proper.  Each product J1*J2 of
+    members is found in the family once per index pair.
     """
+    fi, above, below = family.fi_bits, family.above, family.below
+    products = {}
 
-    def __init__(self, algebra, ideals):
-        self.algebra = algebra
-        self.ideals = tuple(ideals)
-        self.above = strict_upsets([i.subspace for i in self.ideals])
-        self._index = {i.subspace.key(): n for n, i in enumerate(self.ideals)}
-        self._products = {}
-        self._prime = {}
-
-    def product(self, a: int, b: int) -> Subspace:
-        """J_a * J_b for list indices a, b."""
-        found = self._products.get((a, b))
+    def inside(a: int, b: int, i: int) -> bool:
+        found = products.get((a, b))
         if found is None:
-            found = ideal_product(self.algebra, self.ideals[a].subspace,
-                                  self.ideals[b].subspace)
-            self._products[(a, b)] = found
-        return found
+            found = products[(a, b)] = family.index_of(ideal_product(
+                algebra, family.elements[a], family.elements[b]))
+        return family.le(found, i)
 
-    def minimal_outside(self, sub: Subspace):
-        """Indices of the minimal listed J with J not <= sub."""
-        t = self._index.get(sub.key())
-        if t is None:
-            inside = sum(1 << n for n, j in enumerate(self.ideals)
-                         if sub.contains(j.subspace))
-        else:
-            inside = 1 << t
-            for n, up in enumerate(self.above):
-                if up >> t & 1:
-                    inside |= 1 << n
-        outside = (1 << len(self.ideals)) - 1 & ~inside
-        return list(bits_of(minimal_bits(outside, self.above)))
-
-    def is_prime(self, ideal: RightIdeal) -> bool:
-        if not ideal.is_two_sided or not ideal.is_proper():
-            return False
-        sub = ideal.subspace
-        found = self._prime.get(sub.key())
-        if found is None:
-            outside = self.minimal_outside(sub)
-            found = not any(sub.contains(self.product(a, b))
-                            for a in outside for b in outside)
-            self._prime[sub.key()] = found
-        return found
-
-    def is_semiprime(self, ideal: RightIdeal) -> bool:
-        if not ideal.is_two_sided or not ideal.is_proper():
-            return False
-        sub = ideal.subspace
-        return not any(sub.contains(self.product(a, a))
-                       for a in self.minimal_outside(sub))
-
-    def primes(self):
-        """The prime members of the list, in list order."""
-        return [i for i in self.ideals if self.is_prime(i)]
+    prime = semiprime = 0
+    for i in bits_of(fi & ~(1 << len(family) - 1)):
+        outside = list(bits_of(minimal_bits(fi & ~(below[i] | 1 << i), above)))
+        if any(inside(a, a, i) for a in outside):
+            continue
+        semiprime |= 1 << i
+        if not any(inside(a, b, i) for a in outside for b in outside):
+            prime |= 1 << i
+    return prime, semiprime
 
 
-def prime_radical(poset: IdealPoset) -> Subspace:
-    """Intersection of the prime two-sided ideals of an ideal poset."""
-    out = Subspace.full(poset.algebra.field, poset.algebra.dim)
-    for ideal in poset.primes():
-        out = out.intersect(ideal.subspace)
-    return out
+def prime_radical(family, primes: int) -> Subspace:
+    """Intersection of the prime ideals masked by `primes` in a right-ideal
+    family (`prime_masks`)."""
+    return family.elements[family.meet(primes)]
 
 
-def maximal_ideals(ideals):
-    """Maximal proper members of an ideal list, by inclusion."""
-    proper = [i for i in ideals if i.is_proper()]
-    above = strict_upsets([i.subspace for i in proper])
-    top = maximal_bits((1 << len(proper)) - 1, above)
-    return [proper[n] for n in bits_of(top)]
-
-
-def jacobson_radical(algebra, right_ideals) -> Subspace:
-    """Intersection of the maximal right ideals."""
-    out = Subspace.full(algebra.field, algebra.dim)
-    for ideal in maximal_ideals(right_ideals):
-        out = out.intersect(ideal.subspace)
-    return out
+def jacobson_radical(family) -> Subspace:
+    """Intersection of the maximal right ideals: the maximal members of a
+    right-ideal family below its top."""
+    proper = (1 << len(family) - 1) - 1
+    return family.elements[family.meet(maximal_bits(proper, family.above))]
 
 
 def radical_char0(algebra) -> Subspace:

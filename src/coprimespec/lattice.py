@@ -12,7 +12,10 @@ reported as such.
 Every lattice built here is closed under + and intersection (the sum-closure
 holds every subbicomodule, the Generated loop closes under both, and the
 part below an element inherits both), which is why `Lattice.join` and
-`Lattice.meet` are lookups in the containment table.
+`Lattice.meet` are lookups in the containment table.  The right ideals of
+the endomorphism ring are held as a `Lattice` too (`coprime.ideal_side`):
+the enumeration lists every right ideal, and sums and intersections of
+right ideals are right ideals.
 """
 
 from __future__ import annotations
@@ -54,7 +57,10 @@ def is_fully_invariant(sub: Subspace, endo: EndoAlgebra) -> bool:
 
 
 class Lattice:
-    """Canonically sorted subbicomodule list with a full-invariance mask.
+    """Canonically sorted subspace family with a full-invariance mask: the
+    subbicomodules of a bicomodule, or the right ideals of its endomorphism
+    ring E, whose fully invariant members (those stable under End(E_E),
+    which is E acting by left multiplication) are the two-sided ideals.
 
     The order is held as one containment table: entry i of `above` is the
     bitmask of the elements strictly containing element i, `below` its
@@ -72,9 +78,7 @@ class Lattice:
     hold bitmasks over it, and `subset` reads a mask as its elements.
     """
 
-    def __init__(self, bicomodule: Bicomodule, elements, fi_mask, mode: LatticeMode,
-                 above=None):
-        self.bicomodule = bicomodule
+    def __init__(self, elements, fi_mask, mode: LatticeMode, above=None):
         self.elements = tuple(elements)
         self.fi_mask = tuple(fi_mask)
         self.fi_bits = sum(1 << i for i, flag in enumerate(self.fi_mask) if flag)
@@ -271,7 +275,7 @@ def enumerate_lattice(m: Bicomodule, mode: str = "exhaustive", budget: int = 200
 
     elements.sort(key=lambda s: s.sort_key())
     fi_mask = [is_fully_invariant(sub, endo) for sub in elements]
-    return Lattice(m, elements, fi_mask, lattice_mode)
+    return Lattice(elements, fi_mask, lattice_mode)
 
 
 @dataclass

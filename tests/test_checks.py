@@ -11,8 +11,7 @@ from coprimespec.catalog import (chain_inclusion, comatrix, divided_power,
                                  random_instance, resolve_ref_to_bicomodule)
 from coprimespec.checks import (FAIL, PASS, UNSUPPORTED, VACUOUS, Verdict,
                                 morphism_checks, run_checks, statement_names)
-from coprimespec import checks
-from coprimespec.endo import IdealPoset
+from coprimespec import checks, coprime
 from coprimespec.fields import prime_field, rationals
 from coprimespec.linalg import Subspace
 
@@ -305,8 +304,13 @@ def test_prime_maximal_discreteness_names_a_simple_missing_from_the_spectrum():
 def test_spectrum_annihilator_prime_classes_fail_when_the_annihilators_gain(monkeypatch, ref):
     # Every proper two-sided ideal counts as prime: the prime-annihilator
     # class strictly contains the spectrum, and the semiprime classes agree.
-    monkeypatch.setattr(IdealPoset, "is_prime",
-                        lambda self, ideal: ideal.is_two_sided and ideal.is_proper())
+    original = coprime.prime_masks
+
+    def every_proper_two_sided(algebra, family):
+        top = len(family) - 1
+        return family.fi_bits & ~(1 << top), original(algebra, family)[1]
+
+    monkeypatch.setattr(coprime, "prime_masks", every_proper_two_sided)
     a = analyze(resolve_ref_to_bicomodule(ref, F2))
     verdict = next(v for v in run_checks(a, names=["prime-radical-correspondence"])
                    if v.statement == "prime-radical-correspondence-2")

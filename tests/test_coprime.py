@@ -4,7 +4,8 @@ import pytest
 
 from coprimespec.analysis import analyze
 from coprimespec.bicomodule import regular_bicomodule
-from coprimespec.catalog import comatrix, divided_power, grouplike
+from coprimespec.catalog import (comatrix, divided_power, grouplike,
+                                 random_instance, resolve_ref_to_bicomodule)
 from coprimespec.coprime import (CoproductCache, internal_coproduct,
                                  is_fully_coprime, is_fully_cosemiprime,
                                  ke_product_bound)
@@ -15,6 +16,7 @@ from coprimespec.linalg import Subspace
 
 F2 = prime_field(2)
 F3 = prime_field(3)
+F5 = prime_field(5)
 QQ = rationals()
 
 
@@ -134,6 +136,28 @@ def test_prime_and_semiprime_members_match_the_spectrum_over_f2():
     assert {k.key() for k in i.esp} == {k.key() for k in s.csp}
     assert i.prad.dim == 4 and i.jac.dim == 4
     assert i.ke_prad == s.cpcorad and i.ke_jac == s.cpcorad
+
+
+def _finite_field_pool():
+    """The sweep instances over F2, a dozen random instances over F3 and
+    eight over F5, and three catalog families over F2 and F3."""
+    for field, seeds in ((F2, range(7, 57)), (F3, range(12)), (F5, range(8))):
+        for seed in seeds:
+            yield random_instance(seed, field=field)[0]
+    for ref in ("grouplike:5", "divided:5", "comatrix:2"):
+        for field in (F2, F3):
+            yield resolve_ref_to_bicomodule(ref, field)
+
+
+def test_jacobson_radical_is_the_prime_radical_over_finite_fields():
+    # The endomorphism ring is finite-dimensional, hence Artinian, and in
+    # an Artinian ring the Jacobson radical is the prime radical.  The
+    # 6-dimensional ring of divided:5 over F3 needs an ideal budget above
+    # the default 50000.
+    sides = [analyze(m, ideal_budget=10 ** 5).ideal_side
+             for m in _finite_field_pool()]
+    assert len(sides) == 76 and all(side.radical_support for side in sides)
+    assert all(side.jac == side.prad for side in sides)
 
 
 def test_radicals_over_q_come_from_the_trace_form():

@@ -30,17 +30,18 @@ from coprimespec.checks import (FAIL, PASS, CheckContext, Verdict, _describe,
 from coprimespec.coalgebra import Coalgebra
 from coprimespec.coprime import (CoproductCache, is_fully_coprime,
                                  is_fully_cosemiprime, ke_product_bound)
-from coprimespec.endo import (EndoAlgebra, IdealPoset, an, coordinate_vectors,
+from coprimespec.endo import (EndoAlgebra, an, coordinate_vectors,
                               enumerate_ideals, hom_dim, ideal_product,
-                              intertwiners, ke, maximal_ideals, prime_radical,
-                              quotient_cogenerated)
+                              intertwiners, jacobson_radical, ke, prime_masks,
+                              prime_radical, quotient_cogenerated)
 from coprimespec.exceptions import NotSubbicomodule
 from coprimespec.fields import prime_field, rationals
 from coprimespec.lattice import (cyclic_subbicomodule, enumerate_lattice,
                                  is_fully_invariant)
-from coprimespec.linalg import (Matrix, Subspace, annihilator, child_coords,
-                                combination, combined_maps, enumerate_subspaces,
-                                is_stable, joint_preimage, kernel, preimage)
+from coprimespec.linalg import (Matrix, Subspace, annihilator, bits_of,
+                                child_coords, combination, combined_maps,
+                                enumerate_subspaces, is_stable, joint_preimage,
+                                kernel, preimage)
 from coprimespec.oracle import diff_against_engine
 from test_linalg import TUPLE_F2
 
@@ -81,7 +82,7 @@ def _check_coprime_reductions(a):
 
 
 def _all_pairs_prime(endo, ideal, two_sided, semi=False):
-    if not ideal.is_two_sided or not ideal.is_proper():
+    if not ideal.is_two_sided or ideal.subspace.contains_vector(endo.unit_coords):
         return False
     sub = ideal.subspace
     outside = [j.subspace for j in two_sided if not sub.contains(j.subspace)]
@@ -91,25 +92,51 @@ def _all_pairs_prime(endo, ideal, two_sided, semi=False):
                    for j1, j2 in pairs)
 
 
+def _literal_maximal(ideals):
+    return [i for i in ideals
+            if not any(j.dim > i.dim and j.subspace.contains(i.subspace)
+                       for j in ideals)]
+
+
+def _intersection(endo, ideals):
+    out = Subspace.full(endo.field, endo.dim)
+    for ideal in ideals:
+        out = out.intersect(ideal.subspace)
+    return out
+
+
 def _check_ideal_reductions(a):
-    endo, two_sided = a.endo, [i for i in a.right_ideals if i.is_two_sided]
-    poset = IdealPoset(endo, two_sided)
-    annihilators = [a.coproducts.annihilator(k)
-                    for k in a.lattice.subset(a.lattice.fi_bits & ~1)]
-    radical = Subspace.full(endo.field, endo.dim)
-    for ideal in two_sided + annihilators:
+    endo, side, right_ideals = a.endo, a.ideal_side, a.right_ideals
+    family = side.family
+    assert family.elements == tuple(i.subspace for i in right_ideals)
+    assert family.fi_mask == tuple(
+        _literal_closed(endo, i.subspace, left=True)
+        and _literal_closed(endo, i.subspace, left=False) for i in right_ideals)
+    two_sided = [i for i in right_ideals if i.is_two_sided]
+    primes, semiprimes = prime_masks(endo, family)
+    assert primes == side.prime_bits
+    literal_primes = []
+    for n, ideal in enumerate(right_ideals):
         prime = _all_pairs_prime(endo, ideal, two_sided)
-        semiprime = _all_pairs_prime(endo, ideal, two_sided, semi=True)
-        assert poset.is_prime(ideal) == prime
-        assert poset.is_semiprime(ideal) == semiprime
+        assert primes >> n & 1 == prime
+        assert semiprimes >> n & 1 == _all_pairs_prime(endo, ideal, two_sided,
+                                                       semi=True)
         if prime:
-            radical = radical.intersect(ideal.subspace)
-    assert prime_radical(poset) == radical
-    proper = [i for i in two_sided if i.is_proper()]
-    literal = [i for i in proper
-               if not any(j.subspace.dim > i.dim and j.subspace.contains(i.subspace)
-                          for j in proper)]
-    assert maximal_ideals(two_sided) == literal
+            literal_primes.append(ideal)
+    radical = _intersection(endo, literal_primes)
+    assert prime_radical(family, primes) == side.prad == radical
+    proper = [i for i in right_ideals
+              if not i.subspace.contains_vector(endo.unit_coords)]
+    jac = _intersection(endo, _literal_maximal(proper))
+    assert jacobson_radical(family) == side.jac == jac
+    maximal = _literal_maximal([i for i in proper if i.is_two_sided])
+    assert checks._primes_maximal(side) == all(p in maximal for p in literal_primes)
+    for n in bits_of(a.lattice.fi_bits & ~1):
+        ann = a.coproducts.annihilator(a.lattice.elements[n])
+        assert family.find(ann.subspace) is not None
+        assert side.ep_bits >> n & 1 == _all_pairs_prime(endo, ann, two_sided)
+        assert side.esp_bits >> n & 1 == _all_pairs_prime(endo, ann, two_sided,
+                                                          semi=True)
 
 
 def _literal_minimal(elements):
@@ -996,7 +1023,8 @@ def test_every_line_is_join_irreducible_when_every_subspace_is_invariant(field, 
 
 
 def _non_member_probes(rng, lattice, count=3):
-    field, n = lattice.bicomodule.field, lattice.bicomodule.dim
+    top = lattice.elements[-1]
+    field, n = top.field, top.ambient
     probes = []
     for _ in range(200):
         if len(probes) == count:
@@ -1377,6 +1405,35 @@ def test_a_shifted_child_reindex_fails_spectrum_restriction(monkeypatch):
                    "parent spectrum",
          "witness": {"l": _described("100"), "side": "coradical",
                      "standalone": _described(), "cut_down": _described("100")}}]
+
+
+def test_the_ideal_side_reads_one_table_of_right_ideals(monkeypatch):
+    """After the predicates on grouplike:7, the ideal side tests no ideal
+    flag and builds one containment table, over the 128 right ideals; the
+    prime-maximal-discreteness gate reads that table and builds none."""
+    sides = _count_side_tests(monkeypatch)
+    tables = []
+    original = linalg.strict_upsets
+
+    def counted(subspaces):
+        tables.append(len(subspaces))
+        return original(subspaces)
+
+    for module in (linalg, lattice_module, endo_module, coprime_module, checks):
+        if hasattr(module, "strict_upsets"):
+            monkeypatch.setattr(module, "strict_upsets", counted)
+    a = InstanceAnalysis(resolve_ref_to_bicomodule("grouplike:7", F2))
+    a.predicates
+    sides.clear()
+    tables.clear()
+    side = a.ideal_side
+    assert not sides
+    assert tables == [len(a.right_ideals)] == [128]
+    assert side.family.fi_bits == (1 << 128) - 1
+    tables.clear()
+    verdicts = run_checks(a, names=["prime-maximal-discreteness"])
+    assert [v.status for v in verdicts] == [PASS]
+    assert not tables and not sides
 
 
 def test_predicates_compute_each_kernel_once(monkeypatch):
