@@ -28,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bicomodule import Bicomodule
-from .endo import (EndoAlgebra, an, endo_algebra, ideal_product,
-                   jacobson_radical, ke, prime_masks, prime_radical,
-                   radical_char0)
+from .endo import (EndoAlgebra, an, endo_algebra, jacobson_radical, ke,
+                   prime_masks, prime_radical, radical_char0)
 # Unused here; kept because perfbench/tracing.py patches it in this module.
 from .endo import enumerate_ideals
 from .exceptions import NotFullyInvariant, ZeroSubmodule
@@ -96,13 +95,17 @@ def ke_product_bound(m: Bicomodule, x: Subspace, y: Subspace,
 
     Returns (coproduct, kernel_of_product, contained) where contained states
     whether the coproduct sits inside the kernel of the ideal product.
+
+    The kernel of the product is itself a coproduct, read from the cache:
+    Ke(An(X) An(Y)) = (X : Ke(An(Y))) for any subspaces X and Y.  The
+    product f g (f in An(X), g in An(Y)) applies f first, so m lies in the
+    kernel of every such product exactly when g(f(m)) = 0 for all f and g,
+    that is when f(m) lies in Ke(An(Y)) for every f in An(X).
     """
     if cache is None:
         cache = CoproductCache(m, endo)
     coprod = cache.coproduct(x, y)
-    product = ideal_product(endo, cache.annihilator(x).subspace,
-                            cache.annihilator(y).subspace)
-    kernel_side = cache.ke(product)
+    kernel_side = cache.coproduct(x, cache.ke(cache.annihilator(y).subspace))
     return coprod, kernel_side, kernel_side.contains(coprod)
 
 

@@ -1,7 +1,13 @@
 """Exact scalar arithmetic: prime fields F_p and the rationals Q.
 
-Scalars are plain Python values: residues 0..p-1 (int) over F_p and
-`fractions.Fraction` over Q.  No floating point is used anywhere.
+Scalars are plain Python values: residues 0..p-1 (int) over F_p, and
+over Q one canonical form per rational (`Field.rational`): an int when it
+is integral, a `fractions.Fraction` otherwise.  Equal numbers compare and
+hash equal across int and Fraction, so the form changes no equality and
+no dictionary key; it spares the integral entries (0, 1 and -1 above
+all) the gcd that every Fraction operation pays.  No floating point is
+used anywhere: the only true division is the inverse in `Field.inv`,
+which builds a Fraction.
 """
 
 from __future__ import annotations
@@ -47,13 +53,14 @@ class Field:
 
     # -- element construction ------------------------------------------------
 
-    @property
-    def zero(self):
-        return 0 if self.p is not None else Fraction(0)
+    @staticmethod
+    def rational(x):
+        """The canonical form of a rational: its numerator when it is
+        integral (an int stays itself), else the Fraction unchanged."""
+        return x.numerator if x.denominator == 1 else x
 
-    @property
-    def one(self):
-        return 1 if self.p is not None else Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, x):
         """Coerce an int, Fraction, or 'num/den' string to a field element."""
@@ -70,25 +77,23 @@ class Field:
             return x % p
         if isinstance(x, bool):
             raise TypeError(f"cannot coerce {x!r} into Q")
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(x)
+        if isinstance(x, (int, Fraction, str)):
+            return self.rational(Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):
-        return (a + b) % self.p if self.p is not None else a + b
+        return (a + b) % self.p if self.p is not None else self.rational(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.p is not None else a - b
+        return (a - b) % self.p if self.p is not None else self.rational(a - b)
 
     def neg(self, a):
-        return (-a) % self.p if self.p is not None else -a
+        return (-a) % self.p if self.p is not None else self.rational(-a)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.p is not None else a * b
+        return (a * b) % self.p if self.p is not None else self.rational(a * b)
 
     def inv(self, a):
         if self.p is not None:
@@ -97,7 +102,9 @@ class Field:
             return pow(a, -1, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        if a == 1 or a == -1:
+            return int(a)
+        return self.rational(Fraction(1, a))
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -123,7 +130,7 @@ class Field:
     def random_element(self, rng):
         if self.p is not None:
             return rng.randrange(self.p)
-        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        return self.rational(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
 
     def elements(self):
         """All field elements; finite fields only."""

@@ -31,17 +31,10 @@ use the tuple arithmetic throughout.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 
 from .exceptions import AmbientMismatch, BudgetExceeded, NotSubbicomodule
 from .fields import Field
-
-
-def _rational(x) -> Fraction:
-    """A sum of products of rationals as a Fraction: it already is one
-    unless no term was added (or the entries were ints)."""
-    return x if type(x) is Fraction else Fraction(x)
 
 
 def _check_same_field(a: Field, b: Field):
@@ -259,7 +252,7 @@ class Matrix:
                 for k, a in enumerate(arow):
                     if a:
                         acc += a * odata[k][j]
-                new.append(acc % p if p is not None else _rational(acc))
+                new.append(acc % p if p is not None else f.rational(acc))
             out.append(new)
         return Matrix(f, self.rows, ocols, out)
 
@@ -281,7 +274,7 @@ class Matrix:
             for a, v in zip(row, vec):
                 if a and v:
                     acc += a * v
-            out.append(acc % p if p is not None else _rational(acc))
+            out.append(acc % p if p is not None else f.rational(acc))
         return tuple(out)
 
     def is_zero(self) -> bool:
@@ -329,6 +322,7 @@ def _rref_rows(field: Field, rows):
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
+    rational = field.rational
     pivots = []
     r = 0
     for c in range(ncols):
@@ -346,10 +340,10 @@ def _rref_rows(field: Field, rows):
             if p is not None:
                 rows[r] = [(x * inv) % p for x in row]
             else:
-                rows[r] = [x * inv for x in row]
+                rows[r] = [rational(x * inv) if x else 0 for x in row]
         lead = rows[r]
         # Over Q only the nonzero entries of the pivot row change a row:
-        # x - factor * 0 is x, and Fraction arithmetic is the cost here.
+        # x - factor * 0 is x, and every Fraction operation costs a gcd.
         support = None if p is not None else [(j, y) for j, y in enumerate(lead) if y]
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
@@ -359,7 +353,7 @@ def _rref_rows(field: Field, rows):
                     rows[i] = [(x - factor * y) % p for x, y in zip(row, lead)]
                 else:
                     for j, y in support:
-                        row[j] = row[j] - factor * y
+                        row[j] = rational(row[j] - factor * y)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -452,13 +446,17 @@ class Subspace:
             return _unpack(f2_reduce(_pack(v), self.pivots, self.packed()),
                            self.ambient)
         v = list(v)
+        rational = field.rational
         for row, c in zip(self.basis, self.pivots):
             coeff = v[c]
             if coeff:
                 if p is not None:
                     v = [(x - coeff * y) % p for x, y in zip(v, row)]
                 else:
-                    v = [x - coeff * y for x, y in zip(v, row)]
+                    # As in `_rref_rows`: x - coeff * 0 is x.
+                    for j, y in enumerate(row):
+                        if y:
+                            v[j] = rational(v[j] - coeff * y)
         return tuple(v)
 
     def contains_vector(self, v) -> bool:

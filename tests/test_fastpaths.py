@@ -25,8 +25,8 @@ from coprimespec.analysis import InstanceAnalysis
 from coprimespec.bicomodule import Bicomodule, is_subbicomodule, quotient, restrict
 from coprimespec.catalog import (random_instance, resolve_ref,
                                  resolve_ref_to_bicomodule, right_comodule)
-from coprimespec.checks import (FAIL, PASS, CheckContext, Verdict, _describe,
-                                _vacuous, run_checks)
+from coprimespec.checks import (FAIL, PASS, VACUOUS, CheckContext, Verdict,
+                                _describe, _vacuous, run_checks)
 from coprimespec.coalgebra import Coalgebra
 from coprimespec.coprime import (CoproductCache, is_fully_coprime,
                                  is_fully_cosemiprime, ke_product_bound)
@@ -43,6 +43,7 @@ from coprimespec.linalg import (Matrix, Subspace, annihilator, bits_of,
                                 enumerate_subspaces, is_stable, joint_preimage,
                                 kernel, preimage)
 from coprimespec.oracle import diff_against_engine
+from test_fields import is_canonical_rational
 from test_linalg import TUPLE_F2
 
 F2 = prime_field(2)
@@ -461,6 +462,25 @@ def _check_coproducts_match_literal(a):
             assert cache.coproduct(x, y) == _literal_coproduct(a, x, y)
 
 
+def _check_ke_lookup_matches_the_product(a):
+    """The kernel side of `ke_product_bound`, read as the coproduct
+    (X : Ke(An(Y))), against the literal Ke(An(X) An(Y)) on every probe
+    pair of the coproduct-bound statement: the lattice elements and three
+    seeded random lines."""
+    rng = Random(a.seed)
+    probes = list(a.lattice.elements)
+    for _ in range(3):
+        vec = tuple(a.field.random_element(rng) for _ in range(a.m.dim))
+        probes.append(Subspace.from_vectors(a.field, a.m.dim, [vec]))
+    cache = CoproductCache(a.m, a.endo)
+    for x in probes:
+        for y in probes:
+            _, kernel_side, _ = ke_product_bound(a.m, x, y, a.endo, cache)
+            product = ideal_product(a.endo, cache.annihilator(x).subspace,
+                                    cache.annihilator(y).subspace)
+            assert kernel_side == ke(product, a.endo)
+
+
 # --- cyclic sum-closure against subspace filters ------------------------------
 
 def _literal_closed(algebra, sub, left):
@@ -596,6 +616,7 @@ def test_reductions_match_the_definitions_over_finite_fields(seed, field):
     _check_coprime_reductions(a)
     _check_ideal_reductions(a)
     _check_coproducts_match_literal(a)
+    _check_ke_lookup_matches_the_product(a)
     _check_statements_match_literal(a)
 
 
@@ -608,7 +629,29 @@ def test_reductions_match_the_definitions_in_generated_mode_over_q(seed):
     _check_order_table(a.lattice)
     _check_coprime_reductions(a)
     _check_coproducts_match_literal(a)
+    _check_ke_lookup_matches_the_product(a)
     _check_statements_match_literal(a)
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_the_rational_suite_keeps_every_scalar_canonical(monkeypatch, seed):
+    """Every basis entry of every lattice element, and of every coproduct
+    the statements build, is an int or a non-integral Fraction."""
+    built = []
+    original = CoproductCache.coproduct
+
+    def recorded(cache, x, y):
+        found = original(cache, x, y)
+        built.append(found)
+        return found
+
+    monkeypatch.setattr(CoproductCache, "coproduct", recorded)
+    m, _ = random_instance(seed, field=QQ)
+    a = InstanceAnalysis(m, mode="generated")
+    run_checks(a)
+    assert built and len(a.lattice) > 2
+    for sub in [*a.lattice.elements, *built]:
+        assert all(is_canonical_rational(x) for row in sub.basis for x in row)
 
 
 def test_spectrum_of_grouplike_5_computes_few_coproducts():
@@ -874,6 +917,11 @@ def _random_subspaces(rng, n, count):
 
 
 @pytest.mark.parametrize("name", list(F2_FORMS))
+def test_ke_lookup_matches_the_product_on_the_f2_forms(name):
+    _check_ke_lookup_matches_the_product(InstanceAnalysis(F2_FORMS[name]))
+
+
+@pytest.mark.parametrize("name", list(F2_FORMS))
 def test_packed_systems_match_the_tuple_path(name):
     m = F2_FORMS[name]
     t = _tuple_form(m)
@@ -943,29 +991,29 @@ def test_f2_predicates_build_no_restricted_bicomodule(monkeypatch):
     assert calls["restrict"] > 0
 
 
-# The probe X that the mutant fails first: every bound against Y = 0 then
-# reads Ke(An(Y)) = 0, which misses X.
-FIRST_ESCAPING_PROBE = {"grouplike:3": ("100",), "divided:4": ("10000",),
-                        "comatrix:2": ("1000", "0100", "0010", "0001")}
+# The element Y at which the mutant fails first.  With every Ke read as 0
+# the bound is (X : 0), and the first probe X = 0 gives (0 : 0) = 0, which
+# misses (0 : Y) = Y for the first nonzero element Y (fully invariant here).
+FIRST_ESCAPING_ELEMENT = {"grouplike:3": ("100",), "divided:4": ("10000",),
+                          "comatrix:2": ("1000", "0100", "0010", "0001")}
 
 
-@pytest.mark.parametrize("ref", list(FIRST_ESCAPING_PROBE))
-def test_an_ideal_product_returning_its_second_factor_fails_the_bound(monkeypatch, ref):
+@pytest.mark.parametrize("ref", list(FIRST_ESCAPING_ELEMENT))
+def test_a_kernel_read_as_zero_fails_the_bound(monkeypatch, ref):
     a = InstanceAnalysis(resolve_ref_to_bicomodule(ref, F2))
     assert _bound_verdict(a, 2).status == PASS
-    monkeypatch.setattr(coprime_module, "ideal_product", lambda algebra, x, y: y)
+    monkeypatch.setattr(coprime_module, "ke",
+                        lambda ideal, endo: Subspace.zero(endo.field, endo.bicomodule.dim))
     a = InstanceAnalysis(resolve_ref_to_bicomodule(ref, F2))
-    assert _bound_verdict(a, 2).status == FAIL
     statement = "coproduct-annihilator-kernel-bound"
-    x, y = _described(*FIRST_ESCAPING_PROBE[ref]), _described()
     assert _failures(a, [statement]) == [
         {"statement": f"{statement}-2", "status": FAIL,
          "detail": "(X : Y) escapes Ke(An(X) An(Y))",
-         "witness": {"x": x, "y": y}},
-        {"statement": f"{statement}-3", "status": FAIL,
-         "detail": "equality with the kernel of the ideal product fails",
-         "witness": {"x": x, "y": y, "coproduct_dim": x["dim"],
-                     "kernel_dim": 0}}]
+         "witness": {"x": _described(),
+                     "y": _described(*FIRST_ESCAPING_ELEMENT[ref])}}]
+    # The self-cogenerator predicate reads Ke through the same cache, so
+    # the mutant also makes part 3 vacuous rather than failing.
+    assert _bound_verdict(a, 3).status == VACUOUS
 
 
 # --- closures, scans and Hom systems over generators -----------------------------

@@ -4,8 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coprimespec.fields import parse_field_name, prime_field, rationals
+
+
+def is_canonical_rational(x) -> bool:
+    """The canonical form of a scalar over Q: an int (never a bool), or a
+    Fraction that is not integral; never a float."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
 def test_prime_field_rejects_non_primes():
@@ -93,3 +101,35 @@ def test_coerce_rejects_bad_values():
     assert f.coerce(5) == 2
     with pytest.raises(ValueError):
         rationals().coerce("x")
+
+
+# Ints and small Fractions, integral ones such as Fraction(4, 2) included.
+RATIONALS = st.one_of(st.integers(-40, 40),
+                      st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=RATIONALS, b=RATIONALS)
+def test_rational_operations_are_fraction_arithmetic_in_canonical_form(a, b):
+    q = rationals()
+    x, y = Fraction(a), Fraction(b)
+    cases = [(q.add(a, b), x + y), (q.sub(a, b), x - y), (q.mul(a, b), x * y),
+             (q.neg(a), -x), (q.coerce(a), x)]
+    if y:
+        cases.append((q.inv(b), 1 / y))
+    for got, want in cases:
+        assert got == want
+        assert is_canonical_rational(got)
+
+
+def test_rational_coerce_gives_the_canonical_form():
+    q = rationals()
+    for x in ("6/3", Fraction(4, 2), 2):
+        got = q.coerce(x)
+        assert got == 2 and type(got) is int
+    assert q.coerce("-3/6") == Fraction(-1, 2)
+    assert all(is_canonical_rational(s) for s in (q.zero, q.one))
+    rng = random.Random(3)
+    assert all(is_canonical_rational(q.random_element(rng)) for _ in range(200))
+    with pytest.raises(TypeError):
+        q.coerce(True)

@@ -12,6 +12,7 @@ from coprimespec.linalg import (Matrix, Subspace, count_subspaces,
                                 enumerate_subspaces, gaussian_binomial,
                                 invariant_span, is_stable, kernel, preimage,
                                 sum_closure)
+from test_fields import is_canonical_rational
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -328,9 +329,10 @@ def _dense_rref(rows):
 
 
 def _sparse_rational_rows(rng, count, cols):
-    """Random rows over Q with about one entry in three nonzero."""
-    return [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.3
-             else Fraction(0) for _ in range(cols)] for _ in range(count)]
+    """Random rows over Q with about one entry in three nonzero, each in
+    the canonical form that `QQ.coerce` gives."""
+    return [[QQ.coerce(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+             if rng.random() < 0.3 else 0 for _ in range(cols)] for _ in range(count)]
 
 
 def test_rational_rref_matches_the_dense_reference():
@@ -341,20 +343,21 @@ def test_rational_rref_matches_the_dense_reference():
         basis, pivots = _dense_rref(rows)
         s = Subspace.from_vectors(QQ, cols, rows)
         assert s.basis == basis and s.pivots == pivots
-        assert all(type(x) is Fraction for row in s.basis for x in row)
+        assert all(is_canonical_rational(x) for row in s.basis for x in row)
         k = kernel(Matrix(QQ, len(rows), cols, rows))
         assert k.dim == cols - len(pivots)
+        assert all(is_canonical_rational(x) for row in k.basis for x in row)
 
 
-def test_rational_products_are_fractions():
+def test_rational_products_are_canonical():
     rng = random.Random(59)
     for _ in range(50):
         n = rng.randrange(1, 6)
         a = Matrix(QQ, n, n, _sparse_rational_rows(rng, n, n))
         b = Matrix(QQ, n, n, _sparse_rational_rows(rng, n, n))
         v = tuple(_sparse_rational_rows(rng, 1, n)[0])
-        assert all(type(x) is Fraction for x in a.apply(v))
-        assert all(type(x) is Fraction for row in (a @ b).data for x in row)
+        assert all(is_canonical_rational(x) for x in a.apply(v))
+        assert all(is_canonical_rational(x) for row in (a @ b).data for x in row)
         assert (a @ b).apply(v) == a.apply(b.apply(v))
 
 

@@ -144,3 +144,32 @@ def test_the_packed_format_stays_in_linalg():
                 continue
             found.update((path.name, name) for name in spelled if _is_packed_name(name))
     assert found == set()
+
+
+def _true_divisions(tree):
+    """The enclosing class and function names of every true division
+    (`/` and `/=`) in a module tree, one dotted name per division."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_true_division_only_in_field_inv():
+    # Over Q an int divided by an int is a float, so scalars are divided
+    # only where `Field.inv` builds a Fraction.
+    assert _true_divisions(ast.parse(
+        "class Field:\n    def inv(self, a):\n        return 1 / a\n"
+        "def f(x):\n    x /= 2\n    return x\n")) == ["Field.inv", "f"]
+    outside = [(path.name, scope) for path, tree in _src_trees()
+               for scope in _true_divisions(tree)
+               if (path.name, scope) != ("fields.py", "Field.inv")]
+    assert outside == []
