@@ -7,8 +7,8 @@ from .coprime import CoproductCache, ideal_side, spectrum
 from .endo import endo_algebra, enumerate_ideals
 from .exceptions import BudgetExceeded, NotFullyInvariant, ZeroSubmodule
 from .lattice import (Lattice, check_lattice_budget, enumerate_lattice,
-                      is_fully_invariant, predicates, socle_report)
-from .linalg import Subspace, bits_of, child_coords
+                      predicates, socle_report)
+from .linalg import Subspace, bits_of, child_coords, image_span
 from .zariski import build_topology
 
 
@@ -125,7 +125,9 @@ class InstanceAnalysis:
         the part and re-indexed through the child's sort order, and its
         `lift` maps each child index to the parent index of the same
         element.  Its endomorphism ring is L's own, so full invariance is
-        decided afresh, once per element, into the child's `fi_mask`.
+        decided afresh, from the join-irreducibles below L against End(L)
+        (`Lattice`): a down-set keeps the lower covers of its elements, so
+        those are exactly the child's join-irreducibles.
         """
         if l_sub.is_zero():
             raise ZeroSubmodule("cannot analyze the zero subbicomodule on its own")
@@ -145,9 +147,12 @@ class InstanceAnalysis:
                           key=lambda pair: pair[0].sort_key())
             elements = [k for k, _ in down]
             found.lift = tuple(j for _, j in down)
+            endo = found.endo
             found._lattice = Lattice(
-                elements, [is_fully_invariant(k, found.endo) for k in elements],
-                lat.mode, above=lat.induced_above(found.lift))
+                elements, lat.mode, lambda j: image_span(elements[j], endo.basis),
+                above=lat.induced_above(found.lift),
+                irreducible=sum(1 << c for c, j in enumerate(found.lift)
+                                if lat.irreducible >> j & 1))
             self._restricted[t] = found
         return found
 

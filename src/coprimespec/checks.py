@@ -51,7 +51,7 @@ from .analysis import InstanceAnalysis, analyze
 from .bicomodule import centralizer, phi_matrix
 from .coalgebra import CoalgebraMorphism, identity_morphism
 from .coprime import is_fully_coprime, is_fully_cosemiprime, ke_product_bound
-from .endo import coordinate_vectors, ke, quotient_cogenerated
+from .endo import coordinate_vectors, quotient_cogenerated
 from .exceptions import CoalgebraMismatch
 from .lattice import cyclic_subbicomodule, is_fully_invariant
 from .linalg import (Matrix, Subspace, bits_of, is_stable, maximal_bits,
@@ -237,7 +237,8 @@ def _sampled(detail, side):
 def _galois_setup(s):
     a = s.a
     s.elements = list(a.lattice.elements)
-    s.kes = [ke(a.coproducts.annihilator(x), a.endo) for x in s.elements]
+    s.kes = [a.coproducts.ke(a.coproducts.annihilator(x).subspace)
+             for x in s.elements]
 
 
 def _galois_pair(s):
@@ -270,7 +271,7 @@ def _galois_pair(s):
                 yield {"x": _describe(x), "y": _describe(y),
                        "problem": "Ke is not order reversing"}
     for ideal in s.a.right_ideals or []:
-        back = cache.annihilator(ke(ideal, endo))
+        back = cache.annihilator(cache.ke(ideal.subspace))
         if not back.subspace.contains(ideal.subspace):
             yield {"ideal_dim": ideal.subspace.dim,
                    "problem": "An(Ke(I)) does not contain I"}

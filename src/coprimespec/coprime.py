@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .bicomodule import Bicomodule
 from .endo import (EndoAlgebra, an, endo_algebra, jacobson_radical, ke,
-                   prime_masks, prime_radical, radical_char0)
+                   prime_masks, prime_radical, radical_char0, two_sided_span)
 # Unused here; kept because perfbench/tracing.py patches it in this module.
 from .endo import enumerate_ideals
 from .exceptions import NotFullyInvariant, ZeroSubmodule
@@ -213,7 +213,7 @@ def spectrum(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
     cosemiprime members.
 
     The scan runs over the nonzero members of `lattice.fi_bits`, which the
-    lattice decided with `is_fully_invariant` against the same ring, so
+    lattice decided from its join-irreducibles against the same ring, so
     the witness scans run without `_require_candidate`; each member's
     candidates are found once and serve both tests."""
     if cache is None:
@@ -288,6 +288,26 @@ class IdealSide:
         return payload
 
 
+def ideal_family(endo: EndoAlgebra, right_ideals) -> Lattice:
+    """The `Lattice` of the right ideals of `endo`, as `enumerate_ideals`
+    lists and marks them; its fully invariant members are the two-sided
+    ideals.
+
+    Every right ideal is listed, and sums and intersections of right
+    ideals are right ideals, so the list is closed as a `Lattice` needs.
+    The two-sided members are decided from the join-irreducible j: E.j is
+    j when j is two-sided (one left-side test) and the ideal EjE
+    (`endo.two_sided_span`) otherwise.
+    """
+    def image(j):
+        ideal = right_ideals[j]
+        return ideal.subspace if ideal.is_two_sided else two_sided_span(endo, ideal.subspace)
+
+    return Lattice([i.subspace for i in right_ideals], LatticeMode.EXHAUSTIVE, image,
+                   irreducible=sum(1 << n for n, i in enumerate(right_ideals)
+                                   if i.irreducible))
+
+
 def ideal_side(spec: SpectrumReport, right_ideals) -> IdealSide:
     """The annihilator-side prime data of the bicomodule of `spec`.
 
@@ -306,10 +326,7 @@ def ideal_side(spec: SpectrumReport, right_ideals) -> IdealSide:
     if right_ideals is None:
         return IdealSide(notes=("right-ideal enumeration exceeded the budget; "
                                 "prime and radical data omitted",))
-    # Every right ideal is listed, and sums and intersections of right
-    # ideals are right ideals, so the list is closed as a `Lattice` needs.
-    family = Lattice([i.subspace for i in right_ideals],
-                     [i.is_two_sided for i in right_ideals], LatticeMode.EXHAUSTIVE)
+    family = ideal_family(endo, right_ideals)
     primes, semiprimes = prime_masks(endo, family)
     lattice = spec.lattice
     ep = esp = 0

@@ -31,7 +31,7 @@ from functools import lru_cache
 from .bicomodule import Bicomodule, quotient, restrict
 from .exceptions import AmbientMismatch, CoalgebraMismatch, UnsupportedOverQ
 from .linalg import (Matrix, Subspace, annihilator, bits_of,
-                     check_subspace_budget, combined_maps, interleave,
+                     check_subspace_budget, combined_maps, image_span, interleave,
                      intertwining_maps, invariant_span, is_stable,
                      joint_preimage, kernel, maximal_bits, minimal_bits,
                      product_span, quotient_embeds, sub_hom_dim, sum_closure)
@@ -155,14 +155,18 @@ class RightIdeal:
     `_closed` test of a side, and kept; an annihilator is built without
     either test.  A right ideal known by construction (an enumerated or a
     generated one) is built with `is_right` set, and only its left side is
-    tested, when `is_two_sided` is first read.
+    tested, when `is_two_sided` is first read.  `irreducible` is True for
+    the join-irreducible members of the right-ideal lattice, as
+    `enumerate_ideals` marks them, and False for any other ideal.
     """
 
-    __slots__ = ("algebra", "subspace", "_right", "_two_sided")
+    __slots__ = ("algebra", "subspace", "irreducible", "_right", "_two_sided")
 
-    def __init__(self, algebra, subspace: Subspace, is_right: bool | None = None):
+    def __init__(self, algebra, subspace: Subspace, is_right: bool | None = None,
+                 irreducible: bool = False):
         self.algebra = algebra
         self.subspace = subspace
+        self.irreducible = irreducible
         self._right = is_right
         self._two_sided = None
 
@@ -206,6 +210,12 @@ def _closed(algebra, sub: Subspace, left: bool) -> bool:
     return is_stable(sub, multiplication_ops(algebra)[1 if left else 0])
 
 
+def two_sided_span(algebra, sub: Subspace) -> Subspace:
+    """E.I for a right ideal I: the span of e_b * x over the basis e_b of
+    the algebra and the basis rows x of I, the two-sided ideal EIE."""
+    return image_span(sub, multiplication_ops(algebra)[1])
+
+
 def an(sub: Subspace, endo: EndoAlgebra) -> RightIdeal:
     """Annihilator {f : f(sub) = 0} as a right ideal of the endomorphism ring."""
     if sub.ambient != endo.bicomodule.dim:
@@ -233,8 +243,9 @@ def enumerate_ideals(algebra, side: str = "right", budget: int = 50000):
 
     A right ideal is the sum of the cyclic right ideals of its elements, so
     the right ideals are the sum-closure of `right_ideal_span` of every
-    vector (`linalg.sum_closure`); only the left flag is tested on each,
-    when it is first read.
+    vector (`linalg.sum_closure`), which marks the join-irreducible ones
+    (`RightIdeal.irreducible`); only the left flag is tested on each, when
+    it is first read.
     Raises UnsupportedOverQ over the rationals and BudgetExceeded, before
     any work, when the subspace count of the coordinate space exceeds the
     budget.
@@ -245,8 +256,10 @@ def enumerate_ideals(algebra, side: str = "right", budget: int = 50000):
     if side not in ("right", "two_sided"):
         raise ValueError(f"side must be 'right' or 'two_sided', got {side!r}")
     check_subspace_budget(field, algebra.dim, budget)
-    found = [RightIdeal(algebra, sub, is_right=True) for sub in
-             sum_closure(field, algebra.dim, lambda x: right_ideal_span(algebra, [x]))]
+    subspaces, irreducible = sum_closure(
+        field, algebra.dim, lambda x: right_ideal_span(algebra, [x]))
+    found = [RightIdeal(algebra, sub, is_right=True,
+                        irreducible=sub.key() in irreducible) for sub in subspaces]
     if side == "two_sided":
         found = [ideal for ideal in found if ideal.is_two_sided]
     found.sort(key=lambda ideal: ideal.subspace.sort_key())

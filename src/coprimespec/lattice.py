@@ -31,8 +31,8 @@ from .exceptions import (BudgetExceeded, ExhaustiveUnavailableOverQ,
                          UncertifiedLattice)
 from .fields import Field
 from .linalg import (Matrix, Subspace, bits_of, check_subspace_budget,
-                     invariant_span, is_stable, maximal_bits, minimal_bits,
-                     strict_upsets, sum_closure)
+                     image_span, invariant_span, is_stable, maximal_bits,
+                     minimal_bits, strict_upsets, sum_closure)
 # Unused here; kept because perfbench/tracing.py patches it in this module.
 from .linalg import enumerate_subspaces
 
@@ -71,6 +71,16 @@ class Lattice:
     closed under + and intersection and sorted by dimension first (zero at
     index 0), so a sum is the lowest index above its terms and an
     intersection the highest index below them.
+
+    `irreducible` masks the join-irreducibles J, the nonzero elements with
+    exactly one lower cover; it is passed in when the enumeration marked
+    them, and read from the table otherwise.  The flags are decided from
+    J: image(j) is E.j, the span of the images of element j under E, for
+    j in J, and S is fully invariant exactly when E.j <= S for every j in
+    J below S, because the family is finite and closed under +, so S is
+    the sum of the j in J below it and E.S is the sum of their E.j.  Only
+    a j with E.j != j constrains anything, and only those read the table;
+    `fi_mask` lists the flags and `fi_bits` masks them.
     `fi_meet_irreducible`, also built on first use, masks the fully
     invariant elements with exactly one fully invariant upper cover; every
     fully invariant element is a meet of them, and the coprimality scans
@@ -78,16 +88,38 @@ class Lattice:
     hold bitmasks over it, and `subset` reads a mask as its elements.
     """
 
-    def __init__(self, elements, fi_mask, mode: LatticeMode, above=None):
+    def __init__(self, elements, mode: LatticeMode, image, above=None,
+                 irreducible=None):
         self.elements = tuple(elements)
-        self.fi_mask = tuple(fi_mask)
-        self.fi_bits = sum(1 << i for i, flag in enumerate(self.fi_mask) if flag)
         self.mode = mode
         self._index = {sub.key(): i for i, sub in enumerate(self.elements)}
         self._above = above
         self._below = None
+        self._irreducible = irreducible
         self._fi_meet_irreducible = None
         self._socle = None
+        self.fi_bits = self._stable_bits(image)
+        self.fi_mask = tuple(bool(self.fi_bits >> i & 1)
+                             for i in range(len(self.elements)))
+
+    def _stable_bits(self, image) -> int:
+        """The elements S with image(j) <= S for every join-irreducible
+        j <= S.  When image(j) is an element the test is bits over the
+        table; otherwise (a generated lattice may miss it) each element
+        above j is asked whether it contains image(j)."""
+        stable = (1 << len(self.elements)) - 1
+        for j in bits_of(self.irreducible):
+            moved = image(j)
+            if moved == self.elements[j]:
+                continue
+            k = self.find(moved)
+            if k is not None:
+                inside = self.above[k] | 1 << k
+            else:
+                inside = sum(1 << t for t in bits_of(self.above[j])
+                             if self.elements[t].contains(moved))
+            stable &= ~(self.above[j] | 1 << j) | inside
+        return stable
 
     @property
     def above(self):
@@ -117,6 +149,39 @@ class Lattice:
         above = self.above
         return [sum(1 << position[j] for j in bits_of(above[i] & keep))
                 for i in order]
+
+    @property
+    def irreducible(self) -> int:
+        """Bitmask of the join-irreducible elements."""
+        if self._irreducible is None:
+            below, above = self.below, self.above
+            self._irreducible = sum(
+                1 << i for i in range(1, len(self.elements))
+                if maximal_bits(below[i], above).bit_count() == 1)
+        return self._irreducible
+
+    def direct_sum(self, i: int):
+        """A pair (s, c) of indices with element i = s (+) c, c a lower
+        cover of i and s a minimal nonzero element strictly inside i and
+        not inside c; None when there is none.
+
+        s meets c in an element strictly inside s, which is 0, and s + c
+        is an element strictly above c and inside i, which covers c, so
+        s + c is element i.  The covers are read from the highest index
+        down, so the first one tried has the largest dimension."""
+        below, above = self.below, self.above
+        inside = below[i]
+        atoms = self.socle.simple_bits & inside
+        rest = inside if atoms else 0
+        while rest:
+            c = rest.bit_length() - 1
+            rest ^= 1 << c
+            if above[c] & inside:
+                continue
+            outside = atoms & ~(below[c] | 1 << c)
+            if outside:
+                return (outside & -outside).bit_length() - 1, c
+        return None
 
     def join(self, mask: int) -> int:
         """Index of the sum of the elements in mask (0, the zero element,
@@ -235,13 +300,20 @@ def enumerate_lattice(m: Bicomodule, mode: str = "exhaustive", budget: int = 200
     before any work.  mode 'generated':
     cyclic subbicomodules of the basis vectors plus a few dozen seeded probe
     vectors (never more than the budget), closed under sum and intersection.
+    Each element is combined once with every element popped before it, so
+    each unordered pair is combined once: the closure under + and
+    intersection is unique and the elements are sorted afterwards, so the
+    order of the pops does not show.  The fully invariant elements are
+    decided from the join-irreducibles (`Lattice`), E.j being the span of
+    the images of j under the basis of End(M).
     """
     field = m.field
     check_lattice_budget(field, m.dim, mode, budget)
     if endo is None:
         endo = EndoAlgebra.compute(m)
     if mode == "exhaustive":
-        elements = sum_closure(field, m.dim, lambda v: cyclic_subbicomodule(m, v))
+        elements, irreducible = sum_closure(field, m.dim,
+                                            lambda v: cyclic_subbicomodule(m, v))
         lattice_mode = LatticeMode.EXHAUSTIVE
     elif mode == "generated":
         if field.p is None and m.dim >= 2 and _all_ops_scalar(m):
@@ -257,10 +329,10 @@ def enumerate_lattice(m: Bicomodule, mode: str = "exhaustive", budget: int = 200
         seen = {}
         for sub in seeds + [Subspace.zero(field, m.dim), Subspace.full(field, m.dim)]:
             seen[sub.key()] = sub
-        worklist = list(seen.values())
+        worklist, popped = list(seen.values()), []
         while worklist:
             current = worklist.pop()
-            for other in list(seen.values()):
+            for other in popped:
                 for candidate in (current.sum_with(other), current.intersect(other)):
                     if candidate.key() not in seen:
                         if len(seen) >= _CLOSURE_CAP:
@@ -268,14 +340,20 @@ def enumerate_lattice(m: Bicomodule, mode: str = "exhaustive", budget: int = 200
                                 f"generated lattice closure exceeded {_CLOSURE_CAP} elements")
                         seen[candidate.key()] = candidate
                         worklist.append(candidate)
+            popped.append(current)
         elements = list(seen.values())
+        irreducible = None
         lattice_mode = LatticeMode.GENERATED
     else:
         raise ValueError(f"mode must be 'exhaustive' or 'generated', got {mode!r}")
 
     elements.sort(key=lambda s: s.sort_key())
-    fi_mask = [is_fully_invariant(sub, endo) for sub in elements]
-    return Lattice(elements, fi_mask, lattice_mode)
+    if irreducible is not None:
+        irreducible = sum(1 << i for i, sub in enumerate(elements)
+                          if sub.key() in irreducible)
+    return Lattice(elements, lattice_mode,
+                   lambda j: image_span(elements[j], endo.basis),
+                   irreducible=irreducible)
 
 
 @dataclass
@@ -351,6 +429,21 @@ class PredicateReport:
         }
 
 
+def hom_dims(m: Bicomodule, lattice: Lattice):
+    """Yields dim Hom(K, M) for the nonzero elements K of the lattice of m,
+    in index order.  When K = s (+) c (`Lattice.direct_sum`), Hom(K, M) is
+    Hom(s, M) x Hom(c, M), and s and c come before K, so the value is read
+    from theirs; every other K is solved by `endo.hom_dim`."""
+    found = [0] * len(lattice)
+    for i in range(1, len(lattice)):
+        split = lattice.direct_sum(i)
+        if split is None:
+            found[i] = hom_dim(m, lattice.elements[i])
+        else:
+            found[i] = found[split[0]] + found[split[1]]
+        yield found[i]
+
+
 def predicates(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
                right_ideals, seed: int = 0, cache=None) -> PredicateReport:
     """Evaluate the structural hypotheses used to gate theorem checks.
@@ -359,7 +452,11 @@ def predicates(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
     were not enumerated; intrinsic injectivity is then tested on a seeded
     sample of right ideals.  A `coprime.CoproductCache` passed as `cache`
     serves the annihilators and the kernels, so the Ke of a subspace that
-    is both an annihilator and a right ideal is computed once.
+    is both an annihilator and a right ideal is computed once.  Self-
+    injectivity reads dim Hom(K, M) through direct sums (`hom_dims`).  E
+    is right duo when its join-irreducible right ideals are two-sided,
+    since every right ideal is a sum of those and a sum of two-sided
+    ideals is two-sided.
     """
     if cache is not None:
         annihilator, kernel = cache.annihilator, cache.ke
@@ -375,8 +472,8 @@ def predicates(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
     duo = all(lattice.fi_mask)
     quasi_duo = not simple & ~lattice.fi_bits
 
-    self_injective = all(hom_dim(m, k) == endo.dim - annihilator(k).subspace.dim
-                         for k in lattice.elements[1:])
+    self_injective = all(hom == endo.dim - annihilator(k).subspace.dim
+                         for k, hom in zip(lattice.elements[1:], hom_dims(m, lattice)))
 
     self_cogenerator = all(kernel(annihilator(k).subspace) == k
                            for k in lattice.elements)
@@ -405,7 +502,7 @@ def predicates(m: Bicomodule, lattice: Lattice, endo: EndoAlgebra,
                           for i in bits_of(nonzero))
 
     if right_ideals is not None:
-        e_right_duo = all(i.is_two_sided for i in right_ideals)
+        e_right_duo = all(i.is_two_sided for i in right_ideals if i.irreducible)
     else:
         e_right_duo = None
         if endo.field.p is None:

@@ -754,6 +754,17 @@ def _f2_stable_images(sub: Subspace, ops):
     return found
 
 
+def image_span(sub: Subspace, ops) -> Subspace:
+    """The span of op(b) over the operators ops and the basis rows b of
+    sub.  Over F2 each image is the XOR of packed columns."""
+    if sub.field.p == 2:
+        rows = sub.packed()
+        return f2_span(sub.field, sub.ambient, [f2_image(op.packed_columns(), r)
+                                                for op in ops for r in rows])
+    return Subspace.from_vectors(sub.field, sub.ambient,
+                                 [op.apply(b) for op in ops for b in sub.basis])
+
+
 def is_stable(sub: Subspace, ops) -> bool:
     """Whether every basis row of sub maps into sub under every operator.
     Over F2 each image is the XOR of packed columns, reduced against the
@@ -1051,13 +1062,15 @@ def _join_irreducibles(field: Field, ambient: int, cyclic):
 
 
 def sum_closure(field: Field, ambient: int, cyclic):
-    """Every sum of the subspaces cyclic(v), v in F_p^ambient, each once.
+    """Every sum of the subspaces cyclic(v), v in F_p^ambient, each once,
+    and the set of the keys of the join-irreducible ones.
 
     cyclic(v) is the smallest invariant subspace containing v (for some
     fixed set of operators), so the result is every invariant subspace,
     zero included, each listed once.  cyclic is called once per line of
     F_p^ambient, and the join-irreducible (JI) cyclic subspaces are marked
-    (`_join_irreducibles`), each with a generator w_c, cyclic(w_c) = c.
+    (`_join_irreducibles`), each with a generator w_c, cyclic(w_c) = c;
+    they are the JI members of the result, whose keys are returned.
 
     Each found S grows to S + c only for the JI c with w_c outside S, and
     only once per line of w_c modulo S (w_c reduced against S's basis,
@@ -1072,9 +1085,10 @@ def sum_closure(field: Field, ambient: int, cyclic):
     """
     p = field.p
     generators = _join_irreducibles(field, ambient, cyclic)
+    irreducible = {c.key() for _, c in generators}
     if p == 2:
-        return _f2_sum_closure(field, ambient,
-                               [(_pack(w), c.packed()) for w, c in generators])
+        return _f2_sum_closure(field, ambient, [(_pack(w), c.packed())
+                                                for w, c in generators]), irreducible
 
     def line_mod(s, w):
         w = s.reduce_vector(w)
@@ -1098,7 +1112,7 @@ def sum_closure(field: Field, ambient: int, cyclic):
                 if t.key() not in found:
                     found[t.key()] = t
                     queue.append(t)
-    return list(found.values())
+    return list(found.values()), irreducible
 
 
 def _f2_sum_closure(field: Field, ambient: int, generators):

@@ -6,12 +6,13 @@ import pytest
 
 from coprimespec.bicomodule import regular_bicomodule
 from coprimespec.catalog import comatrix, divided_power, grouplike
+from coprimespec.coprime import ideal_family
 from coprimespec.endo import (RightIdeal, an, coordinate_vectors,
                               endo_algebra, enumerate_ideals, ideal_product,
                               jacobson_radical, ke, prime_masks, prime_radical,
                               radical_char0)
 from coprimespec.fields import prime_field, rationals
-from coprimespec.lattice import Lattice, LatticeMode, cyclic_subbicomodule
+from coprimespec.lattice import cyclic_subbicomodule
 from coprimespec.linalg import Subspace, combination, maximal_bits
 
 F2 = prime_field(2)
@@ -21,13 +22,6 @@ QQ = rationals()
 
 def chain_module(n_top, field):
     return regular_bicomodule(divided_power(n_top, field))
-
-
-def ideal_family(ideals):
-    """The right ideals as a lattice whose fully invariant members are the
-    two-sided ones, as the ideal side builds it."""
-    return Lattice([i.subspace for i in ideals], [i.is_two_sided for i in ideals],
-                   LatticeMode.EXHAUSTIVE)
 
 
 def test_endo_dimensions_of_the_standard_families():
@@ -66,7 +60,7 @@ def test_divided_power_endo_ring_is_commutative_with_deep_nilpotents():
     e = endo_algebra(chain_module(4, F2))
     units = coordinate_vectors(F2, e.dim)
     assert all(e.multiply(x, y) == e.multiply(y, x) for x in units for y in units)
-    family = ideal_family(enumerate_ideals(e))
+    family = ideal_family(e, enumerate_ideals(e))
     rad = prime_radical(family, prime_masks(e, family)[0])
 
     def nth_power(coords, n):
@@ -112,7 +106,7 @@ def test_ideal_enumeration_of_the_truncated_polynomial_ring():
     assert all(i.is_two_sided for i in ideals)
     dims = sorted(i.dim for i in ideals)
     assert dims == [0, 1, 2, 3, 4]
-    family = ideal_family(ideals)
+    family = ideal_family(e, ideals)
     proper_two_sided = family.fi_bits & ~(1 << len(family) - 1)
     maxes = family.subset(maximal_bits(proper_two_sided, family.above))
     assert len(maxes) == 1 and maxes[0].dim == e.dim - 1
@@ -120,7 +114,7 @@ def test_ideal_enumeration_of_the_truncated_polynomial_ring():
 
 def test_radicals_of_the_truncated_polynomial_ring():
     e = endo_algebra(chain_module(4, F2))
-    family = ideal_family(enumerate_ideals(e))
+    family = ideal_family(e, enumerate_ideals(e))
     prad = prime_radical(family, prime_masks(e, family)[0])
     jac = jacobson_radical(family)
     assert prad.dim == 4 and jac.dim == 4
@@ -160,7 +154,7 @@ def test_char0_radical_rejects_finite_fields():
 
 def test_semisimple_algebra_has_zero_radical():
     e = endo_algebra(regular_bicomodule(grouplike(3, F3)))
-    family = ideal_family(enumerate_ideals(e))
+    family = ideal_family(e, enumerate_ideals(e))
     assert prime_radical(family, prime_masks(e, family)[0]).dim == 0
     assert jacobson_radical(family).dim == 0
     e_q = endo_algebra(regular_bicomodule(grouplike(3, QQ)))

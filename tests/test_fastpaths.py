@@ -1032,10 +1032,11 @@ def _literal_join_irreducibles(invariant):
 
 def _check_sum_closure(field, n, cyclic, ops):
     literal = [s for s in enumerate_subspaces(field, n) if is_stable(s, ops)]
-    assert sorted(s.key() for s in linalg.sum_closure(field, n, cyclic)) == \
-        sorted(s.key() for s in literal)
+    found, irreducible = linalg.sum_closure(field, n, cyclic)
+    assert sorted(s.key() for s in found) == sorted(s.key() for s in literal)
     generators = linalg._join_irreducibles(field, n, cyclic)
     assert {c.key() for _, c in generators} == _literal_join_irreducibles(literal)
+    assert irreducible == _literal_join_irreducibles(literal)
     assert all(cyclic(w) == c for w, c in generators)
 
 
@@ -1149,7 +1150,7 @@ def _growth_loop(field, n, cyclic, owner, name):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(owner, name, counted)
         mp.setattr(linalg, "_join_irreducibles", uncounted)
-        found = linalg.sum_closure(field, n, cyclic)
+        found, _ = linalg.sum_closure(field, n, cyclic)
     return found, calls["n"]
 
 
@@ -1665,7 +1666,154 @@ def test_f2_sum_closure_builds_one_subspace_per_member(closure):
 def test_f2_sum_closure_lists_the_tuple_sums_in_order(seed):
     m, _ = random_instance(seed, field=F2)
     t = _tuple_form(m)
-    got = linalg.sum_closure(F2, m.dim, lambda v: cyclic_subbicomodule(m, v))
-    want = linalg.sum_closure(TUPLE_F2, t.dim, lambda v: cyclic_subbicomodule(t, v))
+    got, _ = linalg.sum_closure(F2, m.dim, lambda v: cyclic_subbicomodule(m, v))
+    want, _ = linalg.sum_closure(TUPLE_F2, t.dim, lambda v: cyclic_subbicomodule(t, v))
     assert [_rows(s) for s in got] == [_rows(s) for s in want]
     assert all(s.pivots == w.pivots for s, w in zip(got, want))
+
+
+# --- flags from the join-irreducibles -------------------------------------------
+
+def _flag_forms():
+    """Builders of the analyses whose flags are compared with the
+    definitions: the first 50 sweep seeds over F2, the F3 and F5 sweeps of
+    the acceptance commands, the comodule form of each of their coalgebras,
+    `divided:6` over F2 and F3, `grouplike:7` to `grouplike:9`, and two
+    generated instances over Q.  Budgets are raised so that every finite
+    form is enumerated, its right ideals included."""
+    pools = [(F2, range(7, 57)), (F3, range(10)), (F5, range(5))]
+    forms = {f"{field.name}-{s}": lambda s=s, f=field: random_instance(s, field=f)[0]
+             for field, seeds in pools for s in seeds}
+    for field in (F2, F3):
+        forms[f"divided:6-{field.name}"] = \
+            lambda f=field: resolve_ref_to_bicomodule("divided:6", f)
+    for name, build in list(forms.items()):
+        forms[f"{name}-comodule"] = lambda b=build: right_comodule(b().regular_of)
+    for n in (7, 8, 9):
+        forms[f"grouplike:{n}"] = lambda n=n: resolve_ref_to_bicomodule(f"grouplike:{n}", F2)
+    for s in (2, 10):
+        forms[f"Q-{s}"] = lambda s=s: random_instance(s, field=QQ)[0]
+    return forms
+
+
+FLAG_FORMS = _flag_forms()
+
+
+def _flag_analysis(name):
+    m = FLAG_FORMS[name]()
+    if m.field.is_finite:
+        return InstanceAnalysis(m, budget=10 ** 8, ideal_budget=10 ** 8)
+    return InstanceAnalysis(m, mode="generated")
+
+
+def _flag_names(finite=False):
+    """The names of FLAG_FORMS whose builder gives a bicomodule (a comodule
+    form needs a regular instance), the Q ones left out when finite."""
+    names = []
+    for name, build in FLAG_FORMS.items():
+        if finite and name.startswith("Q-"):
+            continue
+        if name.endswith("-comodule"):
+            base = FLAG_FORMS[name[:-len("-comodule")]]
+            if base().regular_of is None:
+                continue
+        names.append(name)
+    return names
+
+
+def _check_fully_invariant_members(a):
+    """`fi_mask`, decided from the join-irreducibles, against a stability
+    test of every member, for the instance and every part `restricted`
+    builds; the join-irreducibles against their definition."""
+    for part in _parts(a):
+        lat = part.lattice
+        assert lat.fi_mask == tuple(is_fully_invariant(k, part.endo)
+                                    for k in lat.elements)
+        assert lat.irreducible == sum(
+            1 << i for i in range(1, len(lat))
+            if linalg.maximal_bits(lat.below[i], lat.above).bit_count() == 1)
+
+
+def _check_two_sided_ideals(a):
+    """The two-sided mask of the right-ideal family and `e_right_duo`
+    against a left-side test of every right ideal."""
+    ideals = a.right_ideals
+    flags = tuple(endo_module._closed(a.endo, i.subspace, left=True) for i in ideals)
+    assert coprime_module.ideal_family(a.endo, ideals).fi_mask == flags
+    assert a.predicates.e_right_duo == all(flags)
+
+
+def _check_hom_dimensions(a):
+    """Every dim Hom(K, M) read through a direct sum against its solve."""
+    lat = a.lattice
+    assert list(lattice_module.hom_dims(a.m, lat)) == [
+        hom_dim(a.m, k) for k in lat.elements[1:]]
+    for i in range(1, len(lat)):
+        split = lat.direct_sum(i)
+        if split is not None:
+            s, c = (lat.elements[j] for j in split)
+            assert s.intersect(c).is_zero() and s.sum_with(c) == lat.elements[i]
+
+
+@pytest.mark.parametrize("name", _flag_names())
+def test_flags_from_the_join_irreducibles_match_the_definitions(name):
+    a = _flag_analysis(name)
+    _check_fully_invariant_members(a)
+    if a.field.is_finite:
+        _check_two_sided_ideals(a)
+    _check_hom_dimensions(a)
+
+
+@pytest.mark.parametrize("name", ["F2-7-comodule", "F2-10-comodule", "F2-16-comodule"])
+def test_some_comodule_forms_have_rings_that_are_not_right_duo(name):
+    """The forms on which a rule that marks every right ideal two-sided
+    fails; every sweep ring over F2 is right duo."""
+    a = _flag_analysis(name)
+    assert a.predicates.e_right_duo is False
+    assert a.ideal_side.family.fi_bits != (1 << len(a.right_ideals)) - 1
+
+
+def _count_work(monkeypatch):
+    """Counts the `hom_dim` solves of the predicates and the
+    `is_fully_invariant` calls of the lattice module."""
+    calls = Counter()
+
+    def counter(key, original):
+        def counted(*args):
+            calls[key] += 1
+            return original(*args)
+        return counted
+
+    monkeypatch.setattr(lattice_module, "hom_dim",
+                        counter("hom", lattice_module.hom_dim))
+    fi = counter("fi", lattice_module.is_fully_invariant)
+    monkeypatch.setattr(lattice_module, "is_fully_invariant", fi)
+    monkeypatch.setattr(analysis_module, "is_fully_invariant", fi, raising=False)
+    return calls
+
+
+def test_grouplike_7_runs_seven_of_each_test(monkeypatch):
+    """Up to its predicates, an analysis of grouplike:7 solves Hom for its
+    7 atoms only, tests the left side of its 7 join-irreducible right
+    ideals only, and tests no member for full invariance; nor do the
+    parts it restricts to."""
+    sides = _count_side_tests(monkeypatch)
+    calls = _count_work(monkeypatch)
+    a = InstanceAnalysis(resolve_ref_to_bicomodule("grouplike:7", F2))
+    a.predicates
+    assert calls == Counter({"hom": 7})
+    assert sides == Counter({True: 7})
+    lat = a.lattice
+    for l_sub in lat.subset(lat.fi_bits & ~1):
+        a.restricted(l_sub)
+    assert calls == Counter({"hom": 7})
+
+
+def test_a_chain_solves_hom_for_every_member(monkeypatch):
+    """divided:6 is a chain of 8 members, which has no direct sums: the
+    suite solves Hom for the 7 nonzero members of the instance and of its
+    comodule form, which `morphism-spectral-map` analyses."""
+    calls = _count_work(monkeypatch)
+    a = InstanceAnalysis(resolve_ref_to_bicomodule("divided:6", F2))
+    assert [v for v in run_checks(a) if v.status == FAIL] == []
+    assert calls == Counter({"hom": 14}) and len(a.lattice) == 8

@@ -176,7 +176,7 @@ def test_enumerate_subspaces_is_complete_and_duplicate_free():
 def test_sum_closure_of_lines_yields_every_subspace_once(p, n):
     # With cyclic(v) = span(v) every subspace is invariant.
     field = prime_field(p)
-    found = sum_closure(field, n, lambda v: Subspace.from_vectors(field, n, [v]))
+    found, _ = sum_closure(field, n, lambda v: Subspace.from_vectors(field, n, [v]))
     keys = [s.key() for s in found]
     assert len(keys) == len(set(keys)) == count_subspaces(p, n)
     assert set(keys) == {s.key() for s in enumerate_subspaces(field, n)}
