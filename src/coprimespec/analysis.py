@@ -74,7 +74,7 @@ class InstanceAnalysis:
             if self.field.is_finite:
                 try:
                     self._right_ideals = enumerate_ideals(
-                        self.endo, side="right", budget=self.ideal_budget)
+                        self.endo, budget=self.ideal_budget)
                 except BudgetExceeded:
                     self._right_ideals = None
             else:

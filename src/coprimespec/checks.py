@@ -38,6 +38,22 @@ Order, sums and intersections of lattice elements are read from the
 lattice's containment table, and varieties from the topology's variety
 table.  Monotonicity of (X : -) is scanned on cover pairs only: any
 Y1 < Y2 is joined by a chain of covers, and inclusion is transitive.
+
+The coproduct statements read (X : -) as one row per X
+(`CoproductCache.row`): solved at the meet-irreducible elements and, at
+an element j with two or more upper covers, the meet of the entries at
+its first two covers, which is (X : j) because the coproduct preserves
+meets in Y and those covers meet in j.  A meet lies inside each of its
+terms, so the comparisons of j with its first two covers hold by
+construction; for an element with exactly two upper covers the scan
+cannot fail there.  Real comparisons remain: a meet-irreducible
+element's solved entry against its cover's entry, a third or later cover,
+X <= (X : Y), fully invariant Y <= (X : Y), full invariance of (X : Y),
+and, in part 2, (X : Y) against (X : Ke(An(Y))) for lattice Y.  With the
+meet rule, these comparisons are equivalent to monotonicity on all
+pairs: the rule gives the entries at the first two covers, the scan
+tests every other cover pair, and every comparable pair is a chain of
+cover pairs.
 """
 
 from __future__ import annotations
@@ -50,12 +66,13 @@ from typing import Callable
 from .analysis import InstanceAnalysis, analyze
 from .bicomodule import centralizer, phi_matrix
 from .coalgebra import CoalgebraMorphism, identity_morphism
-from .coprime import is_fully_coprime, is_fully_cosemiprime, ke_product_bound
+from .coprime import (entry_subspace, is_fully_coprime, is_fully_cosemiprime,
+                      ke_product_bound, row_entry)
 from .endo import coordinate_vectors, quotient_cogenerated
 from .exceptions import CoalgebraMismatch
 from .lattice import cyclic_subbicomodule, is_fully_invariant
 from .linalg import (Matrix, Subspace, bits_of, is_stable, maximal_bits,
-                     minimal_bits, preimage)
+                     preimage)
 from .zariski import (image_subspace, irreducible_components,
                       is_connected_subset, is_irreducible_subset, separation,
                       spectral_map)
@@ -107,12 +124,6 @@ def _ideal_excuse(a: InstanceAnalysis) -> str:
     if not a.field.is_finite:
         return "ideal enumeration is unsupported over Q"
     return "right-ideal enumeration exceeded the budget"
-
-
-def _within(lat, i: int, sub: Subspace, j) -> bool:
-    """Whether lattice element i lies in sub, read from the containment
-    table when sub is element j and by `contains` when j is None."""
-    return lat.le(i, j) if j is not None else sub.contains(lat.elements[i])
 
 
 # --- statement parts as data ------------------------------------------------
@@ -344,73 +355,86 @@ def _duo_parts(s):
 # --- internal coproduct basics and the annihilator-product bound ------------
 
 def _bound_setup(s):
+    """The probes are the lattice elements and three seeded random lines;
+    `rows[i]` is the coproduct row of probe i over the lattice, and
+    `kernels[j]` the row entry of Ke(An(Y)) for element j as Y (an
+    element in exhaustive mode, where every entry is)."""
     a = s.a
+    lat, cache = a.lattice, a.coproducts
     rng = Random(s.ctx.seed)
-    s.probes = list(a.lattice.elements)
+    s.probes = list(lat.elements)
     for _ in range(3):
         vec = tuple(a.field.random_element(rng) for _ in range(a.m.dim))
         s.probes.append(Subspace.from_vectors(a.field, a.m.dim, [vec]))
-    bounds = {}
+    s.rows = [cache.row(x, lat) for x in s.probes]
+    s.kernels = [row_entry(lat, cache.ke(cache.annihilator(y).subspace))
+                 for y in lat.elements]
 
-    def bound(i, j):
-        found = bounds.get((i, j))
-        if found is None:
-            found = ke_product_bound(a.m, s.probes[i], s.probes[j], a.endo,
-                                     a.coproducts)
-            bounds[(i, j)] = found
-        return found
-    s.bound = bound
+
+def _kernel_side(s, i: int, j: int):
+    """The row entry of Ke(An(X) An(Y)) = (X : Ke(An(Y))) for probe i as X
+    and element j as Y."""
+    k = s.kernels[j]
+    if isinstance(k, int):
+        return s.rows[i][k]
+    return row_entry(s.a.lattice, s.a.coproducts.coproduct(s.probes[i], k))
+
+
+def _entry_le(lat, e1, e2) -> bool:
+    """Whether row entry e1 lies in row entry e2, by the containment table
+    when both are elements."""
+    if isinstance(e1, int) and isinstance(e2, int):
+        return lat.le(e1, e2)
+    return entry_subspace(lat, e2).contains(entry_subspace(lat, e1))
 
 
 def _coproduct_basics(s):
-    lat, endo, cache = s.a.lattice, s.a.endo, s.a.coproducts
+    lat, endo = s.a.lattice, s.a.endo
     elements = lat.elements
-    cops = []  # cops[i][j] is ((X_i : X_j), its lattice index or None)
-    for i, x in enumerate(elements):
-        row = []
-        cops.append(row)
-        for j, y in enumerate(elements):
-            cop = cache.coproduct(x, y)
-            c = lat.find(cop)
-            row.append((cop, c))
-            if not _within(lat, i, cop, c):
+    rows = s.rows[:len(elements)]
+    for i, (x, row) in enumerate(zip(elements, rows)):
+        for j, (y, c) in enumerate(zip(elements, row)):
+            if not _entry_le(lat, i, c):
                 yield {"x": _describe(x), "y": _describe(y),
                        "problem": "X is not inside (X : Y)"}
-            if lat.fi_mask[j] and not _within(lat, j, cop, c):
+            if lat.fi_mask[j] and not _entry_le(lat, j, c):
                 yield {"x": _describe(x), "y": _describe(y),
                        "problem": "fully invariant Y is not inside (X : Y)"}
-            if lat.fi_mask[i] and not (lat.fi_mask[c] if c is not None
-                                       else is_fully_invariant(cop, endo)):
+            if lat.fi_mask[i] and not (lat.fi_mask[c] if isinstance(c, int)
+                                       else is_fully_invariant(c, endo)):
                 yield {"x": _describe(x), "y": _describe(y),
                        "problem": "(X : Y) not fully invariant although X is"}
-    above = lat.above
-    covers = [list(bits_of(minimal_bits(up, above))) for up in above]
-    for x, row in zip(elements, cops):
-        for j1, (low, c1) in enumerate(row):
+    covers = lat.upper_covers
+    for x, row in zip(elements, rows):
+        for j1, low in enumerate(row):
             for j2 in covers[j1]:
-                high, c2 = row[j2]
-                if not (lat.le(c1, c2) if c1 is not None and c2 is not None
-                        else high.contains(low)):
+                if not _entry_le(lat, low, row[j2]):
                     yield {"x": _describe(x), "y1": _describe(elements[j1]),
                            "y2": _describe(elements[j2]),
                            "problem": "(X : -) is not monotone"}
 
 
 def _bound_escapes(s):
+    a, n = s.a, len(s.a.lattice)
     for i, x in enumerate(s.probes):
         for j, y in enumerate(s.probes):
-            _, _, contained = s.bound(i, j)
+            if j < n:
+                contained = _entry_le(a.lattice, s.rows[i][j], _kernel_side(s, i, j))
+            else:
+                contained = ke_product_bound(a.m, x, y, a.endo, a.coproducts)[2]
             if not contained:
                 yield {"x": _describe(x), "y": _describe(y)}
 
 
 def _bound_equality(s):
+    lat = s.a.lattice
     for i, x in enumerate(s.probes):
-        for j, y in enumerate(s.a.lattice.elements):
-            cop, kernel_side, _ = s.bound(i, j)
+        for j, y in enumerate(lat.elements):
+            cop, kernel_side = s.rows[i][j], _kernel_side(s, i, j)
             if cop != kernel_side:
                 yield {"x": _describe(x), "y": _describe(y),
-                       "coproduct_dim": cop.dim, "kernel_dim": kernel_side.dim}
+                       "coproduct_dim": entry_subspace(lat, cop).dim,
+                       "kernel_dim": entry_subspace(lat, kernel_side).dim}
 
 
 # --- prime ideals of the endomorphism ring against the spectrum -------------
@@ -591,11 +615,13 @@ def _variety_coproducts(s):
     v, space = top.varieties, top.space
     fi = list(bits_of(lat.fi_bits))
     for i in fi:
+        row = s.a.coproducts.row(lat.elements[i], lat)
         for j in fi:
             l1, l2 = lat.elements[i], lat.elements[j]
             v_sum = v[lat.join(1 << i | 1 << j)]
             v_union = v[i] | v[j]
-            v_cop = top.v_of(s.a.coproducts.coproduct(l1, l2))
+            c = row[j]
+            v_cop = v[c] if isinstance(c, int) else top.v_of(c)
             if not (v_sum == v_union == v_cop):
                 yield {"l1": _describe(l1), "l2": _describe(l2),
                        "x_sum": sorted(space - v_sum),

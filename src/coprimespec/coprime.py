@@ -21,6 +21,15 @@ element not containing K above it.  Those maximal elements are read from
 the FI meet-irreducibles alone (`Lattice.fi_meet_irreducible`): two FI
 upper covers Y != Z of such an X would both contain K, and their
 intersection, fully invariant and strictly inside Y, is X.
+
+The statements read (X : -) over the whole lattice as one row
+(`CoproductCache.row`).  The coproduct preserves meets in Y: (X : Y)
+meet (X : Y') is (X : Y meet Y'), because each preimage commutes with
+intersections, and every element of a finite lattice is the meet of the
+meet-irreducible elements above it; so a row is solved only at the
+meet-irreducibles and read as meets everywhere else.  The spectrum scan
+reads single pairs of FI meet-irreducibles, which a whole row would only
+add to.
 """
 
 from __future__ import annotations
@@ -39,7 +48,17 @@ from .linalg import Subspace, bits_of, combined_maps, joint_preimage
 
 class CoproductCache:
     """Caches annihilators, internal coproducts and kernels of ideals, keyed
-    by subspace identity."""
+    by subspace identity, and coproduct rows keyed by X.
+
+    A row (X : -) over a lattice (`row`) is solved only at the
+    meet-irreducible elements, those with exactly one upper cover; the top
+    gives M, and an element j with upper covers c1 != c2 gives the
+    intersection of the entries at c1 and c2.  That is exact because
+    c1 and c2 meet in j (their meet contains j and lies strictly inside c1,
+    which covers j), and (X : Y) = the intersection of the joint preimages
+    of Y, each of which commutes with intersections.  A row serves one
+    lattice: the analysis's cache is the cache of its lattice.
+    """
 
     def __init__(self, m: Bicomodule, endo: EndoAlgebra):
         self.m = m
@@ -48,6 +67,7 @@ class CoproductCache:
         self._maps = {}
         self._co = {}
         self._ke = {}
+        self._rows = {}
 
     def annihilator(self, x: Subspace):
         found = self._an.get(x.key())
@@ -80,6 +100,45 @@ class CoproductCache:
             found = joint_preimage(self._annihilator_maps(x), y)
             self._co[key] = found
         return found
+
+    def row(self, x: Subspace, lattice: Lattice) -> list:
+        """(X : -) over `lattice`: entry j is the lattice index of
+        (X : element j), or that subspace when it is not an element.
+        Filled from the top index down, since covers come after the
+        elements they cover."""
+        found = self._rows.get(x.key())
+        if found is None:
+            found = self._rows[x.key()] = self._row(x, lattice)
+        return found
+
+    def _row(self, x: Subspace, lattice: Lattice) -> list:
+        elements, covers = lattice.elements, lattice.upper_covers
+        top = len(elements) - 1
+        row = [top] * len(elements)
+        for j in range(top - 1, -1, -1):
+            up = covers[j]
+            if len(up) == 1:
+                cop = self.coproduct(x, elements[j])
+            else:
+                a, b = row[up[0]], row[up[1]]
+                if isinstance(a, int) and isinstance(b, int):
+                    row[j] = lattice.meet(1 << a | 1 << b)
+                    continue
+                cop = entry_subspace(lattice, a).intersect(entry_subspace(lattice, b))
+            row[j] = row_entry(lattice, cop)
+        return row
+
+
+def row_entry(lattice: Lattice, sub: Subspace):
+    """sub as a row entry of `CoproductCache.row`: its lattice index, or
+    sub itself when it is not an element."""
+    k = lattice.find(sub)
+    return sub if k is None else k
+
+
+def entry_subspace(lattice: Lattice, entry) -> Subspace:
+    """A row entry of `CoproductCache.row` as a subspace."""
+    return lattice.elements[entry] if isinstance(entry, int) else entry
 
 
 def internal_coproduct(m: Bicomodule, x: Subspace, y: Subspace,

@@ -238,8 +238,8 @@ def ideal_product(algebra, a: Subspace, b: Subspace) -> Subspace:
     return product_span(a, b, multiplication_ops(algebra)[0])
 
 
-def enumerate_ideals(algebra, side: str = "right", budget: int = 50000):
-    """All right (or two-sided) ideals of a finite algebra, canonically sorted.
+def enumerate_ideals(algebra, budget: int = 50000):
+    """All right ideals of a finite algebra, canonically sorted.
 
     A right ideal is the sum of the cyclic right ideals of its elements, so
     the right ideals are the sum-closure of `right_ideal_span` of every
@@ -253,15 +253,11 @@ def enumerate_ideals(algebra, side: str = "right", budget: int = 50000):
     field = algebra.field
     if field.p is None:
         raise UnsupportedOverQ("ideal enumeration needs a finite field")
-    if side not in ("right", "two_sided"):
-        raise ValueError(f"side must be 'right' or 'two_sided', got {side!r}")
     check_subspace_budget(field, algebra.dim, budget)
     subspaces, irreducible = sum_closure(
         field, algebra.dim, lambda x: right_ideal_span(algebra, [x]))
     found = [RightIdeal(algebra, sub, is_right=True,
                         irreducible=sub.key() in irreducible) for sub in subspaces]
-    if side == "two_sided":
-        found = [ideal for ideal in found if ideal.is_two_sided]
     found.sort(key=lambda ideal: ideal.subspace.sort_key())
     return found
 

@@ -95,6 +95,7 @@ class Lattice:
         self._index = {sub.key(): i for i, sub in enumerate(self.elements)}
         self._above = above
         self._below = None
+        self._upper_covers = None
         self._irreducible = irreducible
         self._fi_meet_irreducible = None
         self._socle = None
@@ -137,6 +138,16 @@ class Lattice:
                     below[j] |= 1 << i
             self._below = below
         return self._below
+
+    @property
+    def upper_covers(self):
+        """Entry i lists the indices of the elements covering element i,
+        in index order: the minimal elements strictly above it."""
+        if self._upper_covers is None:
+            above = self.above
+            self._upper_covers = [list(bits_of(minimal_bits(up, above)))
+                                  for up in above]
+        return self._upper_covers
 
     def induced_above(self, order):
         """The containment table of the elements at the indices `order`,
@@ -333,7 +344,14 @@ def enumerate_lattice(m: Bicomodule, mode: str = "exhaustive", budget: int = 200
         while worklist:
             current = worklist.pop()
             for other in popped:
-                for candidate in (current.sum_with(other), current.intersect(other)):
+                total = current.sum_with(other)
+                candidates = [total]
+                # A comparable pair meets in its smaller operand, and a pair
+                # whose dimensions add meets in 0; both are seen already.
+                if total.dim not in (current.dim, other.dim,
+                                     current.dim + other.dim):
+                    candidates.append(current.intersect(other))
+                for candidate in candidates:
                     if candidate.key() not in seen:
                         if len(seen) >= _CLOSURE_CAP:
                             raise BudgetExceeded(

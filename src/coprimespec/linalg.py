@@ -684,21 +684,51 @@ def enumerate_subspaces(field: Field, ambient: int, budget: int | None = None):
 def invariant_span(field: Field, ambient: int, vectors, ops) -> Subspace:
     """Smallest subspace containing vectors and stable under every operator
     matrix in ops.  The whole space is stable, so the search stops as soon
-    as it is reached."""
+    as it is reached.
+
+    The vectors found so far are kept as an echelon table: each row is 1
+    at its pivot and 0 at the pivots of the rows before it, so one pass
+    over the rows in insertion order clears every pivot of an image.  A
+    nonzero remainder joins the table and the queue, and one RREF at the
+    end gives the canonical basis."""
     if field.p == 2:
         return _f2_invariant_span(field, ambient, vectors, ops)
-    sub = Subspace.from_vectors(field, ambient, vectors)
-    queue = list(sub.basis)
-    while queue and not sub.is_full():
+    for v in vectors:
+        if len(v) != ambient:
+            raise AmbientMismatch(f"vector length {len(v)} != ambient {ambient}")
+    p, rational = field.p, field.rational
+    table, queue = [], []
+    images = vectors
+    while True:
+        for u in images:
+            u = list(u)
+            for c, row in table:
+                coeff = u[c]
+                if coeff:
+                    if p is not None:
+                        u = [(x - coeff * y) % p for x, y in zip(u, row)]
+                    else:
+                        for j, y in enumerate(row):
+                            if y:
+                                u[j] = rational(u[j] - coeff * y)
+            lead = next((c for c, x in enumerate(u) if x), None)
+            if lead is None:
+                continue
+            inv = field.inv(u[lead])
+            if inv != 1:
+                if p is not None:
+                    u = [(x * inv) % p for x in u]
+                else:
+                    u = [rational(x * inv) if x else 0 for x in u]
+            table.append((lead, u))
+            queue.append(u)
+            if len(table) == ambient:
+                return Subspace.full(field, ambient)
+        if not queue:
+            break
         w = queue.pop()
-        for op in ops:
-            u = op.apply(w)
-            if not sub.contains_vector(u):
-                sub = sub.sum_with(Subspace.from_vectors(field, ambient, [u]))
-                if sub.is_full():
-                    break
-                queue.append(u)
-    return sub
+        images = [op.apply(w) for op in ops]
+    return Subspace.from_vectors(field, ambient, [row for _, row in table])
 
 
 def _f2_invariant_span(field: Field, ambient: int, vectors, ops) -> Subspace:

@@ -462,16 +462,22 @@ def _check_coproducts_match_literal(a):
             assert cache.coproduct(x, y) == _literal_coproduct(a, x, y)
 
 
-def _check_ke_lookup_matches_the_product(a):
-    """The kernel side of `ke_product_bound`, read as the coproduct
-    (X : Ke(An(Y))), against the literal Ke(An(X) An(Y)) on every probe
-    pair of the coproduct-bound statement: the lattice elements and three
-    seeded random lines."""
+def _probes(a):
+    """The probes of the coproduct-bound statement: the lattice elements
+    and three seeded random lines."""
     rng = Random(a.seed)
     probes = list(a.lattice.elements)
     for _ in range(3):
         vec = tuple(a.field.random_element(rng) for _ in range(a.m.dim))
         probes.append(Subspace.from_vectors(a.field, a.m.dim, [vec]))
+    return probes
+
+
+def _check_ke_lookup_matches_the_product(a):
+    """The kernel side of `ke_product_bound`, read as the coproduct
+    (X : Ke(An(Y))), against the literal Ke(An(X) An(Y)) on every probe
+    pair of the coproduct-bound statement."""
+    probes = _probes(a)
     cache = CoproductCache(a.m, a.endo)
     for x in probes:
         for y in probes:
@@ -479,6 +485,21 @@ def _check_ke_lookup_matches_the_product(a):
             product = ideal_product(a.endo, cache.annihilator(x).subspace,
                                     cache.annihilator(y).subspace)
             assert kernel_side == ke(product, a.endo)
+
+
+def _check_coproduct_rows_match_solves(a, xs=None):
+    """Every entry of the coproduct row of each X in xs (default: every
+    probe) against the joint preimage of that pair: the lattice index of
+    the solve when it is an element, else the solved subspace."""
+    lat, cache = a.lattice, CoproductCache(a.m, a.endo)
+    for x in _probes(a) if xs is None else xs:
+        maps = combined_maps(an(x, a.endo).subspace, a.endo.basis)
+        row = cache.row(x, lat)
+        assert len(row) == len(lat)
+        for y, entry in zip(lat.elements, row):
+            solved = joint_preimage(maps, y)
+            found = lat.find(solved)
+            assert entry == (solved if found is None else found), (x, y)
 
 
 # --- cyclic sum-closure against subspace filters ------------------------------
@@ -505,11 +526,12 @@ def _check_closure_matches_filters(m):
         if _literal_closed(e, sub, left=False):
             rights.append((sub, True, _literal_closed(e, sub, left=True)))
     rights.sort(key=lambda row: row[0].sort_key())
-    for side, want in (("right", rights),
-                       ("two_sided", [row for row in rights if row[2]])):
-        got = [(i.subspace, i.is_right, i.is_two_sided)
-               for i in enumerate_ideals(e, side=side)]
-        assert got == want
+    ideals = enumerate_ideals(e)
+    assert [(i.subspace, i.is_right, i.is_two_sided) for i in ideals] == rights
+    # The two-sided flags the analysis reads: the ideal family's fully
+    # invariant members, decided from its join-irreducibles.
+    family = coprime_module.ideal_family(e, enumerate_ideals(e))
+    assert family.fi_bits == sum(1 << n for n, row in enumerate(rights) if row[2])
 
 
 # No shrink phase: shrinking a failing example takes minutes, and the
@@ -616,6 +638,7 @@ def test_reductions_match_the_definitions_over_finite_fields(seed, field):
     _check_coprime_reductions(a)
     _check_ideal_reductions(a)
     _check_coproducts_match_literal(a)
+    _check_coproduct_rows_match_solves(a)
     _check_ke_lookup_matches_the_product(a)
     _check_statements_match_literal(a)
 
@@ -629,6 +652,7 @@ def test_reductions_match_the_definitions_in_generated_mode_over_q(seed):
     _check_order_table(a.lattice)
     _check_coprime_reductions(a)
     _check_coproducts_match_literal(a)
+    _check_coproduct_rows_match_solves(a)
     _check_ke_lookup_matches_the_product(a)
     _check_statements_match_literal(a)
 
@@ -775,6 +799,11 @@ def _covers(lattice, low, high):
         for e in lattice.elements)
 
 
+# The rigs below sit on divided:3, a chain: every element below the top has
+# one upper cover, so its row entry is solved through `coproduct` and the
+# rig is read.  On grouplike:3 the zero element has three upper covers and
+# its entry is the meet of theirs.
+
 def test_non_monotone_coproduct_fails_with_a_cover_pair():
     # Rig (0 : 0) to M.  Every (0 : Y) lies in Y, so (0 : -) breaks
     # monotonicity on 0 < Y for every proper Y, including the non-cover
@@ -784,7 +813,7 @@ def test_non_monotone_coproduct_fails_with_a_cover_pair():
             return Subspace.full(x.field, x.ambient)
         return cop
 
-    a = _rigged_analysis("grouplike:3", rig)
+    a = _rigged_analysis("divided:3", rig)
     lat = a.lattice
     plane = next(e for e in lat.elements if e.dim == 2)
     assert not _covers(lat, lat.elements[0], plane)
@@ -802,20 +831,20 @@ def test_coproduct_missing_x_fails():
             return Subspace.zero(x.field, x.ambient)
         return cop
 
-    a = _rigged_analysis("grouplike:3", rig)
+    a = _rigged_analysis("divided:3", rig)
     assert _bound_verdict(a, 1).status == FAIL
     assert _bound_verdict(a, 1).witness["problem"] == "X is not inside (X : Y)"
 
 
 def test_coproduct_outside_the_lattice_is_tested_by_the_definitions():
-    # span(e1 + e2) is not a subbicomodule of grouplike:3, so the table has
+    # span(e1 + e2) is not a subbicomodule of divided:3, so the table has
     # no index for it and full invariance must come from the endomorphisms.
-    line = Subspace.from_vectors(F2, 3, [(1, 1, 0)])
+    line = Subspace.from_vectors(F2, 4, [(1, 1, 0, 0)])
 
     def rig(x, y, cop):
         return line if x.is_zero() and y.is_zero() else cop
 
-    a = _rigged_analysis("grouplike:3", rig)
+    a = _rigged_analysis("divided:3", rig)
     assert a.lattice.find(line) is None
     verdict = _bound_verdict(a, 1)
     assert verdict.status == FAIL
@@ -842,6 +871,107 @@ def test_coproduct_bound_computes_each_probe_pair_once(monkeypatch):
     verdicts = run_checks(a, names=["coproduct-annihilator-kernel-bound"])
     assert all(v.status == PASS for v in verdicts)
     assert 0 < len(calls) <= (len(a.lattice) + 3) ** 2
+
+
+# --- coproduct rows against direct solves --------------------------------------
+
+def _with_comodule_forms(m):
+    return [m] if m.regular_of is None else [m, right_comodule(m.regular_of)]
+
+
+# The acceptance sweeps: `check --random 100 --seed 7` starts at seeds 7-56
+# over F2, and `check --random 10 --seed 0` over F3 and `--random 5` over F5.
+@pytest.mark.parametrize("field, seeds", [(F2, range(7, 57)), (F3, range(10)),
+                                          (F5, range(5))],
+                         ids=["F2", "F3", "F5"])
+def test_coproduct_rows_match_direct_solves_on_the_sweeps(field, seeds):
+    for seed in seeds:
+        for m in _with_comodule_forms(random_instance(seed, field=field)[0]):
+            _check_coproduct_rows_match_solves(InstanceAnalysis(m))
+
+
+@pytest.mark.parametrize("ref, field", [("grouplike:7", F2), ("grouplike:8", F2),
+                                        ("divided:6", F2), ("divided:6", F3)])
+def test_coproduct_rows_match_direct_solves_on_catalog_instances(ref, field):
+    m = resolve_ref_to_bicomodule(ref, field)
+    _check_coproduct_rows_match_solves(
+        InstanceAnalysis(m, budget=10 ** 12, ideal_budget=10 ** 12))
+
+
+def test_coproduct_rows_match_direct_solves_on_sampled_rows_of_grouplike_9():
+    # All 515 rows of grouplike:9 take 264k solves (about 12 s); a seeded
+    # sample of 64 elements and the three probe lines keeps every entry of
+    # the rows it checks.
+    a = InstanceAnalysis(resolve_ref_to_bicomodule("grouplike:9", F2),
+                         budget=10 ** 12, ideal_budget=10 ** 12)
+    probes = _probes(a)
+    xs = Random(9).sample(probes[:-3], 64) + probes[-3:]
+    _check_coproduct_rows_match_solves(a, xs)
+
+
+def test_a_row_below_an_entry_outside_the_lattice_intersects_subspaces():
+    # On grouplike:3 the plane P = span(e1, e2) has one upper cover, so
+    # (0 : P) is solved, and the rig makes it W = span(e1 + e3, e2), which
+    # is not an element.  The line e1 has the covers P and span(e1, e3),
+    # so its entry is W meet span(e1, e3) = span(e1 + e3), no element either.
+    e = [tuple(int(i == k) for i in range(3)) for k in range(3)]
+    plane = Subspace.from_vectors(F2, 3, e[:2])
+    w = Subspace.from_vectors(F2, 3, [(1, 0, 1), e[1]])
+
+    def rig(x, y, cop):
+        return w if x.is_zero() and y == plane else cop
+
+    a = _rigged_analysis("grouplike:3", rig)
+    lat = a.lattice
+    row = a.coproducts.row(lat.elements[0], lat)
+    sub = [lat.elements[c] if isinstance(c, int) else c for c in row]
+    assert lat.find(w) is None and row[lat.index_of(plane)] == w
+    assert row[lat.index_of(Subspace.from_vectors(F2, 3, e[:1]))] == \
+        Subspace.from_vectors(F2, 3, [(1, 0, 1)])
+    for j, y in enumerate(lat.elements):
+        covers = [c for c, z in enumerate(lat.elements) if _covers(lat, y, z)]
+        if len(covers) >= 2:
+            meet = sub[covers[0]]
+            for c in covers[1:]:
+                meet = meet.intersect(sub[c])
+            assert sub[j] == meet
+            found = lat.find(meet)
+            assert row[j] == (meet if found is None else found)
+
+
+def _bound_solves(monkeypatch, ref):
+    """The `joint_preimage` calls of the coproduct-bound statement on ref
+    over F2, after the pipeline has run, with the analysis."""
+    a = InstanceAnalysis(resolve_ref_to_bicomodule(ref, F2))
+    a.spectrum, a.predicates, a.socle, a.topology("fi"), a.topology("full")
+    calls = []
+    original = coprime_module.joint_preimage
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(coprime_module, "joint_preimage", counted)
+    verdicts = run_checks(a, names=["coproduct-annihilator-kernel-bound"])
+    assert all(v.status == PASS for v in verdicts)
+    return len(calls), a
+
+
+def test_the_coproduct_bound_solves_only_meet_irreducible_entries(monkeypatch):
+    # All pairs solved 17133 on grouplike:7.  A row solves its |MI| entries,
+    # each of the |L| + 3 probes has one, and a probe line as Y costs two
+    # solves per X.
+    solves, a = _bound_solves(monkeypatch, "grouplike:7")
+    lat = a.lattice
+    mi = sum(len(c) == 1 for c in lat.upper_covers)
+    assert mi == 7
+    assert solves == 1544
+    assert solves <= (len(lat) + 3) * (mi + 6)
+
+
+def test_the_coproduct_bound_on_a_chain_solves_what_it_did(monkeypatch):
+    # Every element of a chain below the top is meet-irreducible.
+    assert _bound_solves(monkeypatch, "divided:6")[0] == 114
 
 
 # --- packed F2 linear systems against the tuple arithmetic --------------------
