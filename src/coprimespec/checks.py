@@ -36,8 +36,11 @@ So every family emits the same parts, in the same order, on every instance.
 
 Order, sums and intersections of lattice elements are read from the
 lattice's containment table, and varieties from the topology's variety
-table.  Monotonicity of (X : -) is scanned on cover pairs only: any
-Y1 < Y2 is joined by a chain of covers, and inclusion is transitive.
+table.  The topological statements read the specialization preorder of
+`zariski`; where that would compare the preorder with itself, the check
+side reads the members of the closed family instead.  Monotonicity of
+(X : -) is scanned on cover pairs only: any Y1 < Y2 is joined by a chain
+of covers, and inclusion is transitive.
 
 The coproduct statements read (X : -) as one row per X
 (`CoproductCache.row`): solved at the meet-irreducible elements and, at
@@ -67,7 +70,7 @@ from .analysis import InstanceAnalysis, analyze
 from .bicomodule import centralizer, phi_matrix
 from .coalgebra import CoalgebraMorphism, identity_morphism
 from .coprime import (entry_subspace, is_fully_coprime, is_fully_cosemiprime,
-                      ke_product_bound, row_entry)
+                      row_entry)
 from .endo import coordinate_vectors, quotient_cogenerated
 from .exceptions import CoalgebraMismatch
 from .lattice import cyclic_subbicomodule, is_fully_invariant
@@ -357,23 +360,23 @@ def _duo_parts(s):
 def _bound_setup(s):
     """The probes are the lattice elements and three seeded random lines;
     `rows[i]` is the coproduct row of probe i over the lattice, and
-    `kernels[j]` the row entry of Ke(An(Y)) for element j as Y (an
-    element in exhaustive mode, where every entry is)."""
+    `kernels[j]` the row entry of Ke(An(Y)) for probe j as Y (an element
+    in exhaustive mode, where every entry is)."""
     a = s.a
     lat, cache = a.lattice, a.coproducts
-    rng = Random(s.ctx.seed)
+    rng = Random(a.seed)
     s.probes = list(lat.elements)
     for _ in range(3):
         vec = tuple(a.field.random_element(rng) for _ in range(a.m.dim))
         s.probes.append(Subspace.from_vectors(a.field, a.m.dim, [vec]))
     s.rows = [cache.row(x, lat) for x in s.probes]
     s.kernels = [row_entry(lat, cache.ke(cache.annihilator(y).subspace))
-                 for y in lat.elements]
+                 for y in s.probes]
 
 
 def _kernel_side(s, i: int, j: int):
     """The row entry of Ke(An(X) An(Y)) = (X : Ke(An(Y))) for probe i as X
-    and element j as Y."""
+    and probe j as Y."""
     k = s.kernels[j]
     if isinstance(k, int):
         return s.rows[i][k]
@@ -415,14 +418,11 @@ def _coproduct_basics(s):
 
 
 def _bound_escapes(s):
-    a, n = s.a, len(s.a.lattice)
+    lat, cache, n = s.a.lattice, s.a.coproducts, len(s.a.lattice)
     for i, x in enumerate(s.probes):
         for j, y in enumerate(s.probes):
-            if j < n:
-                contained = _entry_le(a.lattice, s.rows[i][j], _kernel_side(s, i, j))
-            else:
-                contained = ke_product_bound(a.m, x, y, a.endo, a.coproducts)[2]
-            if not contained:
+            cop = s.rows[i][j] if j < n else row_entry(lat, cache.coproduct(x, y))
+            if not _entry_le(lat, cop, _kernel_side(s, i, j)):
                 yield {"x": _describe(x), "y": _describe(y)}
 
 
@@ -593,8 +593,8 @@ def _variety_endpoints(s):
     top = s.a.topology("fi")
     v_zero, v_top = top.varieties[0], top.varieties[-1]
     if v_top != top.space or v_zero:
-        yield {"x_of_top": sorted(top.space - v_top),
-               "x_of_zero": sorted(top.space - v_zero)}
+        yield {"x_of_top": list(bits_of(top.space & ~v_top)),
+               "x_of_zero": list(bits_of(top.space & ~v_zero))}
 
 
 def _variety_sums_meets(s):
@@ -604,7 +604,7 @@ def _variety_sums_meets(s):
     for i in range(len(lat)):
         for j in range(i, len(lat)):
             pair = 1 << i | 1 << j
-            if (not (v[i] | v[j]) <= v[lat.join(pair)]
+            if ((v[i] | v[j]) & ~v[lat.join(pair)]
                     or v[i] & v[j] != v[lat.meet(pair)]):
                 yield {"l1": _describe(lat.elements[i]),
                        "l2": _describe(lat.elements[j])}
@@ -624,9 +624,9 @@ def _variety_coproducts(s):
             v_cop = v[c] if isinstance(c, int) else top.v_of(c)
             if not (v_sum == v_union == v_cop):
                 yield {"l1": _describe(l1), "l2": _describe(l2),
-                       "x_sum": sorted(space - v_sum),
-                       "x_meet": sorted(space - v_union),
-                       "x_coproduct": sorted(space - v_cop)}
+                       "x_sum": list(bits_of(space & ~v_sum)),
+                       "x_meet": list(bits_of(space & ~v_union)),
+                       "x_coproduct": list(bits_of(space & ~v_cop))}
 
 
 # --- the topology axioms --------------------------------------------------------
@@ -635,7 +635,8 @@ def _not_a_topology(flavor):
     def search(s):
         top = s.a.topology(flavor)
         if not top.is_topology:
-            yield {"witness_sets": [sorted(x) for x in (top.witness or [])]}
+            operation, a, b = top.witness
+            yield {"operation": operation, "witness_sets": [sorted(a), sorted(b)]}
     return search
 
 
@@ -647,47 +648,71 @@ def _duo_or_scan(s):
     return None
 
 
+def _needs_topology(s):
+    """A gate: the preorder describes the full family when it is a topology."""
+    top = s.a.topology("full")
+    if top.is_topology:
+        return None
+    operation, a, b = top.witness
+    return (VACUOUS, f"needs a topology: the family is not closed under "
+                     f"{operation} of {sorted(a)} and {sorted(b)}")
+
+
+def _family_closures(top) -> list:
+    """Entry i is the intersection of the members of the closed family that
+    hold point i, read from the members and not from the lattice order."""
+    out = [top.space] * top.size
+    for c in top.closed_masks:
+        for i in bits_of(c):
+            out[i] &= c
+    return out
+
+
 # --- pointwise description of the space ----------------------------------------
 
 def _kolmogorov(s):
+    # Two points share every open when each is in every member holding the other.
     top = s.a.topology("full")
-    if not separation(top).t0:
-        yield {"open_count": len(top.open_sets())}
+    held = _family_closures(top)
+    for i, c in enumerate(held):
+        for j in bits_of(c & ~(1 << i)):
+            if held[j] >> i & 1:
+                yield {"points": [i, j], "open_count": len(top.closed_masks)}
 
 
 def _basic_opens(s):
     top = s.a.topology("full")
-    basis = [top.space - v for v in top.varieties]
-    for o in top.open_sets():
-        union = frozenset()
+    basis = [top.space & ~v for v in top.varieties]
+    for c in top.closed_masks:
+        o = top.space & ~c
+        union = 0
         for b in basis:
-            if b <= o:
+            if not b & ~o:
                 union |= b
         if union != o:
-            yield {"open": sorted(o), "basis_union": sorted(union)}
+            yield {"open": list(bits_of(o)), "basis_union": list(bits_of(union))}
 
 
 def _pointwise(s):
     top, lat, socle = s.a.topology("full"), s.a.lattice, s.a.socle
+    held = _family_closures(top)
     for t, l_sub in enumerate(lat.elements):
         v = top.varieties[t]
         is_simple = bool(socle.simple_bits >> t & 1)
         idx = top.positions.get(t)
         is_point = idx is not None
-        singleton_variety = False
         if is_point:
-            singleton_variety = v == frozenset({idx})
-            if top.point_closure(idx) != v:
+            if held[idx] != v:
                 yield {"l": _describe(l_sub), "case": "point closure"}
-            if is_simple != top.is_closed(frozenset({idx})):
+            if is_simple != top.is_closed(1 << idx):
                 yield {"l": _describe(l_sub), "case": "closed singleton"}
-        if is_simple != (is_point and singleton_variety):
+        if is_simple != (is_point and v == 1 << idx):
             yield {"l": _describe(l_sub), "simple": is_simple,
-                   "coprime": is_point, "variety_size": len(v),
+                   "coprime": is_point, "variety_size": v.bit_count(),
                    "case": "simple members"}
-        if (len(v) == 0) != l_sub.is_zero():
+        if (v == 0) != l_sub.is_zero():
             yield {"l": _describe(l_sub), "case": "empty variety"}
-        if len(v) == top.size and not lat.le(socle.coradical_index, t):
+        if v == top.space and not lat.le(socle.coradical_index, t):
             yield {"l": _describe(l_sub),
                    "case": "full variety misses the coradical"}
 
@@ -703,9 +728,10 @@ def _embeddings_continuous(s):
                      for c in bits_of(r.spectrum.cpspec_bits)]
         if None in positions:
             yield {"l": _describe(l_sub), "case": "points do not embed"}
+            continue
         child_top = r.topology("full")
         for n_sub, v in zip(lat.elements, top.varieties):
-            pulled = frozenset(i for i, p in enumerate(positions) if p in v)
+            pulled = sum(1 << i for i, p in enumerate(positions) if v >> p & 1)
             if not child_top.is_closed(pulled):
                 yield {"l": _describe(l_sub), "n": _describe(n_sub),
                        "case": "preimage not closed"}
@@ -803,15 +829,13 @@ def _irreducible_detail(s):
 # --- subdirect irreducibility and connectivity -------------------------------------
 
 def _closed_sets_meet(s):
+    # Nonempty closed sets pairwise meet exactly when the point closures do.
     si = s.a.predicates.subdirectly_irreducible
-    nonempty = [c for c in s.a.topology("full").closed if c]
-    pairwise = all(c1 & c2 for c1 in nonempty for c2 in nonempty)
-    if si != pairwise:
-        c1, c2 = next((x, y) for x in nonempty for y in nonempty
-                      if not (x & y)) if not pairwise else (None, None)
-        yield {"subdirectly_irreducible": si,
-               "disjoint_closed": None if c1 is None else
-               [sorted(c1), sorted(c2)]}
+    closures = s.a.topology("full").point_closures
+    apart = next(([list(bits_of(c1)), list(bits_of(c2))]
+                  for c1 in closures for c2 in closures if not c1 & c2), None)
+    if si != (apart is None):
+        yield {"subdirectly_irreducible": si, "disjoint_closed": apart}
 
 
 def _connectivity(s):
@@ -826,10 +850,17 @@ def _connectivity(s):
 
 # --- point varieties and components -------------------------------------------------
 
+def _splits(family, subset: int, point: int) -> bool:
+    """Whether two members of the family cover the subset, neither holding
+    it all; one of them holds `point`, a point of the subset."""
+    return any(c1 >> point & 1 and subset & ~c1 and any(
+        not subset & ~(c1 | c2) and subset & ~c2 for c2 in family) for c1 in family)
+
+
 def _point_varieties(s):
     top = s.a.topology("full")
-    for k, t in zip(top.points, top.point_index):
-        if not is_irreducible_subset(top, top.varieties[t]):
+    for i, (k, t) in enumerate(zip(top.points, top.point_index)):
+        if _splits(top.closed_masks, top.varieties[t], i):
             yield {"point": _describe(k)}
 
 
@@ -839,56 +870,62 @@ def _components(s):
         t = top.phi(comp)
         l_sub = lat.elements[t]
         if t not in top.positions:
-            yield {"component": sorted(comp), "sum": _describe(l_sub),
+            yield {"component": list(bits_of(comp)), "sum": _describe(l_sub),
                    "problem": "component sum is not a spectrum point"}
         if any(p != t and lat.le(t, p) for p in top.point_index):
-            yield {"component": sorted(comp), "sum": _describe(l_sub),
+            yield {"component": list(bits_of(comp)), "sum": _describe(l_sub),
                    "problem": "component sum is not maximal"}
 
 
 # --- comparability inside connected subsets ------------------------------------------
 
-def _subsets_upto(space, cap):
-    items = sorted(space)
-    n = len(items)
-    stack = [(0, [])]
-    while stack:
-        start, chosen = stack.pop()
-        if len(chosen) >= 2:
-            yield frozenset(chosen)
-        if len(chosen) == cap:
-            continue
-        for i in range(start, n):
-            stack.append((i + 1, chosen + [items[i]]))
-
-
 def _isolated_members(s):
+    # In a topology a connected S has a connected comparability graph, so
+    # each x in S has a comparable y in S, and {x, y} is connected: the
+    # connected pairs decide every subset.  A pair is disconnected when each
+    # point lies in a closed member without the other.
     top, lat = s.a.topology("full"), s.a.lattice
-    index = top.point_index
-    for subset in _subsets_upto(top.space, s.ctx.subset_cap):
-        if not is_connected_subset(top, subset):
-            continue
-        for i in subset:
-            if not any(lat.le(index[j], index[i]) or lat.le(index[i], index[j])
-                       for j in subset if j != i):
-                yield {"subset": sorted(subset),
-                       "member": _describe(top.points[i])}
+    index, held = top.point_index, _family_closures(top)
+    for i in range(top.size):
+        for j in range(i + 1, top.size):
+            connected = held[i] >> j & 1 or held[j] >> i & 1
+            if connected and not (lat.le(index[i], index[j])
+                                  or lat.le(index[j], index[i])):
+                yield {"subset": [i, j], "member": _describe(top.points[i])}
 
 
 # --- closures through the sum of points -----------------------------------------------
 
+def _closure_miss(subset: int, closure: int, variety: int):
+    return {"subset": list(bits_of(subset)), "closure": list(bits_of(closure)),
+            "variety_of_sum": list(bits_of(variety))}
+
+
 def _closures(s):
-    top = s.a.topology("full")
-    candidates = list(_subsets_upto(top.space, s.ctx.subset_cap))
-    candidates.extend(frozenset({i}) for i in top.space)
-    candidates.append(frozenset())
-    candidates.extend(top.closed)
-    for subset in candidates:
-        expected = top.varieties[top.phi(subset)]
-        if top.closure(subset) != expected:
-            yield {"subset": sorted(subset),
-                   "closure": sorted(top.closure(subset)),
-                   "variety_of_sum": sorted(expected)}
+    # In a topology cl(S u {p}) = cl(S) u cl{p}, so by induction on |S| the
+    # formula holds for every S once cl(0) = V(0), cl{p} = V(p) (read from
+    # the family) and V(X + p) = V(X) u V(p) for each point p and each sum X
+    # of points.  Each X is reached as the sum of a set S_X, and checking
+    # cl(S_X u {p}) = V(X + p) for p outside S_X (inside, X + p = X) covers
+    # every two-point set too.
+    top, lat = s.a.topology("full"), s.a.lattice
+    v, index = top.varieties, top.point_index
+    zero = top.phi(0)
+    if v[zero]:
+        yield _closure_miss(0, 0, v[zero])
+    for i, held in enumerate(_family_closures(top)):
+        if held != v[top.phi(1 << i)]:
+            yield _closure_miss(1 << i, held, v[top.phi(1 << i)])
+    sums, reached = {zero: 0}, [zero]
+    for x in reached:
+        for i in bits_of(top.space & ~sums[x]):
+            subset, t = sums[x] | 1 << i, lat.join(1 << x | 1 << index[i])
+            closure = top.closure(subset)
+            if closure != v[t]:
+                yield _closure_miss(subset, closure, v[t])
+            if t not in sums:
+                sums[t] = subset
+                reached.append(t)
 
 
 # --- closed sets against coradical-fixed parts ------------------------------------------
@@ -899,20 +936,20 @@ def _fixed_setup(s):
 
 def _closed_sets_biject(s):
     top, elements, fixed = s.a.topology("full"), s.a.lattice.elements, s.fixed
-    for c in top.closed:
+    for c in top.closed_masks:
         t = top.phi(c)
         if not fixed >> t & 1:
-            yield {"closed": sorted(c), "sum": _describe(elements[t]),
+            yield {"closed": list(bits_of(c)), "sum": _describe(elements[t]),
                    "problem": "sum of a closed set is not coradical-fixed"}
         if top.varieties[t] != c:
-            yield {"closed": sorted(c), "sum": _describe(elements[t]),
+            yield {"closed": list(bits_of(c)), "sum": _describe(elements[t]),
                    "problem": "variety does not recover the closed set"}
     for t in bits_of(fixed):
         if top.phi(top.varieties[t]) != t:
             yield {"l": _describe(elements[t]),
                    "problem": "sum over the variety does not recover L"}
-    if fixed.bit_count() != len(top.closed):
-        yield {"closed_count": len(top.closed),
+    if fixed.bit_count() != len(top.closed_masks):
+        yield {"closed_count": len(top.closed_masks),
                "fixed_count": fixed.bit_count(),
                "problem": "cardinalities differ"}
 
@@ -1068,12 +1105,17 @@ def _fi_map(s):
     return s.fi_map
 
 
+def _image(index_map, subset: int) -> int:
+    """The mask of the images of the points in a mask."""
+    return sum(1 << j for j in {index_map[i] for i in bits_of(subset)})
+
+
 def _closed_images(s, index_map):
     target = s.target.topology("fi")
-    for closed in s.source.topology("fi").closed:
-        img = frozenset(index_map[i] for i in closed)
+    for closed in s.source.topology("fi").closed_masks:
+        img = _image(index_map, closed)
         if not target.is_closed(img):
-            yield {"closed": sorted(closed), "image": sorted(img)}
+            yield {"closed": list(bits_of(closed)), "image": list(bits_of(img))}
 
 
 def _dual_ring_route(s):
@@ -1119,11 +1161,11 @@ def _fi_map_open_closed(s):
     elif report.index_map is not None and \
             set(report.index_map) == set(range(len(s.tgt_points))):
         yield from _closed_images(s, report.index_map)
-        target = s.target.topology("fi")
-        for o in s.source.topology("fi").open_sets():
-            img = frozenset(report.index_map[i] for i in o)
-            if not target.is_open(img):
-                yield {"open": sorted(o), "image": sorted(img)}
+        source, target = s.source.topology("fi"), s.target.topology("fi")
+        for o in (source.space & ~c for c in source.closed_masks):
+            img = _image(report.index_map, o)
+            if not target.is_closed(target.space & ~img):
+                yield {"open": list(bits_of(o)), "image": list(bits_of(img))}
 
 
 def _isomorphism_transport(s):
@@ -1188,12 +1230,6 @@ def morphism_checks(theta: CoalgebraMorphism, mode: str = "exhaustive",
 
 
 # --- registry ---------------------------------------------------------------------
-
-@dataclass
-class CheckContext:
-    subset_cap: int = 6
-    seed: int = 0
-
 
 _FAMILIES = {
     "annihilator-kernel-galois": _Family(setup=_galois_setup, parts=(
@@ -1396,15 +1432,17 @@ _FAMILIES = {
     "connected-subsets-comparable": _Family(
         gate=_standing_gaps, parts=(
             _Part("connected-subsets-comparable", _isolated_members,
-                  lambda s: "members of connected subsets (size <= %d) are "
-                            "pairwise linked by inclusion" % s.ctx.subset_cap,
-                  "an isolated member of a connected subset"),
+                  "members of connected subsets are pairwise linked by "
+                  "inclusion",
+                  "an isolated member of a connected subset",
+                  gates=(_needs_topology,)),
         )),
     "closure-formula": _Family(
         gate=_standing_gaps, parts=(
             _Part("closure-formula", _closures,
                   "closures are varieties of the summed points",
-                  "closure differs from the variety of the sum"),
+                  "closure differs from the variety of the sum",
+                  gates=(_needs_topology,)),
         )),
     "closed-set-bijection": _Family(
         gate=_standing_gaps, setup=_fixed_setup, parts=(
@@ -1438,14 +1476,13 @@ def statement_names():
     return list(_FAMILIES)
 
 
-def run_checks(a: InstanceAnalysis, names=None, subset_cap: int = 6) -> list:
+def run_checks(a: InstanceAnalysis, names=None) -> list:
     """Run the selected statements (all by default) on one instance."""
-    ctx = CheckContext(subset_cap=subset_cap, seed=a.seed)
     chosen = statement_names() if names is None else list(names)
     unknown = [name for name in chosen if name not in _FAMILIES]
     if unknown:
         raise ValueError(f"unknown statement {unknown[0]!r}; known: "
                          + ", ".join(statement_names()))
     return [v for name in chosen
-            for v in _run(_FAMILIES[name], SimpleNamespace(a=a, ctx=ctx),
+            for v in _run(_FAMILIES[name], SimpleNamespace(a=a),
                           relative=not a.lattice.certified)]

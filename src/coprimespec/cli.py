@@ -180,8 +180,8 @@ def cmd_topology(args) -> int:
              f"separation: T0={sep.t0} T1={sep.t1} T2={sep.t2} "
              f"discrete={sep.discrete}",
              f"irreducible={rep.irreducible} connected={rep.connected}",
-             "components: " + (", ".join(str(sorted(c))
-                                         for c in rep.components) or "none"),
+             "components: " + (", ".join(str(c) for c in payload["components"])
+                               or "none"),
              f"coradical-fixed parts: {fixed} "
              f"(closed sets: {len(top.closed)}; "
              + ("bijective" if payload["closed_bijection"]
@@ -223,6 +223,8 @@ def cmd_check(args) -> int:
     runs = []
     if args.random is not None:
         from .catalog import random_instance
+        if args.instance is not None:
+            raise UsageError("check takes an instance or --random, not both")
         if args.random < 0:
             raise UsageError(f"--random needs a count >= 0, got {args.random}")
         field = _field(args.field)
@@ -231,8 +233,7 @@ def cmd_check(args) -> int:
             runs.append((f"seed {args.seed + i}: {desc}", m))
     else:
         if args.instance is None:
-            print("check needs an instance or --random", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("check needs an instance or --random")
         runs.append((args.instance, _load_bicomodule(
             args.instance, args.field, _exhaustive_budget(args))))
     failed = 0
@@ -240,7 +241,7 @@ def cmd_check(args) -> int:
     lines = []
     for label, m in runs:
         a = _analysis(args, m=m)
-        verdicts = run_checks(a, names=names, subset_cap=args.subset_cap)
+        verdicts = run_checks(a, names=names)
         failed += sum(1 for v in verdicts if v.status == FAIL)
         payload.append({"instance": label,
                         "verdicts": [v.to_dict() for v in verdicts]})
@@ -348,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, default=None, metavar="COUNT",
                    help="run on COUNT seeded random instances instead of "
                         "one named instance")
-    p.add_argument("--subset-cap", type=int, default=6,
-                   help="cap for connected-subset enumeration (default 6)")
     p.set_defaults(func=cmd_check)
 
     p = subs.add_parser("oracle", help="diff the engine against an "
@@ -385,7 +384,7 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        for option in ("budget", "ideal_budget", "subset_cap"):
+        for option in ("budget", "ideal_budget"):
             value = getattr(args, option, 0)
             if value < 0:
                 raise UsageError(f"--{option.replace('_', '-')} needs a count "

@@ -1,35 +1,49 @@
 """Zariski-style topology on the fully coprime spectrum.
 
-Points are the fully coprime subbicomodules.  Each lattice element L induces
-the variety V(L) = set of points contained in L; the closed sets are the
-varieties of fully invariant elements (flavor "fi") or of all lattice
-elements (flavor "full").  Varieties are read from the lattice's containment
-table and sums of points from `Lattice.join`.  The family is checked
-literally for the topology axioms rather than assumed to satisfy them.
+Points are the fully coprime subbicomodules, and subsets of the space are
+int masks over their positions.  Each lattice element L induces the variety
+V(L), the points inside L, read from the lattice's containment table; the
+closed family is the varieties of the fully invariant elements (flavor
+"fi") or of all elements ("full"), with the empty set and the whole space.
+It is checked literally for the topology axioms (`is_topology`).
+
+A finite topology is fixed by its specialization preorder, x <= y when x
+lies in cl{y}: its closed sets are the down-sets (P. Alexandroff, 1937;
+R. E. Stong, Trans. AMS 123, 1966).  The family holds V(p) for every point
+p (points are fully invariant), and each member is a down-set for inclusion
+of points, so the topology the family generates has cl{p} = V(p), is the
+down-sets of inclusion between points, and is the family itself exactly
+when `is_topology`.  The readings below describe it: T0 is antisymmetry,
+and T1, T2 and discreteness are equality, of the preorder; a subset is
+irreducible when it has a greatest point and connected when its
+comparability graph is; the components are the closures of the maximal
+points; and cl(S) is the union of the cl{s}, s in S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .coalgebra import CoalgebraMorphism
 from .coprime import SpectrumReport
 from .linalg import Subspace, bits_of
 
 
-def _canon(sets):
-    return tuple(sorted({frozenset(s) for s in sets},
-                        key=lambda s: (len(s), sorted(s))))
+def _canon(masks):
+    """Distinct masks by size, then by their sorted positions."""
+    return tuple(sorted(set(masks), key=lambda s: (s.bit_count(), list(bits_of(s)))))
 
 
 class ZariskiTopology:
     """Finite topological space whose points are fully coprime subbicomodules.
 
     The points are the lattice indices in `point_index`, and `positions`
-    maps each of them to its position.  The varieties of all lattice
-    elements are read once from the containment table: entry t of
-    `varieties` is the set of positions of the points inside lattice
-    element t.
+    maps each of them to its position.  Entry t of `varieties` is the mask
+    of the points inside lattice element t, entry i of `point_closures`
+    the closure V(p) of the point p at position i, `space` the mask of
+    every point, and `closed_masks` the closed family in canonical order
+    (by size, then by positions); `closed` lists it as frozensets.
     """
 
     def __init__(self, report: SpectrumReport, flavor: str):
@@ -38,85 +52,66 @@ class ZariskiTopology:
         self.points = report.cpspec
         self.point_index = tuple(bits_of(report.cpspec_bits))
         self.positions = {t: i for i, t in enumerate(self.point_index)}
+        self.space = (1 << len(self.point_index)) - 1
         inside = [0] * len(lattice)
         for i, t in enumerate(self.point_index):
             for j in bits_of(lattice.above[t] | 1 << t):
                 inside[j] |= 1 << i
-        self.varieties = tuple(frozenset(bits_of(v)) for v in inside)
+        self.varieties = tuple(inside)
+        self.point_closures = tuple(inside[t] for t in self.point_index)
         params = bits_of(lattice.fi_bits) if flavor == "fi" else range(len(lattice))
-        self.closed = _canon([self.varieties[t] for t in params]
-                             + [frozenset(), self.space])
-        self._closed_set = frozenset(self.closed)
-        self.is_topology, self.witness = _axiom_scan(self._closed_set, self.space)
+        self.closed_masks = _canon([inside[t] for t in params] + [0, self.space])
+        self._closed_set = frozenset(self.closed_masks)
+        self.is_topology, self.witness = _axiom_scan(self.closed_masks)
 
     @property
     def size(self) -> int:
         return len(self.points)
 
-    @property
-    def space(self) -> frozenset:
-        return frozenset(range(self.size))
+    @cached_property
+    def closed(self) -> tuple:
+        """The closed family as frozensets of positions, in canonical order."""
+        return tuple(frozenset(bits_of(c)) for c in self.closed_masks)
 
-    def is_closed(self, subset) -> bool:
-        return frozenset(subset) in self._closed_set
+    def is_closed(self, subset: int) -> bool:
+        """Whether the mask is a member of the closed family."""
+        return subset in self._closed_set
 
-    def open_sets(self):
-        return _canon(self.space - c for c in self.closed)
-
-    def is_open(self, subset) -> bool:
-        return frozenset(self.space - frozenset(subset)) in self._closed_set
-
-    def v_of(self, l_sub: Subspace) -> frozenset:
-        """Positions of the points inside l_sub; by `contains` only when l_sub
+    def v_of(self, l_sub: Subspace) -> int:
+        """The mask of the points inside l_sub; by `contains` only when l_sub
         is not a lattice element (a coproduct in Generated mode can be one)."""
         t = self.lattice.find(l_sub)
         if t is not None:
             return self.varieties[t]
-        return frozenset(i for i, k in enumerate(self.points) if l_sub.contains(k))
+        return sum(1 << i for i, k in enumerate(self.points) if l_sub.contains(k))
 
     def position(self, sub: Subspace) -> int | None:
         """Position of sub among the points, or None when it is not a point."""
         t = self.lattice.find(sub)
         return None if t is None else self.positions.get(t)
 
-    def phi(self, subset) -> int:
-        """Lattice index of the sum of the points at a set of positions."""
-        return self.lattice.join(sum(1 << self.point_index[i] for i in subset))
+    def phi(self, subset: int) -> int:
+        """Lattice index of the sum of the points in a mask."""
+        return self.lattice.join(sum(1 << self.point_index[i] for i in bits_of(subset)))
 
-    def closure(self, subset) -> frozenset:
-        subset = frozenset(subset)
-        out = self.space
-        for c in self.closed:
-            if subset <= c and len(c) < len(out):
-                out = c
-        return frozenset(out)
-
-    def point_closure(self, i: int) -> frozenset:
-        return self.closure({i})
+    def closure(self, subset: int) -> int:
+        """The union of the point closures of the points in a mask."""
+        out = 0
+        for i in bits_of(subset):
+            out |= self.point_closures[i]
+        return out
 
 
-def _axiom_scan(closed, space):
-    """Checks the closed-set axioms; returns (ok, witness-or-None).
-
-    Pairs (a, b) of the sorted family are scanned on int masks, and only
-    with a before b: union and intersection are symmetric, so the first
-    failing ordered pair has a before b, and a pair (a, a) never fails.
-    """
-    family = set(closed)
-    if frozenset() not in family:
-        return False, ("missing", frozenset())
-    if space not in family:
-        return False, ("missing", space)
-    sets = sorted(family, key=lambda s: (len(s), sorted(s)))
-    masks = [sum(1 << i for i in s) for s in sets]
+def _axiom_scan(masks):
+    """The closed-set axioms of a canonically sorted family holding 0 and the
+    space: (ok, witness-or-None).  Union and intersection are symmetric and
+    a pair (a, a) never fails, so only pairs with a before b are scanned."""
     members = set(masks)
     for i, a in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            b = masks[j]
-            if a | b not in members:
-                return False, ("union", sets[i], sets[j])
-            if a & b not in members:
-                return False, ("intersection", sets[i], sets[j])
+        for b in masks[i + 1:]:
+            if a | b not in members or a & b not in members:
+                kind = "union" if a | b not in members else "intersection"
+                return False, (kind, frozenset(bits_of(a)), frozenset(bits_of(b)))
     return True, None
 
 
@@ -138,60 +133,38 @@ class SeparationReport:
 
 
 def separation(top: ZariskiTopology) -> SeparationReport:
-    opens = top.open_sets()
-    n = top.size
-    t0 = t1 = t2 = True
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            sep_x = [u for u in opens if x in u and y not in u]
-            sep_y = [u for u in opens if y in u and x not in u]
-            if not (sep_x or sep_y):
-                t0 = False
-            if not sep_x:
-                t1 = False
-            if not any(not (ux & uy) for ux in sep_x for uy in sep_y):
-                t2 = False
-    discrete = all(top.is_open({x}) for x in range(n))
-    return SeparationReport(t0, t1, t2, discrete)
+    closures = top.point_closures
+    t0 = not any(closures[j] >> i & 1 for i, c in enumerate(closures)
+                 for j in bits_of(c & ~(1 << i)))
+    discrete = all(c == 1 << i for i, c in enumerate(closures))
+    return SeparationReport(t0, discrete, discrete, discrete)
 
 
-def is_irreducible_subset(top: ZariskiTopology, subset) -> bool:
-    """Nonempty, and not covered by two closed sets unless one suffices."""
-    subset = frozenset(subset)
-    if not subset:
-        return False
-    for c1 in top.closed:
-        if subset <= c1:
-            continue
-        rest = subset - c1
-        for c2 in top.closed:
-            if rest <= c2 and not subset <= c2:
-                return False
-    return True
+def is_irreducible_subset(top: ZariskiTopology, subset: int) -> bool:
+    """Nonempty, with a point whose closure holds the whole subset."""
+    return any(not subset & ~top.point_closures[i] for i in bits_of(subset))
 
 
-def irreducible_components(top: ZariskiTopology):
-    """Maximal irreducible closed subsets, canonically ordered."""
-    irr = [c for c in top.closed if is_irreducible_subset(top, c)]
-    out = [c for c in irr if not any(o != c and c < o for o in irr)]
-    return _canon(out)
+def irreducible_components(top: ZariskiTopology) -> tuple:
+    """The closures of the maximal points, canonically ordered."""
+    closures = top.point_closures
+    return _canon(c for c in closures
+                  if not any(d != c and not c & ~d for d in closures))
 
 
-def is_connected_subset(top: ZariskiTopology, subset) -> bool:
-    """Connectivity in the subspace topology; the empty set counts as connected."""
-    subset = frozenset(subset)
-    traces = sorted({c & subset for c in top.closed}, key=lambda s: (len(s), sorted(s)))
-    for a in traces:
-        if a and a != subset and (subset - a) in traces:
-            return False
-    return True
+def is_connected_subset(top: ZariskiTopology, subset: int) -> bool:
+    """Whether the comparability graph on the subset is connected; the empty
+    set counts as connected."""
+    reached, grown = 0, subset & -subset
+    while grown != reached:
+        reached = grown
+        above = sum(1 << j for j in bits_of(subset) if top.point_closures[j] & reached)
+        grown = reached | subset & (top.closure(reached) | above)
+    return reached == subset
 
 
-def generic_points(top: ZariskiTopology, subset):
-    subset = frozenset(subset)
-    return [i for i in subset if top.point_closure(i) == subset]
+def generic_points(top: ZariskiTopology, subset: int) -> list:
+    return [i for i in bits_of(subset) if top.point_closures[i] == subset]
 
 
 @dataclass(frozen=True)
@@ -212,7 +185,7 @@ class TopologyReport:
             "separation": self.separation.to_dict(),
             "irreducible_space": self.irreducible,
             "connected_space": self.connected,
-            "components": [sorted(c) for c in self.components],
+            "components": [list(bits_of(c)) for c in self.components],
             "point_count": self.point_count,
             "closed_count": self.closed_count,
         }
@@ -227,7 +200,7 @@ def topology_report(top: ZariskiTopology) -> TopologyReport:
         connected=is_connected_subset(top, top.space),
         components=irreducible_components(top),
         point_count=top.size,
-        closed_count=len(top.closed),
+        closed_count=len(top.closed_masks),
     )
 
 
@@ -267,22 +240,12 @@ def spectral_map(theta: CoalgebraMorphism, source_top: ZariskiTopology,
     the target spectrum; continuity is only evaluated for defined maps.
     """
     images = [image_subspace(theta, k) for k in source_top.points]
-    index_map = []
-    defined = True
-    for img in images:
-        hit = target_top.position(img)
-        if hit is None:
-            defined = False
-            break
-        index_map.append(hit)
-    if not defined:
+    index_map = [target_top.position(img) for img in images]
+    if None in index_map:
         return SpectralMapReport(theta, source_top, target_top, images,
                                  None, False, False)
-    continuous = True
-    for closed in target_top.closed:
-        pulled = frozenset(i for i, j in enumerate(index_map) if j in closed)
-        if not source_top.is_closed(pulled):
-            continuous = False
-            break
+    continuous = all(source_top.is_closed(
+        sum(1 << i for i, j in enumerate(index_map) if closed >> j & 1))
+        for closed in target_top.closed_masks)
     return SpectralMapReport(theta, source_top, target_top, images,
-                             index_map, defined, continuous)
+                             index_map, True, continuous)

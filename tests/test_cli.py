@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -48,8 +49,9 @@ BAD_INPUT = {
         lambda _: ("spectrum", "grouplike:2", "--budget", "-5"), "--budget"),
     "negative-ideal-budget": (
         lambda _: ("check", "grouplike:2", "--ideal-budget", "-1"), "--ideal-budget"),
-    "negative-subset-cap": (
-        lambda _: ("check", "grouplike:2", "--subset-cap", "-1"), "--subset-cap"),
+    "check-without-instance": (lambda _: ("check",), "an instance or --random"),
+    "check-instance-and-random": (
+        lambda _: ("check", "grouplike:2", "--random", "1"), "not both"),
 }
 
 
@@ -289,3 +291,19 @@ def test_bad_triple_indices_are_clean_errors(tmp_path, payload, command):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+# Outputs recorded from the commands, byte for byte: a change to any of them
+# is a change to what the command prints.
+GOLDEN = {
+    "topology-grouplike-3.json": ("topology", "grouplike:3"),
+    "topology-comatrix-2-F3.json": ("topology", "comatrix:2", "--field", "F3"),
+    "check-divided-3.json": ("check", "divided:3"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_structured_output_matches_the_golden_file(name):
+    proc = run_cli(*GOLDEN[name], "--report", "structured")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (Path(__file__).parent / "golden" / name).read_text()

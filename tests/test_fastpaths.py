@@ -25,8 +25,8 @@ from coprimespec.analysis import InstanceAnalysis
 from coprimespec.bicomodule import Bicomodule, is_subbicomodule, quotient, restrict
 from coprimespec.catalog import (random_instance, resolve_ref,
                                  resolve_ref_to_bicomodule, right_comodule)
-from coprimespec.checks import (FAIL, PASS, VACUOUS, CheckContext, Verdict,
-                                _describe, _vacuous, run_checks)
+from coprimespec.checks import (FAIL, PASS, VACUOUS, Verdict, _describe,
+                                _vacuous, run_checks)
 from coprimespec.coalgebra import Coalgebra
 from coprimespec.coprime import (CoproductCache, is_fully_coprime,
                                  is_fully_cosemiprime, ke_product_bound)
@@ -174,7 +174,7 @@ def _xset(points, l_sub):
     return frozenset(i for i, k in enumerate(points) if not l_sub.contains(k))
 
 
-def _literal_an_ke_galois(a: InstanceAnalysis, ctx) -> list:
+def _literal_an_ke_galois(a: InstanceAnalysis) -> list:
     name = "annihilator-kernel-galois"
     lat, endo, cache = a.lattice, a.endo, a.coproducts
     elements = list(lat.elements)
@@ -283,7 +283,7 @@ def _literal_an_ke_galois(a: InstanceAnalysis, ctx) -> list:
     return out
 
 
-def _literal_coproduct_bound(a: InstanceAnalysis, ctx) -> list:
+def _literal_coproduct_bound(a: InstanceAnalysis) -> list:
     name = "coproduct-annihilator-kernel-bound"
     lat, endo, cache = a.lattice, a.endo, a.coproducts
     elements = list(lat.elements)
@@ -329,7 +329,7 @@ def _literal_coproduct_bound(a: InstanceAnalysis, ctx) -> list:
                        "coproducts are monotone subbicomodules containing "
                        "their arguments"))
 
-    rng = Random(ctx.seed)
+    rng = Random(a.seed)
     probes = list(elements)
     for _ in range(3):
         vec = tuple(a.field.random_element(rng) for _ in range(a.m.dim))
@@ -371,7 +371,7 @@ def _literal_coproduct_bound(a: InstanceAnalysis, ctx) -> list:
     return out
 
 
-def _literal_variety_identities(a: InstanceAnalysis, ctx) -> list:
+def _literal_variety_identities(a: InstanceAnalysis) -> list:
     name = "variety-identities"
     lat, spec = a.lattice, a.spectrum
     points = spec.cpspec
@@ -440,10 +440,9 @@ def _statuses(verdicts):
 
 
 def _check_statements_match_literal(a):
-    ctx = CheckContext(seed=a.seed)
     for name, literal in LITERAL_STATEMENTS.items():
         assert (_statuses(run_checks(a, names=[name]))
-                == _statuses(literal(a, ctx))), name
+                == _statuses(literal(a))), name
 
 
 def _literal_coproduct(a, x, y):
@@ -712,8 +711,8 @@ def _check_table_against_definitions(a):
         for flavor in ("fi", "full"):
             top = part.topology(flavor)
             for l_sub in lat.elements:
-                assert top.v_of(l_sub) == frozenset(
-                    i for i, k in enumerate(spec.cpspec) if l_sub.contains(k))
+                assert top.v_of(l_sub) == sum(
+                    1 << i for i, k in enumerate(spec.cpspec) if l_sub.contains(k))
 
 
 # No shrink phase, as above.
@@ -737,7 +736,7 @@ def test_variety_of_a_subspace_outside_the_lattice_uses_contains():
     sub = Subspace.from_vectors(F2, 3, [(1, 0, 0), (0, 1, 1)])
     assert a.lattice.find(sub) is None
     e1 = Subspace.from_vectors(F2, 3, [(1, 0, 0)])
-    assert top.v_of(sub) == frozenset({top.position(e1)})
+    assert top.v_of(sub) == 1 << top.position(e1)
 
 
 def _described(*rows):
@@ -759,7 +758,7 @@ def test_join_rigged_to_the_top_fails_the_closure_statements(monkeypatch):
     assert _failures(a, names) == [
         {"statement": "closure-formula", "status": FAIL,
          "detail": "closure differs from the variety of the sum",
-         "witness": {"subset": [1, 2], "closure": [1, 2],
+         "witness": {"subset": [], "closure": [],
                      "variety_of_sum": [0, 1, 2]}},
         {"statement": "closed-set-bijection-1", "status": FAIL,
          "detail": "closed sets do not biject with coradical-fixed parts",
@@ -857,22 +856,6 @@ def test_unrigged_coproduct_statement_passes():
     assert _bound_verdict(a, 1).status == PASS
 
 
-def test_coproduct_bound_computes_each_probe_pair_once(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return ke_product_bound(*args, **kwargs)
-
-    monkeypatch.setattr(checks, "ke_product_bound", counted)
-    m, _ = random_instance(15, field=F2)
-    a = InstanceAnalysis(m)
-    assert len(a.lattice) == 32
-    verdicts = run_checks(a, names=["coproduct-annihilator-kernel-bound"])
-    assert all(v.status == PASS for v in verdicts)
-    assert 0 < len(calls) <= (len(a.lattice) + 3) ** 2
-
-
 # --- coproduct rows against direct solves --------------------------------------
 
 def _with_comodule_forms(m):
@@ -959,19 +942,20 @@ def _bound_solves(monkeypatch, ref):
 
 def test_the_coproduct_bound_solves_only_meet_irreducible_entries(monkeypatch):
     # All pairs solved 17133 on grouplike:7.  A row solves its |MI| entries,
-    # each of the |L| + 3 probes has one, and a probe line as Y costs two
-    # solves per X.
+    # each of the |L| + 3 probes has one, and a probe line as Y costs one
+    # solve per X, (X : line): its kernel side (X : Ke(An(line))) is read
+    # from the row of X when Ke(An(line)) is an element, as it is here.
     solves, a = _bound_solves(monkeypatch, "grouplike:7")
     lat = a.lattice
     mi = sum(len(c) == 1 for c in lat.upper_covers)
     assert mi == 7
-    assert solves == 1544
-    assert solves <= (len(lat) + 3) * (mi + 6)
+    assert solves == 1282
+    assert solves <= (len(lat) + 3) * (mi + 3)
 
 
 def test_the_coproduct_bound_on_a_chain_solves_what_it_did(monkeypatch):
     # Every element of a chain below the top is meet-irreducible.
-    assert _bound_solves(monkeypatch, "divided:6")[0] == 114
+    assert _bound_solves(monkeypatch, "divided:6")[0] == 103
 
 
 # --- packed F2 linear systems against the tuple arithmetic --------------------
